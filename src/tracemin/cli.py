@@ -182,8 +182,8 @@ def cmd_solve(args) -> int:
         diagnostics = {
             "inertia_b": [inb.n_plus, inb.n_zero, inb.n_minus],
         }
-        if rep.route.startswith("indefinite"):
-            analysis = finite_eigenvalues(A_, B_)
+        if rep.analysis is not None:
+            analysis = rep.analysis
             diagnostics["lambda0"] = analysis.lambda0
             diagnostics["lambda_plus"] = [float(v) for v in analysis.lambda_plus]
             diagnostics["lambda_minus"] = [float(v) for v in analysis.lambda_minus]

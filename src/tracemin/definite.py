@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import MissingOptimizer, NotPositiveDefinite
+from .pencil import PsdPencilAnalysis
 from .spectral import as_herm, max_norm
 
 
@@ -41,7 +42,8 @@ class SolveReport:
     """Outcome of one trace-optimization solve.
 
     ``pairing`` lists (weight, signed eigenvalue multiplier, role) triples
-    whose products sum to ``value``.
+    whose products sum to ``value``. ``analysis`` is the pencil analysis an
+    indefinite route solved from, without its eigenvector blocks.
     """
 
     route: str
@@ -51,6 +53,7 @@ class SolveReport:
     x_opt: np.ndarray | None = None
     pairing: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    analysis: PsdPencilAnalysis | None = None
 
 
 def pencil_eig_definite(A, B) -> DefinitePencilEigen:

@@ -8,7 +8,7 @@ certifying shift, and is attained iff the pencil is diagonalizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,11 +96,17 @@ def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False, analysis=None):
     if k > analysis.inertia_b.n_plus:
         raise KTooLarge(f"k={k} exceeds n_plus={analysis.inertia_b.n_plus}")
     route = "indefinite-plus"
+    # the report keeps the analysis without its eigenvector blocks: x_opt
+    # holds what the solve takes from them, and a report should not pin an
+    # n x rank(B) array
+    evidence = replace(analysis, eigvecs_plus=None, eigvecs_minus=None)
     if max_norm(A_) == 0.0:
         rep = _solve_zero_a(route, B_, ConstraintSpec.plus_identity(k), want_optimizer)
+        rep.analysis = evidence
         return rep
     if not check_finiteness(D_):
-        return SolveReport(route=route, finite=False, value=None, attained=False)
+        return SolveReport(route=route, finite=False, value=None, attained=False,
+                           analysis=evidence)
     om = split_omegas(D_)
     pairing = [
         (float(om.omegas[i]), float(analysis.lambda_plus[i]), f"lambda+[{i + 1}]")
@@ -118,11 +124,16 @@ def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False, analysis=None):
         attained=attained,
         x_opt=x_opt,
         pairing=pairing,
+        analysis=evidence,
     )
 
 
 def solve_indefinite_minus(A, B, D, k=None, want_optimizer=False, analysis=None):
-    """inf tr(D X^H A X) over X^H B X = -I_k for genuinely indefinite B."""
+    """inf tr(D X^H A X) over X^H B X = -I_k for genuinely indefinite B.
+
+    The constraint is X^H (-B) X = I_k, so this is the plus route on (A, -B),
+    whose pencil eigenvalues are those of (A, B) negated.
+    """
     A_ = as_herm(A)
     B_ = as_herm(B)
     D_ = as_herm(D)
@@ -132,33 +143,23 @@ def solve_indefinite_minus(A, B, D, k=None, want_optimizer=False, analysis=None)
         raise ValueError("D must be k x k")
     if analysis is None:
         analysis = finite_eigenvalues(A_, B_)
-    _require_indefinite(analysis)
-    if k > analysis.inertia_b.n_minus:
-        raise KTooLarge(f"k={k} exceeds n_minus={analysis.inertia_b.n_minus}")
-    route = "indefinite-minus"
-    if max_norm(A_) == 0.0:
-        return _solve_zero_a(route, B_, ConstraintSpec.minus_identity(k), want_optimizer)
-    if not check_finiteness(D_):
-        return SolveReport(route=route, finite=False, value=None, attained=False)
-    om = split_omegas(D_)
-    # lambda_minus is stored descending, so entry i is the i-th largest
-    pairing = [
-        (float(om.omegas[i]), float(-analysis.lambda_minus[i]), f"-lambda-[{i + 1}]")
-        for i in range(k)
-    ]
-    value = float(sum(w * lam for w, lam, _ in pairing))
-    x_opt = None
-    attained = analysis.diagonalizable
-    if attained and want_optimizer:
-        x_opt = analysis.eigvecs_minus[:, :k] @ om.q.conj().T
-    return SolveReport(
-        route=route,
-        finite=True,
-        value=value,
-        attained=attained,
-        x_opt=x_opt,
-        pairing=pairing,
-    )
+    try:
+        rep = solve_indefinite_plus(A_, -B_, D_, k, want_optimizer, analysis.mirrored())
+    except KTooLarge:
+        raise KTooLarge(
+            f"k={k} exceeds n_minus={analysis.inertia_b.n_minus}"
+        ) from None
+    rep.route = "indefinite-minus"
+    rep.pairing = [(w, lam, f"-lambda-[{i + 1}]")
+                   for i, (w, lam, _role) in enumerate(rep.pairing)]
+    rep.analysis = rep.analysis.mirrored()
+    if rep.x_opt is not None and "degenerate_A" in rep.warnings:
+        # any feasible X attains 0; draw it in B's own coordinates, as the
+        # zero-A plus route does
+        rep.x_opt = _solve_zero_a(
+            rep.route, B_, ConstraintSpec.minus_identity(k), want_optimizer
+        ).x_opt
+    return rep
 
 
 def solve_signature(
@@ -190,7 +191,7 @@ def solve_signature(
     warnings = sorted(set(rep_p.warnings) | set(rep_m.warnings))
     if not (rep_p.finite and rep_m.finite):
         return SolveReport(route=route, finite=False, value=None, attained=False,
-                           warnings=warnings)
+                           warnings=warnings, analysis=rep_p.analysis)
     x_opt = None
     attained = rep_p.attained and rep_m.attained
     if attained and want_optimizer and rep_p.x_opt is not None and rep_m.x_opt is not None:
@@ -203,6 +204,7 @@ def solve_signature(
         x_opt=x_opt,
         pairing=rep_p.pairing + rep_m.pairing,
         warnings=warnings,
+        analysis=rep_p.analysis,
     )
 
 

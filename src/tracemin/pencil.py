@@ -1,19 +1,22 @@
 """Analysis of Hermitian pencils A - lambda*B with indefinite, possibly
 singular B.
 
-Certifies positive semi-definiteness of the pencil by searching for a shift
-lambda0 with A - lambda0*B >= 0, computes the rank(B) finite eigenvalues and
-their split around lambda0, and decides diagonalizability by checking that
-the eigenvectors admit a B-orthonormalization of full rank.
+One pass: deflate the common nullspace of A and B, take the rank(B) finite
+eigenvalues from one QZ, and place the shift lambda0 in the bracket
+[max lambda-, min lambda+] that every certifying shift of a positive
+semi-definite pencil lies in. One eigh of A - lambda0*B is then both the
+certificate A - lambda0*B >= 0 and the source of its kernel K0. The pencil is
+diagonalizable iff no direction of K0 is B-null; the eigenvectors are K0,
+B-orthonormalized, plus those of the definite pair on K0's B-orthogonal
+complement, whose eigenvalues mu = 1/(lambda - lambda0) come from one eigh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.optimize
 
 from .errors import NotPsdPencil
 from .spectral import Inertia, as_herm, inertia, max_norm
@@ -21,6 +24,14 @@ from .spectral import Inertia, as_herm, inertia, max_norm
 # singular values below this times the largest count as zero (stated once,
 # used everywhere)
 RANK_RTOL = 1e-9
+# eigenvalues of A - lambda0*B below -PSD_RTOL * (|A| + |lambda0|*|B|) refute
+# the certificate; those at or below +PSD_RTOL * (...) span its kernel K0
+PSD_RTOL = 1e-9
+# a direction of K0 with |x^H B x| <= GRAM_RTOL * |B| is B-null
+GRAM_RTOL = 1e-8
+# mu = 1/(lambda - lambda0) with |mu| <= MU_RTOL * max|mu| is an infinite
+# eigenvalue
+MU_RTOL = 1e-10
 
 
 @dataclass
@@ -47,62 +58,28 @@ class PsdPencilAnalysis:
     def rank(self) -> int:
         return self.inertia_b.rank
 
+    def mirrored(self) -> PsdPencilAnalysis:
+        """The analysis of (A, -B): its eigenvalues are the negated ones of
+        (A, B), so the plus and minus groups trade places."""
+        inb = self.inertia_b
+        return replace(
+            self,
+            lambda0=-self.lambda0,
+            inertia_b=Inertia(inb.n_minus, inb.n_zero, inb.n_plus),
+            lambda_plus=-self.lambda_minus,
+            lambda_minus=-self.lambda_plus,
+            eigvecs_plus=self.eigvecs_minus,
+            eigvecs_minus=self.eigvecs_plus,
+        )
 
-def _min_eig(M) -> float:
-    return float(np.linalg.eigvalsh(M)[0]) if M.size else 0.0
 
-
-def find_lambda0(A, B, iters: int = 200) -> float | None:
-    """Search for a real shift making A - lambda*B positive semi-definite.
-
-    Maximizes the concave g(lambda) = min eig(A - lambda*B) over an expanding
-    bracket; returns the shift iff g >= -1e-9*(1+max|A|), else None.
-    """
-    A_ = as_herm(A)
-    B_ = as_herm(B)
-    if A_.shape != B_.shape:
-        raise ValueError("A and B must have the same shape")
-    na = max_norm(A_)
-    tol = 1e-9 * (1.0 + na)
-
-    def g(lam):
-        return _min_eig(A_ - lam * B_)
-
-    sv = np.linalg.svd(B_, compute_uv=False) if B_.size else np.empty(0)
-    smax = float(sv[0]) if sv.size else 0.0
-    if smax <= 1e-12 * max(1.0, na):
-        # B vanishes: the pencil is constant in lambda
-        return 0.0 if g(0.0) >= -tol else None
-    spos = sv[sv > RANK_RTOL * smax]
-    rho = 1.0 + na / float(spos[-1])
-
-    lo, hi = -rho, rho
-    j = 0
-    for _ in range(60):
-        grid = np.linspace(lo, hi, 33)
-        vals = np.array([g(x) for x in grid])
-        j = int(np.argmax(vals))
-        if vals[j] > tol:
-            # strict certificate; no need to locate the exact maximizer
-            return float(grid[j])
-        if 0 < j < len(grid) - 1:
-            break
-        width = hi - lo
-        lo, hi = lo - width, hi + width
-    else:
-        return float(grid[j]) if vals[j] >= -tol else None
-
-    a, b = float(grid[j - 1]), float(grid[j + 1])
-    res = scipy.optimize.minimize_scalar(
-        lambda x: -g(x),
-        bounds=(a, b),
-        method="bounded",
-        options={"xatol": 1e-13 * (1.0 + abs(b - a)), "maxiter": iters},
-    )
-    lam0 = float(res.x)
-    if g(lam0) < vals[j]:
-        lam0 = float(grid[j])
-    return lam0 if g(lam0) >= -tol else None
+def find_lambda0(A, B) -> float | None:
+    """A real shift making A - lambda*B positive semi-definite, or None when
+    the pencil admits none."""
+    try:
+        return finite_eigenvalues(A, B).lambda0
+    except NotPsdPencil:
+        return None
 
 
 def _common_nullspace_split(A_, B_):
@@ -116,6 +93,17 @@ def _common_nullspace_split(A_, B_):
     q = int(np.sum(sv > RANK_RTOL * smax))
     V = Vh.conj().T
     return V[:, :q], V[:, q:]
+
+
+def _deflate(A_, B_):
+    """(P, A_d, B_d): the pencil compressed onto P, the complement of the
+    common nullspace, where it is regular."""
+    if A_.shape != B_.shape:
+        raise ValueError("A and B must have the same shape")
+    P, _K = _common_nullspace_split(A_, B_)
+    Ad = P.conj().T @ A_ @ P
+    Bd = P.conj().T @ B_ @ P
+    return P, 0.5 * (Ad + Ad.conj().T), 0.5 * (Bd + Bd.conj().T)
 
 
 def _finite_eigenvalue_list(Ad, Bd, r):
@@ -137,68 +125,36 @@ def _finite_eigenvalue_list(Ad, Bd, r):
     return np.sort(np.real(lam))
 
 
-def _cluster(sorted_vals, tol):
-    """Group sorted values into runs with consecutive gaps <= tol; returns
-    (start, length) pairs."""
-    groups = []
-    i = 0
-    m = len(sorted_vals)
-    while i < m:
-        j = i + 1
-        while j < m and sorted_vals[j] - sorted_vals[j - 1] <= tol:
-            j += 1
-        groups.append((i, j - i))
-        i = j
-    return groups
+def _bracket_shift(lam, n_minus) -> float:
+    """lambda0 at the midpoint of [max lambda-, min lambda+], or one unit of
+    the end's own size beyond the only end that exists."""
+    if lam.size == 0:
+        return 0.0
+    if n_minus == 0:
+        return float(lam[0] - (1.0 + abs(lam[0])))
+    if n_minus == lam.size:
+        return float(lam[-1] + (1.0 + abs(lam[-1])))
+    return 0.5 * float(lam[n_minus - 1] + lam[n_minus])
 
 
-def _certify(Ad, Bd, P, lam, n_minus):
-    """B-orthonormalization certificate over eigenvalue clusters.
+def _kernel_certificate(Ad, Bd, lam0):
+    """Certify A_d - lam0*B_d >= 0 and diagonalize B_d on its kernel K0.
 
-    Returns (rank_cert, plus_vecs, minus_vecs) where the vector lists map
-    back to original coordinates and align with the plus (ascending) and
-    minus (descending) eigenvalue orders.
+    Returns (M, U0, d, m0): M = A_d - lam0*B_d, U0 an orthonormal basis of
+    K0 with U0^H B_d U0 = diag(d), and m0 the number of B-null directions.
     """
-    r = len(lam)
-    scale = 1.0 + (float(np.max(np.abs(lam))) if r else 0.0)
-    ctol = 1e-6 * scale
-    nb = max_norm(Bd)
-    gtol = 1e-8 * (1.0 + nb)
-    rank_cert = 0
-    sign_ok = True
-    plus_chunks = []   # (lambda, vec) ascending order of the plus group
-    minus_chunks = []  # (lambda, vec) for the minus group
-
-    for start, m in _cluster(lam, ctol):
-        mu = float(np.mean(lam[start:start + m]))
-        M = Ad - mu * Bd
-        _, sv, Vh = np.linalg.svd(M)
-        vtol = 1e-6 * (max_norm(Ad) + abs(mu) * nb + 1.0)
-        cols = Vh.conj().T[:, -m:]
-        keep = sv[-m:] <= vtol
-        V = cols[:, keep]
-        c_plus = sum(1 for i in range(start, start + m) if i >= n_minus)
-        c_minus = m - c_plus
-        if V.shape[1] == 0:
-            sign_ok = sign_ok and (c_plus == 0 and c_minus == 0)
-            continue
-        G = V.conj().T @ Bd @ V
-        G = 0.5 * (G + G.conj().T)
-        d, Pg = np.linalg.eigh(G)
-        W = V @ Pg
-        pos = d > gtol
-        neg = d < -gtol
-        rank_cert += int(np.sum(pos)) + int(np.sum(neg))
-        if int(np.sum(pos)) != c_plus or int(np.sum(neg)) != c_minus:
-            sign_ok = False
-            continue
-        Wp = (P @ W[:, pos]) / np.sqrt(d[pos])
-        Wm = (P @ W[:, neg]) / np.sqrt(-d[neg])
-        for i in range(c_plus):
-            plus_chunks.append((lam[start + c_minus + i], Wp[:, i]))
-        for i in range(c_minus):
-            minus_chunks.append((lam[start + i], Wm[:, i]))
-    return rank_cert, sign_ok, plus_chunks, minus_chunks
+    M = Ad - lam0 * Bd
+    w, V = np.linalg.eigh(M)
+    floor = PSD_RTOL * (max_norm(Ad) + abs(lam0) * max_norm(Bd))
+    if w.size and w[0] < -floor:
+        raise NotPsdPencil(
+            f"A - lambda0*B has eigenvalue {w[0]:.3e} at lambda0 = {lam0:.6g}"
+        )
+    K0 = V[:, w <= floor]
+    G = K0.conj().T @ Bd @ K0
+    d, W = np.linalg.eigh(0.5 * (G + G.conj().T))
+    m0 = int(np.sum(np.abs(d) <= GRAM_RTOL * max_norm(Bd)))
+    return M, K0 @ W, d, m0
 
 
 def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
@@ -210,65 +166,60 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     """
     A_ = as_herm(A)
     B_ = as_herm(B)
-    lam0 = find_lambda0(A_, B_)
-    if lam0 is None:
-        raise NotPsdPencil("no shift makes A - lambda*B positive semi-definite")
     inb = inertia(B_)
-    r = inb.rank
-    P, _K = _common_nullspace_split(A_, B_)
-    Ad = P.conj().T @ A_ @ P
-    Bd = P.conj().T @ B_ @ P
-    Ad = 0.5 * (Ad + Ad.conj().T)
-    Bd = 0.5 * (Bd + Bd.conj().T)
-    lam = _finite_eigenvalue_list(Ad, Bd, r)
-    # a defective double eigenvalue comes back from QZ split symmetrically by
-    # O(sqrt(eps)); replacing each cluster with its mean recovers the true
-    # value to working precision
-    cscale = 1.0 + (float(np.max(np.abs(lam))) if r else 0.0)
-    for start, m in _cluster(lam, 1e-6 * cscale):
-        if m > 1:
-            lam[start:start + m] = float(np.mean(lam[start:start + m]))
-
-    lambda_minus = lam[: inb.n_minus][::-1].copy()  # descending
-    lambda_plus = lam[inb.n_minus:].copy()          # ascending
-
-    # the scalar maximization locates lambda0 only to O(sqrt(eps)) when the
-    # certificate maximum is quadratic (coupled blocks); the eigenvalue
-    # bracket max(lambda-) <= lambda0 <= min(lambda+) is sharper, so clamp
-    lo = float(lambda_minus[0]) if lambda_minus.size else -np.inf
-    hi = float(lambda_plus[0]) if lambda_plus.size else np.inf
-    if lo <= hi:
-        lam0 = min(max(lam0, lo), hi)
-
-    rank_cert, sign_ok, plus_chunks, minus_chunks = _certify(
-        Ad, Bd, P, lam, inb.n_minus
-    )
-    diagonalizable = sign_ok and rank_cert == r
-    m0 = max(0, (r - rank_cert) // 2) if not diagonalizable else 0
+    P, Ad, Bd = _deflate(A_, B_)
+    lam = _finite_eigenvalue_list(Ad, Bd, inb.rank)
+    lam0 = _bracket_shift(lam, inb.n_minus)
+    M, U0, d, m0 = _kernel_certificate(Ad, Bd, lam0)
 
     ep = em = None
-    if diagonalizable:
-        n = A_.shape[0]
-        plus_chunks.sort(key=lambda t: t[0])
-        minus_chunks.sort(key=lambda t: -t[0])
-        ep = (
-            np.stack([v for _, v in plus_chunks], axis=1)
-            if plus_chunks else np.empty((n, 0), dtype=complex)
-        )
-        em = (
-            np.stack([v for _, v in minus_chunks], axis=1)
-            if minus_chunks else np.empty((n, 0), dtype=complex)
-        )
+    if m0:
+        # each B-null kernel direction closes a 2x2 Jordan block at lambda0,
+        # whose eigenvalue QZ splits by O(sqrt(eps))
+        lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
+        lam.sort()
+    else:
+        ep, em = _eigenvectors(Bd, M, U0, d, lam0, inb)
+        ep, em = P @ ep, P @ em
     return PsdPencilAnalysis(
-        lambda0=float(lam0),
+        lambda0=lam0,
         inertia_b=inb,
-        lambda_plus=lambda_plus,
-        lambda_minus=lambda_minus,
-        diagonalizable=diagonalizable,
+        lambda_plus=lam[inb.n_minus:].copy(),
+        lambda_minus=lam[: inb.n_minus][::-1].copy(),
+        diagonalizable=m0 == 0,
         m0=m0,
         eigvecs_plus=ep,
         eigvecs_minus=em,
     )
+
+
+def _eigenvectors(Bd, M, U0, d, lam0, inb):
+    """B-normalized eigenvector blocks (plus ascending, minus descending in
+    eigenvalue) of a diagonalizable pencil in deflated coordinates.
+
+    K0 contributes U0 / sqrt|d| at lambda0. On the B-orthogonal complement C
+    of K0, C^H M C > 0, so eigh(C^H B C, C^H M C) is a definite pair with
+    eigenvalues mu = 1/(lambda - lambda0) and vectors of B-norm mu.
+    """
+    U0 = U0 / np.sqrt(np.abs(d))
+    q, k0 = M.shape[0], U0.shape[1]
+    C = np.linalg.qr(Bd @ U0, mode="complete")[0][:, k0:] if k0 else np.eye(q)
+    if C.shape[1]:
+        mu, Y = sla.eigh(C.conj().T @ Bd @ C, C.conj().T @ M @ C)
+    else:
+        mu, Y = np.empty(0), np.empty((0, 0))
+    finite = np.abs(mu) > MU_RTOL * np.abs(mu).max(initial=0.0)
+    mu, V = mu[finite], (C @ Y[:, finite]) / np.sqrt(np.abs(mu[finite]))
+    pos, neg = mu > 0, mu < 0
+    if (np.sum(d > 0) + np.sum(pos), np.sum(d < 0) + np.sum(neg)) != (
+        inb.n_plus, inb.n_minus
+    ):
+        raise NotPsdPencil("eigenvector signs disagree with the inertia of B")
+    # mu ascending: lambda ascends over positive mu read backwards and
+    # descends over negative mu read forwards
+    ep = np.hstack([U0[:, d > 0], V[:, pos][:, ::-1]])
+    em = np.hstack([U0[:, d < 0], V[:, neg]])
+    return ep, em
 
 
 def eigenvectors_of(A, B, mu: float) -> np.ndarray:
@@ -297,15 +248,8 @@ def eigenvectors_of(A, B, mu: float) -> np.ndarray:
 
 def diagonalizability(A, B, analysis: PsdPencilAnalysis) -> tuple[bool, int]:
     """Recompute the diagonalizability certificate for a completed analysis:
-    diagonalizable iff the Gram certificate has full rank r, with
-    m0 = (r - rank)/2 coupled blocks otherwise."""
-    A_ = as_herm(A)
-    B_ = as_herm(B)
-    P, _K = _common_nullspace_split(A_, B_)
-    Ad = 0.5 * (P.conj().T @ A_ @ P + (P.conj().T @ A_ @ P).conj().T)
-    Bd = 0.5 * (P.conj().T @ B_ @ P + (P.conj().T @ B_ @ P).conj().T)
-    lam = np.concatenate([analysis.lambda_minus[::-1], analysis.lambda_plus])
-    rank_cert, sign_ok, _, _ = _certify(Ad, Bd, P, lam, analysis.inertia_b.n_minus)
-    r = analysis.rank
-    ok = sign_ok and rank_cert == r
-    return ok, 0 if ok else max(0, (r - rank_cert) // 2)
+    diagonalizable iff no direction of the kernel of A - lambda0*B is B-null,
+    with m0 such directions (coupled blocks) otherwise."""
+    _P, Ad, Bd = _deflate(as_herm(A), as_herm(B))
+    m0 = _kernel_certificate(Ad, Bd, analysis.lambda0)[3]
+    return m0 == 0, m0

@@ -1,9 +1,14 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import tracemin
+import tracemin.cli
+import tracemin.indefinite
 from tracemin import __version__
 from tracemin.cli import main
 
@@ -211,3 +216,29 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert __version__ in out
+
+
+def test_solve_runs_one_pencil_analysis(capsys, monkeypatch):
+    calls = []
+    real = tracemin.indefinite.finite_eigenvalues
+
+    def counted(A, B):
+        calls.append(1)
+        return real(A, B)
+
+    monkeypatch.setattr(tracemin.indefinite, "finite_eigenvalues", counted)
+    monkeypatch.setattr(tracemin.cli, "finite_eigenvalues", counted)
+    code, rep = run_json(capsys, "solve", str(FIXTURES / "indefinite_plus.json"))
+    assert code == 0
+    assert rep["diagnostics"]["m0"] == 0
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(pathlib.Path(tracemin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, tracemin.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"

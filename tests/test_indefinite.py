@@ -175,3 +175,22 @@ def test_zero_a_degenerate_warning():
     rep = solve_indefinite_plus(np.zeros((3, 3)), B3, np.eye(1))
     assert rep.value == 0.0
     assert "degenerate_A" in rep.warnings
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_minus_route_is_plus_route_on_negated_b(seed):
+    A, B, n_plus, n_minus, *_rest, coupled = canonical_pencil_instance(seed)
+    rng = np.random.default_rng(seed + 4000)
+    k = int(rng.integers(1, n_minus + 1))
+    D = random_psd(rng, k)
+    rm = solve_indefinite_minus(A, B, D, want_optimizer=True)
+    rp = solve_indefinite_plus(A, -B, D, want_optimizer=True)
+    assert rm.value == pytest.approx(rp.value, rel=1e-9, abs=1e-9)
+    assert rm.attained == rp.attained == (not coupled)
+    for rep in (rm, rp):
+        if rep.attained:
+            # X^H (-B) X = I_k is the minus constraint X^H B X = -I_k
+            X = rep.x_opt
+            assert np.max(np.abs(X.conj().T @ B @ X + np.eye(k))) <= 1e-8
+        else:
+            assert rep.x_opt is None

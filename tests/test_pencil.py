@@ -113,3 +113,21 @@ def test_eigvec_blocks_are_b_orthonormal(seed):
     J = np.diag(np.concatenate([np.ones(n_plus), -np.ones(n_minus)]))
     gram = U.conj().T @ B @ U
     assert np.max(np.abs(gram - J)) <= 1e-6
+
+
+def test_close_distinct_eigenvalues_stay_distinct():
+    an = finite_eigenvalues(np.diag([1.0, 1.0 + 1e-8, 5.0]), np.diag([1.0, 1.0, -1.0]))
+    assert np.max(np.abs(an.lambda_plus - [1.0, 1.0 + 1e-8])) <= 1e-12
+
+
+def test_degenerate_bracket_diagonalizable():
+    # lambda0 = 0 is an eigenvalue of both signs, so the kernel of A - lambda0*B
+    # carries eigenvectors that the definite pair on its complement cannot see
+    A = np.diag([0.0, 0.0, 2.0])
+    B = np.diag([1.0, -1.0, 1.0])
+    an = finite_eigenvalues(A, B)
+    assert an.lambda0 == 0.0
+    assert an.diagonalizable and an.m0 == 0
+    U = np.hstack([an.eigvecs_plus, an.eigvecs_minus])
+    J = np.diag([1.0, 1.0, -1.0])
+    assert np.max(np.abs(U.conj().T @ B @ U - J)) <= 1e-10
