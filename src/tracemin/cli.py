@@ -19,6 +19,7 @@ from . import __version__
 from .errors import NotPsdPencil, ParseError, TraceminError
 from .indefinite import ConstraintSpec, solve
 from .oracle import (
+    STOP_REASONS,
     CounterexampleParams,
     constraint_residual,
     counterexample_gap,
@@ -255,19 +256,19 @@ def cmd_verify(args) -> int:
     except TraceminError as exc:
         _emit(_error_report(exc), args.mode, sys.stderr)
         return 2
-    if sense == "max":
-        # run the oracle on the negated objective so its min matches the sup
+    try:
+        # a sup is checked by running the oracle on -A, so its min matches it
         oracle = local_search(
-            -as_herm(A), B, D, constraint,
+            -as_herm(A) if sense == "max" else A, B, D, constraint,
             restarts=args.restarts, iters=args.iters, seed=args.seed,
         )
+    except TraceminError as exc:
+        _emit(_error_report(exc), args.mode, sys.stderr)
+        return 2
+    if sense == "max":
         oracle_best = -oracle.best_value
         gap = rep.value - oracle_best if rep.finite else None
     else:
-        oracle = local_search(
-            A, B, D, constraint,
-            restarts=args.restarts, iters=args.iters, seed=args.seed,
-        )
         oracle_best = oracle.best_value
         gap = oracle_best - rep.value if rep.finite else None
     if rep.finite:
@@ -284,7 +285,9 @@ def cmd_verify(args) -> int:
         "oracle": {"best_value": oracle_best if not oracle.unbounded_flag else None,
                    "unbounded_flag": oracle.unbounded_flag,
                    "iterations": oracle.iterations,
-                   "feasibility_residual": oracle.feasibility_residual},
+                   "feasibility_residual": oracle.feasibility_residual,
+                   "stop_reasons": {reason: oracle.stop_reasons.count(reason)
+                                    for reason in STOP_REASONS}},
         "gap": gap,
         "verdict": "PASS" if verdict else "FAIL",
         "tool_version": __version__,
@@ -382,6 +385,17 @@ def _default_seed() -> int:
         return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the oracle budgets: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_mode_flags(sp):
     grp = sp.add_mutually_exclusive_group()
     grp.add_argument("--json", dest="mode", action="store_const", const="json")
@@ -413,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="cross-check analytic value vs oracle")
     sp.add_argument("path")
-    sp.add_argument("--restarts", type=int, default=20)
-    sp.add_argument("--iters", type=int, default=500)
+    sp.add_argument("--restarts", type=_positive_int, default=20)
+    sp.add_argument("--iters", type=_positive_int, default=500)
     sp.add_argument("--seed", type=int, default=_default_seed())
     _add_mode_flags(sp)
     sp.set_defaults(func=cmd_verify)

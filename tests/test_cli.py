@@ -11,6 +11,7 @@ import tracemin.cli
 import tracemin.indefinite
 from tracemin import __version__
 from tracemin.cli import main
+from tracemin.errors import DegenerateDraw
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -173,6 +174,51 @@ class TestVerify:
         code, rep = run_json(capsys, "verify", str(FIXTURES / "nonpsd.json"))
         assert code == 2
         assert rep["error"]["code"] == "NOT_PSD_PENCIL"
+
+    def test_stop_reasons_on_attained_instance(self, capsys):
+        code, rep = run_json(capsys, "verify", str(FIXTURES / "kyfan.json"))
+        assert code == 0
+        reasons = rep["oracle"]["stop_reasons"]
+        assert sorted(reasons) == ["budget", "converged", "stalled", "unbounded"]
+        # every restart reaches the minimum and stops there on its own
+        assert reasons["budget"] == 0 and reasons["unbounded"] == 0
+        assert reasons["converged"] + reasons["stalled"] == 20
+
+    def test_stop_reasons_on_unbounded_instance(self, capsys):
+        code, rep = run_json(
+            capsys, "verify", str(FIXTURES / "unbounded.json"), "--iters", "2000"
+        )
+        assert code == 0
+        assert rep["oracle"]["stop_reasons"]["unbounded"] >= 1
+
+    def test_output_bit_stable(self, capsys):
+        outs = []
+        for _ in range(2):
+            code, out, _err = run(
+                capsys, "verify", str(FIXTURES / "indefinite_plus.json"), "--seed", "5"
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--restarts", "0"), ("--restarts", "-1"),
+        ("--iters", "0"), ("--iters", "-5"), ("--iters", "abc"),
+    ])
+    def test_budget_must_be_positive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(FIXTURES / "kyfan.json"), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_oracle_error_is_reported_as_json(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise DegenerateDraw("no feasible start could be drawn")
+
+        monkeypatch.setattr(tracemin.cli, "local_search", failing)
+        code, rep = run_json(capsys, "verify", str(FIXTURES / "kyfan.json"))
+        assert code == 2
+        assert rep["error"]["code"] == "DEGENERATE_DRAW"
 
 
 class TestCounterexample:

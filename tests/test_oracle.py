@@ -1,7 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
+
+import tracemin.oracle
 
 from tracemin import (
     ConstraintSpec,
@@ -18,7 +22,15 @@ from tracemin import (
     objective,
     solve_definite_min,
 )
-from helpers import random_unitary
+from tracemin.oracle import _cayley_trials
+from helpers import (
+    canonical_pencil_instance,
+    definite_instance,
+    random_hermitian,
+    random_psd,
+    random_unitary,
+)
+from sequential_oracle import sequential_search
 
 P_DEFAULT = CounterexampleParams(mu=2.0, delta=0.25)
 
@@ -136,6 +148,131 @@ class TestLocalSearch:
         )
         assert res.best_value >= rep.value - 1e-8 * (1 + abs(rep.value))
         assert objective(A, D, res.best_X) == pytest.approx(res.best_value, abs=1e-10)
+
+
+def _pencil_problem(seed):
+    """A canonical PSD-pencil instance under X^H B X = I_k with PSD D, as in
+    acceptance criterion 3; every tenth seed is coupled (not attained)."""
+    A, B, n_plus, *_ = canonical_pencil_instance(seed)
+    rng = np.random.default_rng(seed + 20_000)
+    k = int(rng.integers(1, n_plus + 1))
+    return A, B, random_psd(rng, k), ConstraintSpec.plus_identity(k)
+
+
+def _definite_problem(seed):
+    A, B, D, k = definite_instance(seed)
+    return A, B, D, ConstraintSpec.plus_identity(k)
+
+
+def _singular_b_problem(seed):
+    """B with inertia (n-2, 1, 1): boosts and nullspace kicks both run."""
+    rng = np.random.default_rng(seed + 900)
+    n = int(rng.integers(3, 6))
+    Q = random_unitary(rng, n)
+    w = np.r_[rng.uniform(0.5, 2.0, n - 2), -rng.uniform(0.5, 2.0), 0.0]
+    B = Q @ np.diag(w) @ Q.conj().T
+    M = random_hermitian(rng, n)
+    A = M @ M + np.eye(n)
+    return A, B, random_psd(rng, 1), ConstraintSpec.plus_identity(1)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("problem", [
+        _pencil_problem(9), _pencil_problem(3), _definite_problem(5),
+        _singular_b_problem(2),
+    ])
+    def test_same_seed_is_bitwise_reproducible(self, problem):
+        a = local_search(*problem, restarts=6, iters=120, seed=4)
+        b = local_search(*problem, restarts=6, iters=120, seed=4)
+        assert a.best_value == b.best_value
+        assert np.array_equal(a.best_X, b.best_X)
+        assert a.iterations == b.iterations
+        assert a.stop_reasons == b.stop_reasons
+
+    @pytest.mark.parametrize("problem", [
+        _pencil_problem(19), _pencil_problem(4), _definite_problem(8),
+        _singular_b_problem(5),
+    ])
+    def test_iterations_within_budget(self, problem):
+        res = local_search(*problem, restarts=7, iters=90, seed=1)
+        assert 0 < res.iterations <= 7 * 90
+        assert len(res.stop_reasons) == 7
+
+    @pytest.mark.parametrize("problem", [
+        _definite_problem(0), _definite_problem(1), _definite_problem(2),
+        _pencil_problem(0), _pencil_problem(1), _pencil_problem(2),
+    ])
+    def test_more_restarts_never_worse(self, problem):
+        # restarts 0-4 follow the same paths in both searches
+        few = local_search(*problem, restarts=5, iters=300, seed=3)
+        many = local_search(*problem, restarts=20, iters=300, seed=3)
+        assert many.best_value <= few.best_value + 1e-12 * (1 + abs(few.best_value))
+
+    # Over 45 iterations (two probe rounds and one wash) the lockstep search
+    # and the one-restart-at-a-time reference differ only by rounding; the
+    # descent amplifies such differences over longer runs.
+    @pytest.mark.parametrize("problem", [
+        _pencil_problem(9), _pencil_problem(29), _pencil_problem(6),
+        _pencil_problem(13), _definite_problem(3), _definite_problem(11),
+        _singular_b_problem(0), _singular_b_problem(7),
+    ])
+    def test_matches_sequential_reference(self, problem):
+        ref_value, ref_iters, ref_reasons = sequential_search(
+            *problem, restarts=8, iters=45, seed=2)
+        res = local_search(*problem, restarts=8, iters=45, seed=2)
+        assert res.best_value == pytest.approx(ref_value, rel=1e-9, abs=1e-9)
+        assert res.iterations == ref_iters
+        assert res.stop_reasons == ref_reasons
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_rejects_restarts_below_one(self, restarts):
+        with pytest.raises(ValueError):
+            local_search(np.diag([1.0, 2.0]), np.eye(2), np.eye(1),
+                         ConstraintSpec.plus_identity(1), restarts=restarts)
+
+    def test_budget_stop_on_coupled_instance(self):
+        res = local_search(*_pencil_problem(9), restarts=20, iters=50, seed=0)
+        assert res.stop_reasons == ("budget",) * 20
+        assert res.iterations == 20 * 50
+
+    def test_unbounded_stop_reasons(self):
+        res = local_search(
+            np.diag([1.0, 2.0, 5.0]), np.diag([1.0, 1.0, -1.0]), np.diag([-1.0]),
+            ConstraintSpec.plus_identity(1), restarts=5, iters=2000, seed=0,
+        )
+        assert res.unbounded_flag
+        assert "unbounded" in res.stop_reasons
+        assert set(res.stop_reasons) <= set(tracemin.oracle.STOP_REASONS)
+
+    def test_singular_cayley_system_is_rejected(self):
+        S = np.zeros((2, 2, 2))
+        S[0] = np.diag([-2.0, 0.0])  # I + 0.5 S is singular
+        S[1] = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        Z = np.ones((2, 2, 1))
+        F = S @ Z
+        halves = np.array([[0.5, 0.25], [0.5, 0.25]])
+        out = _cayley_trials(S, Z, F, halves)
+        assert np.all(np.isnan(out[0, 0]))
+        for i, j in [(0, 1), (1, 0), (1, 1)]:
+            h = halves[i, j]
+            want = np.linalg.solve(np.eye(2) + h * S[i], Z[i] - h * F[i])
+            assert np.array_equal(out[i, j], want)
+
+
+def test_oracle_imports_no_analytic_module():
+    """The oracle certifies the closed forms, so it must not use them."""
+    tree = ast.parse(pathlib.Path(tracemin.oracle.__file__).read_text())
+    analytic = {"pencil", "definite"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = set((node.module or "").split("."))
+            if not node.module:
+                names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names = {part for alias in node.names for part in alias.name.split(".")}
+        else:
+            continue
+        assert not names & analytic, ast.dump(node)
 
 
 class TestCounterexampleClosedForm:
