@@ -28,7 +28,7 @@ from .oracle import (
     objective,
 )
 from .pencil import finite_eigenvalues
-from .spectral import as_herm, inertia
+from .spectral import as_herm
 
 GAP_LOWER = -1e-8   # oracle may undershoot the analytic value by at most this
 GAP_UPPER = 1e-4    # ... and may exceed it by at most this on attained instances
@@ -55,6 +55,21 @@ def _parse_matrix(obj, name):
     ncols = len(obj[0])
     if ncols == 0 or any(len(r) != ncols for r in obj):
         raise ParseError(f"field {name!r} has ragged or empty rows")
+    # fast path: a rectangular array of plain numbers or of [re, im] pairs;
+    # anything else (strings, None, pairs mixed with numbers, integers beyond
+    # 64 bits) takes the entry-by-entry loop and its error messages
+    try:
+        arr = np.array(obj)
+    except ValueError:
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf":
+        if arr.ndim == 2:
+            return arr.astype(complex)
+        if arr.ndim == 3 and arr.shape[2] == 2:
+            out = np.empty(arr.shape[:2], dtype=complex)
+            out.real = arr[..., 0]
+            out.imag = arr[..., 1]
+            return out
     return np.array([[_parse_entry(e) for e in r] for r in obj], dtype=complex)
 
 
@@ -177,9 +192,7 @@ def cmd_solve(args) -> int:
         return 1
     try:
         rep = solve(A, B, D, constraint, sense=sense, want_optimizer=args.optimizer)
-        A_ = as_herm(A)
-        B_ = as_herm(B)
-        inb = inertia(B_)
+        inb = rep.inertia_b
         diagnostics = {
             "inertia_b": [inb.n_plus, inb.n_zero, inb.n_minus],
         }
@@ -202,9 +215,9 @@ def cmd_solve(args) -> int:
         if rep.x_opt is not None:
             report["x_opt"] = _enc_matrix(rep.x_opt)
             diagnostics["constraint_residual"] = constraint_residual(
-                B_, rep.x_opt, constraint.matrix()
+                B, rep.x_opt, constraint.matrix()
             )
-            diagnostics["objective_at_x_opt"] = objective(A_, D, rep.x_opt)
+            diagnostics["objective_at_x_opt"] = objective(A, D, rep.x_opt)
         _emit(report, args.mode)
         return 0
     except (ValueError, ParseError) as exc:

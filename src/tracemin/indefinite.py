@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .definite import SolveReport, solve_definite_max, solve_definite_min, split_omegas
+from .definite import SolveReport, _solve_definite, _split_omegas
 from .errors import (
     BlockStructureViolated,
     BudgetExceeded,
@@ -22,7 +22,15 @@ from .errors import (
     Unsupported,
 )
 from .pencil import PsdPencilAnalysis, finite_eigenvalues
-from .spectral import as_herm, inertia, max_norm
+from .spectral import (
+    WEIGHT_RTOL,
+    Inertia,
+    _certified_cholesky,
+    _scaled_tol,
+    as_herm,
+    inertia,
+    max_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,10 @@ class ConstraintSpec:
 
 
 def check_finiteness(D) -> bool:
-    """True iff D is positive semi-definite within 1e-10*(1+max|D|)."""
+    """True iff D is positive semi-definite within WEIGHT_RTOL * max|D|."""
     D_ = as_herm(D)
     wmin = float(np.linalg.eigvalsh(D_)[0]) if D_.size else 0.0
-    return wmin >= -1e-10 * (1.0 + max_norm(D_))
+    return wmin >= -_scaled_tol(D_, WEIGHT_RTOL)
 
 
 def _require_indefinite(analysis: PsdPencilAnalysis):
@@ -107,7 +115,7 @@ def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False, analysis=None):
     if not check_finiteness(D_):
         return SolveReport(route=route, finite=False, value=None, attained=False,
                            analysis=evidence)
-    om = split_omegas(D_)
+    om = _split_omegas(D_)
     pairing = [
         (float(om.omegas[i]), float(analysis.lambda_plus[i]), f"lambda+[{i + 1}]")
         for i in range(k)
@@ -229,7 +237,7 @@ def _split_block_d(D_, k_plus, k_minus):
     """Split a full k x k D into diagonal blocks, rejecting coupling between
     the +1 and -1 index groups."""
     off = D_[:k_plus, k_plus:]
-    if max_norm(off) > 1e-10 * max_norm(D_):
+    if max_norm(off) > _scaled_tol(D_, WEIGHT_RTOL):
         raise BlockStructureViolated(
             "D couples the +1 and -1 column groups; no eigenvalue-product "
             "formula exists for coupled D (see `tracemin counterexample`)"
@@ -256,25 +264,29 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
     if constraint.k > n:
         raise ValueError("constraint has more columns than the ambient space")
 
-    inb = inertia(B_)
-    if inb.n_minus == 0 and inb.n_zero == 0:
-        # B positive definite
+    # a Cholesky factor of B or -B certifies a definite B, and the definite
+    # route solves from it; only an indefinite or singular B needs its inertia
+    L = _definite_factor(B_)
+    if L is not None:
         if constraint.kind == "minus_identity" or constraint.k_minus > 0:
             raise InfeasibleConstraint(
                 "X^H B X cannot have -1 diagonal entries for positive definite B"
             )
-        fn = solve_definite_min if sense == "min" else solve_definite_max
-        return fn(A_, B_, D_, constraint.k, want_optimizer)
-    if inb.n_plus == 0 and inb.n_zero == 0:
-        # B negative definite: flip to the definite problem on -B
+        rep = _solve_definite(A_, L, D_, constraint.k, sense, want_optimizer)
+        rep.inertia_b = Inertia(n, 0, 0)
+        return rep
+    L = _definite_factor(-B_)
+    if L is not None:
+        # B negative definite: the definite problem on -B
         if constraint.kind == "plus_identity" or constraint.k_plus > 0:
             raise InfeasibleConstraint(
                 "X^H B X cannot have +1 diagonal entries for negative definite B"
             )
-        fn = solve_definite_min if sense == "min" else solve_definite_max
-        rep = fn(A_, -B_, D_, constraint.k, want_optimizer)
+        rep = _solve_definite(A_, L, D_, constraint.k, sense, want_optimizer)
         rep.route += "-negated-b"
+        rep.inertia_b = Inertia(0, 0, n)
         return rep
+    inb = inertia(B_)
     if inb.n_plus == 0 or inb.n_minus == 0:
         raise Unsupported(
             "singular semi-definite B is outside the analytic coverage"
@@ -286,13 +298,25 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
             "maximization under genuinely indefinite B has no analytic solution"
         )
     if constraint.kind == "plus_identity":
-        return solve_indefinite_plus(A_, B_, D_, constraint.k, want_optimizer)
-    if constraint.kind == "minus_identity":
-        return solve_indefinite_minus(A_, B_, D_, constraint.k, want_optimizer)
-    Dp, Dm = _split_block_d(D_, constraint.k_plus, constraint.k_minus)
-    return solve_signature(
-        A_, B_, Dp, Dm, constraint.k_plus, constraint.k_minus, want_optimizer
-    )
+        rep = solve_indefinite_plus(A_, B_, D_, constraint.k, want_optimizer)
+    elif constraint.kind == "minus_identity":
+        rep = solve_indefinite_minus(A_, B_, D_, constraint.k, want_optimizer)
+    else:
+        Dp, Dm = _split_block_d(D_, constraint.k_plus, constraint.k_minus)
+        rep = solve_signature(
+            A_, B_, Dp, Dm, constraint.k_plus, constraint.k_minus, want_optimizer
+        )
+    rep.inertia_b = inb
+    return rep
+
+
+def _definite_factor(B_):
+    """The certified Cholesky factor of B, or None when B is not positive
+    definite."""
+    try:
+        return _certified_cholesky(B_)
+    except NotPositiveDefinite:
+        return None
 
 
 def epsilon_suboptimal(A, B, D, constraint: ConstraintSpec, eps: float, seed=0):

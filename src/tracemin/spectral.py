@@ -10,8 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NotPositiveDefinite
+
+# eigenvalues within ZERO_RTOL * max|M| of zero count as zero: the inertia
+# count and the Cholesky certificate of definiteness share this threshold
+ZERO_RTOL = 1e-10
+# eigenvalues of a weight matrix D within WEIGHT_RTOL * max|D| of zero count
+# as zero (the split of D's weights, the finiteness dichotomy, the
+# minimizer's zero-weight columns and the coupling of signature blocks)
+WEIGHT_RTOL = 1e-10
 
 
 def max_norm(M) -> float:
@@ -95,11 +104,11 @@ class Inertia:
 
 def inertia(H, tol: float | None = None) -> Inertia:
     """Inertia of a Hermitian matrix; eigenvalues within ``tol`` of zero count
-    as zero. Default tolerance is 1e-10 * max|entry| (absolute 1e-12 for the
-    zero matrix)."""
+    as zero. Default tolerance is ZERO_RTOL * max|entry| (absolute 1e-12 for
+    the zero matrix)."""
     M = as_herm(H)
     if tol is None:
-        tol = _scaled_tol(M, 1e-10)
+        tol = _scaled_tol(M, ZERO_RTOL)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     w = np.linalg.eigvalsh(M) if M.size else np.empty(0)
@@ -113,18 +122,33 @@ def inertia(H, tol: float | None = None) -> Inertia:
 def cholesky(B) -> np.ndarray:
     """Lower-triangular L with B = L L^H and positive real diagonal.
 
-    Raises NotPositiveDefinite when the smallest eigenvalue is at or below
-    1e-10 * max|entry|, signalling the caller to route to the indefinite path.
+    Positive definiteness is certified, not assumed: a Cholesky factorization
+    of B - tau*I must succeed, with tau = ZERO_RTOL * max|entry| (1e-12 for
+    the zero matrix), the threshold below which `inertia` counts an
+    eigenvalue as zero. Its success proves that the smallest eigenvalue of B
+    exceeds tau without computing the spectrum. Otherwise raises
+    NotPositiveDefinite, signalling the caller to route to the indefinite
+    path.
     """
-    M = as_herm(B)
+    return _certified_cholesky(as_herm(B))
+
+
+def _certified_cholesky(M) -> np.ndarray:
+    """`cholesky` of an already validated Hermitian array."""
     if M.size == 0:
         raise NotPositiveDefinite("empty matrix is not positive definite")
-    wmin = float(np.linalg.eigvalsh(M)[0])
-    if wmin <= _scaled_tol(M, 1e-10):
+    tau = _scaled_tol(M, ZERO_RTOL)
+    shifted = np.array(M, order="F")
+    shifted.flat[:: M.shape[0] + 1] -= tau
+    info = lapack.zpotrf(shifted, lower=1, overwrite_a=1)[1]
+    if info == 0:
+        L, info = lapack.zpotrf(M, lower=1)
+    if info != 0:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {wmin:.3e} is not safely positive"
+            f"smallest eigenvalue is not safely positive: B - {tau:.3e}*I "
+            f"has no Cholesky factor (leading minor {info})"
         )
-    return np.linalg.cholesky(M)
+    return L
 
 
 def majorizes(beta, alpha) -> bool:

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tracemin
@@ -288,3 +289,78 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_definite_solve_makes_no_eigvalsh_call(capsys, monkeypatch, tmp_path, sign):
+    # the route decision carries B's inertia; the CLI does not recompute it
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    doc = json.loads((FIXTURES / "kyfan.json").read_text())
+    doc["b"] = [[sign * v for v in row] for row in doc["b"]]
+    if sign < 0:
+        doc["constraint"] = "minus_identity"
+    path = tmp_path / "kyfan.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(capsys, "solve", str(path), "--optimizer")
+    assert code == 0
+    assert rep["diagnostics"]["inertia_b"] == ([3, 0, 0] if sign > 0 else [0, 0, 3])
+    assert rep["value"] == pytest.approx(3.0, abs=1e-12)
+    assert calls == []
+
+
+class TestParseMatrix:
+    """The np.array fast path of `_parse_matrix` and each input that falls
+    back to the entry-by-entry loop."""
+
+    @pytest.mark.parametrize("obj", [
+        [[1, 2], [3, 4]],
+        [[1.5, -2], [True, 0]],
+        [[[1, 2], [3.5, -4]], [[0, 0], [1e300, -1e-300]]],
+        [[2**63 + 5, 1]],
+    ])
+    def test_fast_path_matches_entry_loop(self, obj):
+        got = tracemin.cli._parse_matrix(obj, "a")
+        want = np.array([[tracemin.cli._parse_entry(e) for e in r] for r in obj],
+                        dtype=complex)
+        assert got.dtype == complex
+        assert np.array_equal(got, want)
+
+    def test_numbers_mixed_with_pairs_fall_back(self):
+        got = tracemin.cli._parse_matrix([[1, [2, 3]], [[4, -5], 6.5]], "a")
+        assert np.array_equal(got, np.array([[1, 2 + 3j], [4 - 5j, 6.5]]))
+
+    def test_huge_ints_fall_back(self):
+        got = tracemin.cli._parse_matrix([[2**70, 1.5], [-(2**64), 0]], "a")
+        assert got[0, 0] == complex(2**70) and got[1, 0] == complex(-(2**64))
+
+    @pytest.mark.parametrize("obj, message", [
+        ([[1, 2], [3]], "field 'a' has ragged or empty rows"),
+        ([["x", 1]], "matrix entry must be a number or [re, im] pair, got 'x'"),
+        ([[None, 1]], "matrix entry must be a number or [re, im] pair, got None"),
+        ([[[1, 2], [1, 2, 3]]],
+         "matrix entry must be a number or [re, im] pair, got [1, 2, 3]"),
+        ([[[1, 2, 3]]], "matrix entry must be a number or [re, im] pair, got [1, 2, 3]"),
+        ([[["1", 2]]], "matrix entry must be a number or [re, im] pair, got ['1', 2]"),
+    ])
+    def test_fallback_keeps_messages(self, obj, message):
+        with pytest.raises(tracemin.ParseError) as exc:
+            tracemin.cli._parse_matrix(obj, "a")
+        assert str(exc.value) == message
+
+    def test_fallback_exit_code(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "kyfan.json").read_text())
+        doc["a"][0][0] = None
+        path = tmp_path / "bad_entry.json"
+        path.write_text(json.dumps(doc))
+        code, rep = run_json(capsys, "solve", str(path))
+        assert code == 1
+        assert rep["error"]["code"] == "PARSE_ERROR"
+        assert rep["error"]["message"] == (
+            "matrix entry must be a number or [re, im] pair, got None")

@@ -194,3 +194,22 @@ def test_minus_route_is_plus_route_on_negated_b(seed):
             assert np.max(np.abs(X.conj().T @ B @ X + np.eye(k))) <= 1e-8
         else:
             assert rep.x_opt is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_finiteness_dichotomy_scales_with_d(seed):
+    # the weight tolerance is relative to max|D|: scaling D by any c > 0
+    # keeps an unbounded instance unbounded and scales a finite value by c
+    A, B, n_plus, *_rest = canonical_pencil_instance(seed)
+    rng = np.random.default_rng(seed + 7000)
+    k = int(rng.integers(1, n_plus + 1))
+    D_psd = random_psd(rng, k)
+    D_bad = D_psd - (float(np.linalg.eigvalsh(D_psd)[0]) + 0.1) * np.eye(k)
+    spec = ConstraintSpec.plus_identity(k)
+    base = solve(A, B, D_psd, spec).value
+    for j in range(-12, 9):
+        c = 10.0 ** j
+        assert not check_finiteness(c * D_bad)
+        assert not solve(A, B, c * D_bad, spec).finite
+        assert check_finiteness(c * D_psd)
+        assert solve(A, B, c * D_psd, spec).value == pytest.approx(c * base, rel=1e-9)

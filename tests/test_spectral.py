@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from tracemin import (
+    ConstraintSpec,
     HermitianMatrix,
     NotPositiveDefinite,
+    Unsupported,
     as_herm,
     cholesky,
     eig_herm,
     inertia,
     majorizes,
+    solve,
     weighted_sum_bounds,
 )
+from tracemin.spectral import ZERO_RTOL
 from helpers import random_hermitian, random_unitary
 
 
@@ -138,3 +142,36 @@ class TestWeightedSumBounds:
 def test_as_herm_passthrough():
     H = HermitianMatrix(np.eye(2))
     assert as_herm(H) is H.mat
+
+
+@pytest.mark.parametrize("rel", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("top", [1.0, 1e-9, 1e7])
+def test_cholesky_certificate_matches_inertia_at_tolerance(rel, top):
+    # lambda_min = tau * (1 +- 1e-3), tau = ZERO_RTOL * max|B|: the Cholesky
+    # certificate and the inertia count draw the line at the same place
+    tau = ZERO_RTOL * top
+    B = np.diag([top, 0.5 * top, rel * tau])
+    inb = inertia(B)
+    try:
+        cholesky(B)
+        certified = True
+    except NotPositiveDefinite:
+        certified = False
+    assert certified == (inb.n_plus == 3)
+    assert certified == (rel > 1.0)
+
+
+@pytest.mark.parametrize("rel", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_solve_routes_as_inertia_at_tolerance(rel, sign):
+    B = sign * np.diag([2.0, 1.0, rel * ZERO_RTOL * 2.0])
+    inb = inertia(B)
+    constraint = (ConstraintSpec.plus_identity(1) if sign > 0
+                  else ConstraintSpec.minus_identity(1))
+    if inb.n_zero == 0:
+        rep = solve(np.eye(3), B, np.eye(1), constraint)
+        assert rep.route == "definite-min" + ("" if sign > 0 else "-negated-b")
+        assert rep.inertia_b == inb
+    else:
+        with pytest.raises(Unsupported):
+            solve(np.eye(3), B, np.eye(1), constraint)
