@@ -24,11 +24,11 @@ from .errors import (
 from .pencil import PsdPencilAnalysis, finite_eigenvalues
 from .spectral import (
     WEIGHT_RTOL,
+    HermitianMatrix,
     Inertia,
     _certified_cholesky,
     _scaled_tol,
     as_herm,
-    inertia,
     max_norm,
 )
 
@@ -89,17 +89,29 @@ def _require_indefinite(analysis: PsdPencilAnalysis):
         raise Unsupported("B must be genuinely indefinite for this route")
 
 
-def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False, analysis=None):
-    """inf tr(D X^H A X) over X^H B X = I_k for genuinely indefinite B."""
-    A_ = as_herm(A)
-    B_ = as_herm(B)
+def _validated(A, B, D, k):
+    """A and B validated once into HermitianMatrix values (which
+    `finite_eigenvalues` takes without validating again), D validated, and k
+    defaulted and checked against D."""
+    Ah, Bh = HermitianMatrix.of(A), HermitianMatrix.of(B)
     D_ = as_herm(D)
     if k is None:
         k = D_.shape[0]
     if D_.shape[0] != k:
         raise ValueError("D must be k x k")
+    return Ah, Bh, D_, k
+
+
+def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False, analysis=None):
+    """inf tr(D X^H A X) over X^H B X = I_k for genuinely indefinite B."""
+    Ah, Bh, D_, k = _validated(A, B, D, k)
     if analysis is None:
-        analysis = finite_eigenvalues(A_, B_)
+        analysis = finite_eigenvalues(Ah, Bh)
+    return _solve_plus(Ah.mat, Bh.mat, D_, k, want_optimizer, analysis)
+
+
+def _solve_plus(A_, B_, D_, k, want_optimizer, analysis):
+    """The plus route on validated arrays and a completed analysis."""
     _require_indefinite(analysis)
     if k > analysis.inertia_b.n_plus:
         raise KTooLarge(f"k={k} exceeds n_plus={analysis.inertia_b.n_plus}")
@@ -112,10 +124,11 @@ def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False, analysis=None):
         rep = _solve_zero_a(route, B_, ConstraintSpec.plus_identity(k), want_optimizer)
         rep.analysis = evidence
         return rep
-    if not check_finiteness(D_):
+    om = _split_omegas(D_)
+    if om.ell < k:
+        # D has a weight below -WEIGHT_RTOL * max|D|: `check_finiteness` fails
         return SolveReport(route=route, finite=False, value=None, attained=False,
                            analysis=evidence)
-    om = _split_omegas(D_)
     pairing = [
         (float(om.omegas[i]), float(analysis.lambda_plus[i]), f"lambda+[{i + 1}]")
         for i in range(k)
@@ -142,17 +155,16 @@ def solve_indefinite_minus(A, B, D, k=None, want_optimizer=False, analysis=None)
     The constraint is X^H (-B) X = I_k, so this is the plus route on (A, -B),
     whose pencil eigenvalues are those of (A, B) negated.
     """
-    A_ = as_herm(A)
-    B_ = as_herm(B)
-    D_ = as_herm(D)
-    if k is None:
-        k = D_.shape[0]
-    if D_.shape[0] != k:
-        raise ValueError("D must be k x k")
+    Ah, Bh, D_, k = _validated(A, B, D, k)
     if analysis is None:
-        analysis = finite_eigenvalues(A_, B_)
+        analysis = finite_eigenvalues(Ah, Bh)
+    return _solve_minus(Ah.mat, Bh.mat, D_, k, want_optimizer, analysis)
+
+
+def _solve_minus(A_, B_, D_, k, want_optimizer, analysis):
+    """The minus route on validated arrays and a completed analysis."""
     try:
-        rep = solve_indefinite_plus(A_, -B_, D_, k, want_optimizer, analysis.mirrored())
+        rep = _solve_plus(A_, -B_, D_, k, want_optimizer, analysis.mirrored())
     except KTooLarge:
         raise KTooLarge(
             f"k={k} exceeds n_minus={analysis.inertia_b.n_minus}"
@@ -175,8 +187,7 @@ def solve_signature(
     want_optimizer=False, analysis=None,
 ):
     """inf tr(diag(D+, D-) X^H A X) over X^H B X = diag(I, -I)."""
-    A_ = as_herm(A)
-    B_ = as_herm(B)
+    Ah, Bh = HermitianMatrix.of(A), HermitianMatrix.of(B)
     Dp = as_herm(D_plus) if np.size(D_plus) else np.empty((0, 0))
     Dm = as_herm(D_minus) if np.size(D_minus) else np.empty((0, 0))
     if k_plus is None:
@@ -187,14 +198,20 @@ def solve_signature(
         raise ValueError("block sizes must match (k_plus, k_minus)")
     if k_plus + k_minus < 1:
         raise ValueError("need k_plus + k_minus >= 1")
-    if k_minus == 0:
-        return solve_indefinite_plus(A_, B_, Dp, k_plus, want_optimizer, analysis)
-    if k_plus == 0:
-        return solve_indefinite_minus(A_, B_, Dm, k_minus, want_optimizer, analysis)
     if analysis is None:
-        analysis = finite_eigenvalues(A_, B_)
-    rep_p = solve_indefinite_plus(A_, B_, Dp, k_plus, want_optimizer, analysis)
-    rep_m = solve_indefinite_minus(A_, B_, Dm, k_minus, want_optimizer, analysis)
+        analysis = finite_eigenvalues(Ah, Bh)
+    return _solve_signature(Ah.mat, Bh.mat, Dp, Dm, want_optimizer, analysis)
+
+
+def _solve_signature(A_, B_, Dp, Dm, want_optimizer, analysis):
+    """The signature route on validated arrays and a completed analysis."""
+    k_plus, k_minus = Dp.shape[0], Dm.shape[0]
+    if k_minus == 0:
+        return _solve_plus(A_, B_, Dp, k_plus, want_optimizer, analysis)
+    if k_plus == 0:
+        return _solve_minus(A_, B_, Dm, k_minus, want_optimizer, analysis)
+    rep_p = _solve_plus(A_, B_, Dp, k_plus, want_optimizer, analysis)
+    rep_m = _solve_minus(A_, B_, Dm, k_minus, want_optimizer, analysis)
     route = "indefinite-signature"
     warnings = sorted(set(rep_p.warnings) | set(rep_m.warnings))
     if not (rep_p.finite and rep_m.finite):
@@ -251,8 +268,8 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
     D is the full k x k weight matrix; for signature constraints it must be
     block-diagonal conformally with diag(I_{k+}, -I_{k-}).
     """
-    A_ = as_herm(A)
-    B_ = as_herm(B)
+    Ah, Bh = HermitianMatrix.of(A), HermitianMatrix.of(B)
+    A_, B_ = Ah.mat, Bh.mat
     D_ = as_herm(D)
     if sense not in ("min", "max"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -265,7 +282,9 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
         raise ValueError("constraint has more columns than the ambient space")
 
     # a Cholesky factor of B or -B certifies a definite B, and the definite
-    # route solves from it; only an indefinite or singular B needs its inertia
+    # route solves from it; only an indefinite or singular B needs its
+    # eigendecomposition, which gives the inertia here and, kept by Bh, the
+    # pencil analysis
     L = _definite_factor(B_)
     if L is not None:
         if constraint.kind == "minus_identity" or constraint.k_minus > 0:
@@ -286,7 +305,7 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
         rep.route += "-negated-b"
         rep.inertia_b = Inertia(0, 0, n)
         return rep
-    inb = inertia(B_)
+    inb = Bh.inertia()
     if inb.n_plus == 0 or inb.n_minus == 0:
         raise Unsupported(
             "singular semi-definite B is outside the analytic coverage"
@@ -297,15 +316,15 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
         raise Unsupported(
             "maximization under genuinely indefinite B has no analytic solution"
         )
-    if constraint.kind == "plus_identity":
-        rep = solve_indefinite_plus(A_, B_, D_, constraint.k, want_optimizer)
-    elif constraint.kind == "minus_identity":
-        rep = solve_indefinite_minus(A_, B_, D_, constraint.k, want_optimizer)
-    else:
+    if constraint.kind == "signature":
         Dp, Dm = _split_block_d(D_, constraint.k_plus, constraint.k_minus)
-        rep = solve_signature(
-            A_, B_, Dp, Dm, constraint.k_plus, constraint.k_minus, want_optimizer
-        )
+    analysis = finite_eigenvalues(Ah, Bh)
+    if constraint.kind == "plus_identity":
+        rep = _solve_plus(A_, B_, D_, constraint.k, want_optimizer, analysis)
+    elif constraint.kind == "minus_identity":
+        rep = _solve_minus(A_, B_, D_, constraint.k, want_optimizer, analysis)
+    else:
+        rep = _solve_signature(A_, B_, Dp, Dm, want_optimizer, analysis)
     rep.inertia_b = inb
     return rep
 

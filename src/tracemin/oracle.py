@@ -74,6 +74,12 @@ def compose_hyperbolic(f: HyperbolicFactorization) -> np.ndarray:
 
 
 STOP_REASONS = ("converged", "stalled", "budget", "unbounded")
+# A restart whose second line search fails where gn2, its squared gradient
+# norm, is at most CONVERGED_GN2_RTOL * (1 + |f|)^2 has converged: near a
+# minimum the decrease a step can still make, about gn2 over the curvature,
+# falls below the line search's acceptance margin 1e-14 * (1 + |f|) once
+# gn2 is about that small, so failing there is how a finished restart stops.
+CONVERGED_GN2_RTOL = 1e-12
 
 
 @dataclass
@@ -297,11 +303,13 @@ def local_search(
     directions that certify unbounded instances; every 40 a hyperbolic
     Gram-Schmidt pass washes out feasibility drift.
 
-    A restart stops when f makes no progress over 10 iterations or its
-    gradient vanishes (``converged``), when two line searches fail
-    (``stalled``) or after ``iters`` iterations (``budget``). Once any
-    restart falls below the divergence threshold the search stops, flags the
-    instance unbounded and marks the restarts still running ``unbounded``.
+    A restart stops when f makes no progress over 10 iterations, its
+    gradient vanishes, or two line searches fail where the gradient is below
+    CONVERGED_GN2_RTOL (``converged``), when two line searches fail
+    elsewhere (``stalled``) or after ``iters`` iterations (``budget``). Once
+    any restart falls below the divergence threshold the search stops, flags
+    the instance unbounded and marks the restarts still running
+    ``unbounded``.
     The result is the best point over all drawn restarts.
     """
     if restarts < 1:
@@ -377,6 +385,9 @@ def local_search(
         K = 0.5 * (W - _ct(W))
         gn2 = (np.sum(np.abs(K) ** 2, axis=(1, 2))
                + np.sum(np.abs(G[:, r:]) ** 2, axis=(1, 2)))
+        # gn2 at the point the line search starts from; a probe that moves
+        # the point leaves it unknown
+        gn2_start = gn2
         if it % 25 == 0:
             # escape probes: exact-feasibility boosts and nullspace kicks,
             # drawn from each restart's generator, boosts first
@@ -407,6 +418,7 @@ def local_search(
                     better = ft < f - 1e-12 * (1.0 + np.abs(f))
                     X = np.where(better[:, None, None], Xt, X)
                     f = np.where(better, ft, f)
+            gn2_start = np.where(f < s.f, np.inf, gn2)
             s.X, s.f = X, f
         if np.any(s.f < divergence):
             unbounded = True
@@ -416,7 +428,7 @@ def local_search(
             s.stop(flat, "converged")
             if not len(s.ids):
                 break
-            K, G = K[~flat], G[~flat]
+            K, G, gn2_start = K[~flat], G[~flat], gn2_start[~flat]
         X, f = s.X, s.f
         Z = X[:, :r]
         # trial step: Barzilai-Borwein secant on the ambient flow field
@@ -461,6 +473,9 @@ def local_search(
         s.flow_prev[accepted] = flow[accepted]
         s.X, s.f, s.step = X_new, f_new, step_new
         s.stalls += ~accepted
+        s.stop((s.stalls >= 2)
+               & (gn2_start <= CONVERGED_GN2_RTOL * (1.0 + np.abs(s.f)) ** 2),
+               "converged")
         s.stop(s.stalls >= 2, "stalled")
         if it % 40 == 39 and len(s.ids):
             # wash out accumulated feasibility drift

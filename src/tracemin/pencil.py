@@ -1,14 +1,20 @@
 """Analysis of Hermitian pencils A - lambda*B with indefinite, possibly
 singular B.
 
-One pass: deflate the common nullspace of A and B, take the rank(B) finite
-eigenvalues from one QZ, and place the shift lambda0 in the bracket
-[max lambda-, min lambda+] that every certifying shift of a positive
-semi-definite pencil lies in. One eigh of A - lambda0*B is then both the
-certificate A - lambda0*B >= 0 and the source of its kernel K0. The pencil is
-diagonalizable iff no direction of K0 is B-null; the eigenvectors are K0,
-B-orthonormalized, plus those of the definite pair on K0's B-orthogonal
-complement, whose eigenvalues mu = 1/(lambda - lambda0) come from one eigh.
+One eigh of B gives its inertia, its nonzero eigenvalues Lambda_B and
+N(B) = span U0. The common nullspace, the kernel of A*U0, is deflated; on
+the rest of N(B) A is positive definite for a positive semi-definite pencil,
+and its Schur complement S leaves the regular rank(B)-sized pencil
+S - lambda*Lambda_B with the same finite spectrum: the eigenvalues of the
+J-Hermitian J |Lambda_B|^-1/2 S |Lambda_B|^-1/2, J = sign(Lambda_B) (Liang,
+Li & Bai, LAA 438, 2013), from one nonsymmetric eigenvalue solve. The shift
+lambda0 sits in the bracket [max lambda-, min lambda+]. A Cholesky
+factorization of S - lambda0*Lambda_B - floor*I proves the pencil
+diagonalizable; only when it fails does one eigh certify the shift and give
+the kernel K0, and the pencil is diagonalizable iff no direction of K0 is
+B-null. The eigenvectors are K0, B-orthonormalized, plus those of the
+definite pair on K0's B-orthogonal complement, whose eigenvalues
+mu = 1/(lambda - lambda0) come from one eigh.
 """
 
 from __future__ import annotations
@@ -17,21 +23,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import NotPsdPencil
-from .spectral import Inertia, as_herm, inertia, max_norm
+from .spectral import HermitianMatrix, Inertia, as_herm, max_norm
+from .spectral import _shifted_cholesky_info
 
-# singular values below this times the largest count as zero (stated once,
-# used everywhere)
+# singular values below this times the largest (of [A; B] in
+# `eigenvectors_of`, of A*U0 against ||A||_F in the deflation) count as zero
 RANK_RTOL = 1e-9
-# eigenvalues of A - lambda0*B below -PSD_RTOL * (|A| + |lambda0|*|B|) refute
-# the certificate; those at or below +PSD_RTOL * (...) span its kernel K0
+# eigenvalues of S - lambda0*Lambda_B below -PSD_RTOL * (max|A11| +
+# |lambda0|*max|Lambda_B|) refute the certificate; those at or below
+# +PSD_RTOL * (...) span its kernel K0
 PSD_RTOL = 1e-9
 # a direction of K0 with |x^H B x| <= GRAM_RTOL * |B| is B-null
 GRAM_RTOL = 1e-8
-# mu = 1/(lambda - lambda0) with |mu| <= MU_RTOL * max|mu| is an infinite
-# eigenvalue
-MU_RTOL = 1e-10
 
 
 @dataclass
@@ -82,45 +88,43 @@ def find_lambda0(A, B) -> float | None:
         return None
 
 
-def _common_nullspace_split(A_, B_):
-    """Orthonormal bases (P, K): K spans N(A) & N(B), P its complement."""
-    n = A_.shape[0]
-    S = np.vstack([A_, B_])
-    _, sv, Vh = np.linalg.svd(S)
-    smax = float(sv[0]) if sv.size else 0.0
-    if smax == 0.0:
-        return np.empty((n, 0), dtype=complex), np.eye(n, dtype=complex)
-    q = int(np.sum(sv > RANK_RTOL * smax))
-    V = Vh.conj().T
-    return V[:, :q], V[:, q:]
-
-
-def _deflate(A_, B_):
-    """(P, A_d, B_d): the pencil compressed onto P, the complement of the
-    common nullspace, where it is regular."""
-    if A_.shape != B_.shape:
+def _reduce(A, B):
+    """(inertia of B, S, b, E, scale): the pencil S - lambda*diag(b) on B's
+    nonzero eigenvalues b, E mapping its eigenvectors to those of
+    A - lambda*B, and max|A11|, the scale of S. V2 spans the directions where
+    A*U0 has singular values above RANK_RTOL * ||A||_F (N(B) beyond
+    N(A) & N(B)); A22 = V2^H A V2 must be positive definite, and
+    S = A11 - A12 A22^-1 A21, E = U_r - V2 A22^-1 A21."""
+    A_ = as_herm(A)
+    Bh = HermitianMatrix.of(B)
+    if A_.shape != Bh.mat.shape:
         raise ValueError("A and B must have the same shape")
-    P, _K = _common_nullspace_split(A_, B_)
-    Ad = P.conj().T @ A_ @ P
-    Bd = P.conj().T @ B_ @ P
-    return P, 0.5 * (Ad + Ad.conj().T), 0.5 * (Bd + Bd.conj().T)
+    inb = Bh.inertia()
+    w, U = Bh.eigh()
+    # eigh sorts ascending: the n_minus negative, n_zero null, n_plus positive
+    nonzero = np.r_[: inb.n_minus, inb.n_minus + inb.n_zero : inb.n]
+    E, U0 = U[:, nonzero], U[:, inb.n_minus : inb.n_minus + inb.n_zero]
+    S = E.conj().T @ A_ @ E
+    scale = max_norm(S)
+    if U0.shape[1]:
+        _, sv, Vh = np.linalg.svd(A_ @ U0, full_matrices=False)
+        V2 = U0 @ Vh[: int(np.sum(sv > RANK_RTOL * np.linalg.norm(A_)))].conj().T
+        L, info = lapack.zpotrf(V2.conj().T @ A_ @ V2, lower=1)
+        if info:
+            raise NotPsdPencil("A is not positive definite on N(B) minus N(A)")
+        Y = sla.solve_triangular(L, V2.conj().T @ A_ @ E, lower=True)
+        S = S - Y.conj().T @ Y
+        E = E - V2 @ sla.solve_triangular(L, Y, lower=True, trans="C")
+    return inb, 0.5 * (S + S.conj().T), w[nonzero], E, scale
 
 
-def _finite_eigenvalue_list(Ad, Bd, r):
-    """The r finite eigenvalues of the deflated (regular) pencil, sorted
-    ascending, via the QZ-based generalized eigensolver."""
-    if r == 0 or Ad.shape[0] == 0:
-        return np.empty(0)
-    w = sla.eig(Ad, Bd, right=False, homogeneous_eigvals=True)
-    alpha, beta = np.asarray(w[0]), np.asarray(w[1])
-    score = np.abs(beta) / (np.abs(alpha) + np.abs(beta) + 1e-300)
-    order = np.argsort(score)[::-1]
-    idx = order[:r]
-    lam = alpha[idx] / beta[idx]
-    scale = 1.0 + np.abs(lam)
+def _j_hermitian_eigenvalues(S, b):
+    """The eigenvalues of S - lambda*diag(b), sorted ascending."""
+    s = 1.0 / np.sqrt(np.abs(b))
+    lam = np.linalg.eigvals(np.sign(b)[:, None] * (s[:, None] * S * s))
     # defective double eigenvalues split as a conjugate pair of width
     # O(sqrt(eps)), so the reality tolerance must sit well above that
-    if np.any(np.abs(np.imag(lam)) > 1e-6 * scale):
+    if np.any(np.abs(np.imag(lam)) > 1e-6 * (1.0 + np.abs(lam))):
         raise NotPsdPencil("finite eigenvalues have non-real components")
     return np.sort(np.real(lam))
 
@@ -137,50 +141,47 @@ def _bracket_shift(lam, n_minus) -> float:
     return 0.5 * float(lam[n_minus - 1] + lam[n_minus])
 
 
-def _kernel_certificate(Ad, Bd, lam0):
-    """Certify A_d - lam0*B_d >= 0 and diagonalize B_d on its kernel K0.
-
-    Returns (M, U0, d, m0): M = A_d - lam0*B_d, U0 an orthonormal basis of
-    K0 with U0^H B_d U0 = diag(d), and m0 the number of B-null directions.
-    """
-    M = Ad - lam0 * Bd
+def _certify(S, b, lam0, scale):
+    """(M, U0, d, m0): M = S - lam0*diag(b) certified >= 0, U0 an orthonormal
+    basis of its kernel K0 with U0^H diag(b) U0 = diag(d), and m0 the number
+    of B-null directions. A Cholesky factorization of M - floor*I proves K0
+    empty; only when it fails is M certified, and K0 read, by one eigh."""
+    M = S.copy()
+    M.flat[:: M.shape[0] + 1] -= lam0 * b
+    floor = PSD_RTOL * (scale + abs(lam0) * max_norm(b))
+    if _shifted_cholesky_info(M, floor) == 0:
+        return M, np.empty((M.shape[0], 0)), np.empty(0), 0
     w, V = np.linalg.eigh(M)
-    floor = PSD_RTOL * (max_norm(Ad) + abs(lam0) * max_norm(Bd))
-    if w.size and w[0] < -floor:
+    if w[0] < -floor:
         raise NotPsdPencil(
             f"A - lambda0*B has eigenvalue {w[0]:.3e} at lambda0 = {lam0:.6g}"
         )
     K0 = V[:, w <= floor]
-    G = K0.conj().T @ Bd @ K0
+    G = K0.conj().T @ (b[:, None] * K0)
     d, W = np.linalg.eigh(0.5 * (G + G.conj().T))
-    m0 = int(np.sum(np.abs(d) <= GRAM_RTOL * max_norm(Bd)))
+    m0 = int(np.sum(np.abs(d) <= GRAM_RTOL * max_norm(b)))
     return M, K0 @ W, d, m0
 
 
 def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     """Full analysis of a positive semi-definite pencil.
 
-    Raises NotPsdPencil when no certifying shift exists. The common nullspace
-    of A and B is deflated before the generalized eigensolve so the pencil
-    seen by QZ is regular.
+    Raises NotPsdPencil when no certifying shift exists. A or B may be a
+    HermitianMatrix; B's eigendecomposition is then the one it keeps.
     """
-    A_ = as_herm(A)
-    B_ = as_herm(B)
-    inb = inertia(B_)
-    P, Ad, Bd = _deflate(A_, B_)
-    lam = _finite_eigenvalue_list(Ad, Bd, inb.rank)
+    inb, S, b, E, scale = _reduce(A, B)
+    lam = _j_hermitian_eigenvalues(S, b)
     lam0 = _bracket_shift(lam, inb.n_minus)
-    M, U0, d, m0 = _kernel_certificate(Ad, Bd, lam0)
-
+    M, U0, d, m0 = _certify(S, b, lam0, scale)
     ep = em = None
     if m0:
         # each B-null kernel direction closes a 2x2 Jordan block at lambda0,
-        # whose eigenvalue QZ splits by O(sqrt(eps))
+        # whose eigenvalue the eigensolver splits by O(sqrt(eps))
         lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
         lam.sort()
     else:
-        ep, em = _eigenvectors(Bd, M, U0, d, lam0, inb)
-        ep, em = P @ ep, P @ em
+        ep, em = _eigenvectors(b, M, U0, d, inb)
+        ep, em = E @ ep, E @ em
     return PsdPencilAnalysis(
         lambda0=lam0,
         inertia_b=inb,
@@ -193,23 +194,23 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     )
 
 
-def _eigenvectors(Bd, M, U0, d, lam0, inb):
-    """B-normalized eigenvector blocks (plus ascending, minus descending in
-    eigenvalue) of a diagonalizable pencil in deflated coordinates.
+def _eigenvectors(b, M, U0, d, inb):
+    """diag(b)-normalized eigenvector blocks (plus ascending, minus
+    descending in eigenvalue) of the diagonalizable pencil S - lambda*diag(b).
 
-    K0 contributes U0 / sqrt|d| at lambda0. On the B-orthogonal complement C
-    of K0, C^H M C > 0, so eigh(C^H B C, C^H M C) is a definite pair with
-    eigenvalues mu = 1/(lambda - lambda0) and vectors of B-norm mu.
-    """
+    K0 contributes U0 / sqrt|d| at lambda0. On the diag(b)-orthogonal
+    complement C of K0, C^H M C > 0, so eigh(C^H diag(b) C, C^H M C) is a
+    definite pair with eigenvalues mu = 1/(lambda - lambda0) and vectors of
+    B-norm mu."""
     U0 = U0 / np.sqrt(np.abs(d))
-    q, k0 = M.shape[0], U0.shape[1]
-    C = np.linalg.qr(Bd @ U0, mode="complete")[0][:, k0:] if k0 else np.eye(q)
-    if C.shape[1]:
+    Bd = np.diag(b)
+    if U0.shape[1]:
+        C = np.linalg.qr(Bd @ U0, mode="complete")[0][:, U0.shape[1]:]
         mu, Y = sla.eigh(C.conj().T @ Bd @ C, C.conj().T @ M @ C)
+        Y = C @ Y
     else:
-        mu, Y = np.empty(0), np.empty((0, 0))
-    finite = np.abs(mu) > MU_RTOL * np.abs(mu).max(initial=0.0)
-    mu, V = mu[finite], (C @ Y[:, finite]) / np.sqrt(np.abs(mu[finite]))
+        mu, Y = sla.eigh(Bd, M)
+    V = Y / np.sqrt(np.abs(mu))
     pos, neg = mu > 0, mu < 0
     if (np.sum(d > 0) + np.sum(pos), np.sum(d < 0) + np.sum(neg)) != (
         inb.n_plus, inb.n_minus
@@ -228,14 +229,12 @@ def eigenvectors_of(A, B, mu: float) -> np.ndarray:
     out. May be empty when the eigenspace is entirely degenerate."""
     A_ = as_herm(A)
     B_ = as_herm(B)
-    M = A_ - mu * B_
-    _, sv, Vh = np.linalg.svd(M)
-    smax = float(sv[0]) if sv.size else 0.0
-    if smax == 0.0:
-        null = np.eye(A_.shape[0], dtype=complex)
-    else:
-        null = Vh.conj().T[:, sv <= RANK_RTOL * smax]
-    _P, K = _common_nullspace_split(A_, B_)
+    _, sv, Vh = np.linalg.svd(A_ - mu * B_)
+    null = Vh.conj().T[:, sv <= RANK_RTOL * sv.max(initial=0.0)]
+    # N(A) & N(B) from one SVD of the stacked [A; B], as a reference that
+    # shares nothing with the analysis
+    _, sv, Vh = np.linalg.svd(np.vstack([A_, B_]))
+    K = Vh[int(np.sum(sv > RANK_RTOL * sv.max(initial=0.0))):].conj().T
     if K.shape[1]:
         null = null - K @ (K.conj().T @ null)
     if null.shape[1] == 0:
@@ -250,6 +249,6 @@ def diagonalizability(A, B, analysis: PsdPencilAnalysis) -> tuple[bool, int]:
     """Recompute the diagonalizability certificate for a completed analysis:
     diagonalizable iff no direction of the kernel of A - lambda0*B is B-null,
     with m0 such directions (coupled blocks) otherwise."""
-    _P, Ad, Bd = _deflate(as_herm(A), as_herm(B))
-    m0 = _kernel_certificate(Ad, Bd, analysis.lambda0)[3]
+    _inb, S, b, _E, scale = _reduce(A, B)
+    m0 = _certify(S, b, analysis.lambda0, scale)[3]
     return m0 == 0, m0

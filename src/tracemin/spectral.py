@@ -43,7 +43,7 @@ class HermitianMatrix:
     stored matrix is the exact symmetrization (H + H^H)/2.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "_eigh")
 
     def __init__(self, entries):
         M = np.asarray(entries, dtype=complex)
@@ -54,6 +54,24 @@ class HermitianMatrix:
         if max_norm(M - M.conj().T) > _scaled_tol(M, 1e-12):
             raise ValueError("matrix is not Hermitian within tolerance")
         self.mat = 0.5 * (M + M.conj().T)
+        self._eigh = None
+
+    @classmethod
+    def of(cls, H) -> HermitianMatrix:
+        """H itself when it is already a HermitianMatrix, else H validated."""
+        return H if isinstance(H, cls) else cls(H)
+
+    def eigh(self):
+        """(w ascending, V) with mat = V diag(w) V^H. Computed on first use
+        and kept, so every caller handed this value shares one
+        eigendecomposition; callers must not modify the arrays."""
+        if self._eigh is None:
+            self._eigh = np.linalg.eigh(self.mat)
+        return self._eigh
+
+    def inertia(self) -> Inertia:
+        """`inertia` of the matrix, counted from the kept eigenvalues."""
+        return _count_inertia(self.eigh()[0], _scaled_tol(self.mat, ZERO_RTOL))
 
     @property
     def n(self) -> int:
@@ -111,7 +129,10 @@ def inertia(H, tol: float | None = None) -> Inertia:
         tol = _scaled_tol(M, ZERO_RTOL)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    w = np.linalg.eigvalsh(M) if M.size else np.empty(0)
+    return _count_inertia(np.linalg.eigvalsh(M) if M.size else np.empty(0), tol)
+
+
+def _count_inertia(w, tol) -> Inertia:
     return Inertia(
         n_plus=int(np.sum(w > tol)),
         n_zero=int(np.sum(np.abs(w) <= tol)),
@@ -138,9 +159,7 @@ def _certified_cholesky(M) -> np.ndarray:
     if M.size == 0:
         raise NotPositiveDefinite("empty matrix is not positive definite")
     tau = _scaled_tol(M, ZERO_RTOL)
-    shifted = np.array(M, order="F")
-    shifted.flat[:: M.shape[0] + 1] -= tau
-    info = lapack.zpotrf(shifted, lower=1, overwrite_a=1)[1]
+    info = _shifted_cholesky_info(M, tau)
     if info == 0:
         L, info = lapack.zpotrf(M, lower=1)
     if info != 0:
@@ -149,6 +168,15 @@ def _certified_cholesky(M) -> np.ndarray:
             f"has no Cholesky factor (leading minor {info})"
         )
     return L
+
+
+def _shifted_cholesky_info(M, tau) -> int:
+    """LAPACK's info for a Cholesky factorization of M - tau*I: 0 proves that
+    the smallest eigenvalue of M exceeds tau, otherwise the order of the
+    first leading minor that is not positive definite."""
+    shifted = np.array(M, dtype=complex, order="F")
+    shifted.flat[:: M.shape[0] + 1] -= tau
+    return int(lapack.zpotrf(shifted, lower=1, overwrite_a=1)[1])
 
 
 def majorizes(beta, alpha) -> bool:

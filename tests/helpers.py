@@ -1,6 +1,7 @@
 """Shared instance generators for the test suite."""
 
 import numpy as np
+import scipy.linalg as sla
 
 
 def random_hermitian(rng, n):
@@ -78,3 +79,71 @@ def canonical_pencil_instance(seed):
 def random_psd(rng, k, lo=0.1, hi=2.0):
     Q = random_unitary(rng, k)
     return Q @ np.diag(rng.uniform(lo, hi, k)) @ Q.conj().T
+
+
+def psd_pencil(rng, n_plus, n_minus, n_inf=0, n_common=0, n_coupled=0,
+               n_touch=0, a_inf_sign=1.0):
+    """Positive semi-definite pencil built from its canonical blocks and made
+    dense by a congruence with singular values in [1, 2].
+
+    The blocks are n_plus eigenvalues above a shift lambda0 (B = +1) and
+    n_minus below it (B = -1), n_inf infinite eigenvalues (B = 0, A > 0),
+    n_common common null directions (A = B = 0), n_coupled 2x2 Jordan blocks
+    at lambda0 (B-null kernel directions, m0 = n_coupled) and n_touch pairs
+    of semisimple eigenvalues at lambda0, one of each sign, which make the
+    bracket degenerate while the pencil stays diagonalizable. With
+    a_inf_sign = -1, A is negative on the infinite blocks: A is then not
+    positive semi-definite on N(B) and the pencil has no certifying shift.
+    Returns (A, B, lambda_plus ascending, lambda_minus descending).
+    """
+    lam0 = float(rng.normal())
+    at_lam0 = lam0 * np.ones(n_coupled + n_touch)
+    lp = np.r_[lam0 + rng.uniform(0.1, 3.0, n_plus), at_lam0]
+    lm = np.r_[lam0 - rng.uniform(0.1, 3.0, n_minus), at_lam0]
+    a = np.r_[lp[:n_plus + n_touch], -lm[:n_minus + n_touch],
+              a_inf_sign * rng.uniform(0.5, 2.0, n_inf), np.zeros(n_common)]
+    b = np.r_[np.ones(n_plus + n_touch), -np.ones(n_minus + n_touch),
+              np.zeros(n_inf + n_common)]
+    m, n = a.size, a.size + 2 * n_coupled
+    Lam = np.zeros((n, n))
+    J = np.zeros((n, n))
+    Lam[:m, :m] = np.diag(a)
+    J[:m, :m] = np.diag(b)
+    for i in range(m, n, 2):
+        Lam[i:i + 2, i:i + 2] = [[0.0, lam0], [lam0, 1.0]]
+        J[i:i + 2, i:i + 2] = [[0.0, 1.0], [1.0, 0.0]]
+    W = (random_unitary(rng, n) * rng.uniform(1.0, 2.0, n)) @ random_unitary(rng, n)
+    A = W.conj().T @ Lam @ W
+    B = W.conj().T @ J @ W
+    A, B = 0.5 * (A + A.conj().T), 0.5 * (B + B.conj().T)
+    return A, B, np.sort(lp), np.sort(lm)[::-1]
+
+
+def spy_factorizations(monkeypatch):
+    """Record the shape, and the matrix, of every eigensolver and SVD call."""
+    calls = []
+
+    def spy(fn, name):
+        def wrapped(M, *args, **kwargs):
+            calls.append((name, np.shape(M), np.asarray(M)))
+            return fn(M, *args, **kwargs)
+        return wrapped
+
+    for mod, name, label in ((np.linalg, "eigh", "eigh"), (sla, "eigh", "eigh"),
+                             (np.linalg, "eigvalsh", "eigvalsh"),
+                             (sla, "eigvalsh", "eigvalsh"), (sla, "eig", "qz"),
+                             (np.linalg, "svd", "svd"), (sla, "svd", "svd")):
+        monkeypatch.setattr(mod, name, spy(getattr(mod, name), label))
+    return calls
+
+
+def check_factorizations(calls, B):
+    """No QZ, no SVD of a stacked 2n x n matrix, no eigvalsh, and exactly one
+    n x n eigh of B."""
+    n = B.shape[0]
+    names = [name for name, _shape, _M in calls]
+    assert "qz" not in names and "eigvalsh" not in names
+    assert not [1 for name, shape, _M in calls if name == "svd" and shape == (2 * n, n)]
+    of_b = [1 for name, shape, M in calls
+            if name == "eigh" and shape == (n, n) and np.array_equal(M, B)]
+    assert len(of_b) == 1

@@ -1,0 +1,61 @@
+"""Reference pencil analysis by QZ, kept for the property tests.
+
+This is the analysis `tracemin.pencil.finite_eigenvalues` ran before it was
+rebuilt on one eigendecomposition of B: deflate N(A) & N(B) with one SVD of
+the stacked [A; B], take the rank(B) finite eigenvalues from one QZ of the
+deflated pencil, put lambda0 in the bracket [max lambda-, min lambda+], and
+read m0 from the kernel of A - lambda0*B. It returns the eigenvalues, the
+shift, m0 and B's inertia; no eigenvectors.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg as sla
+
+from tracemin import NotPsdPencil, as_herm, inertia
+from tracemin.pencil import GRAM_RTOL, PSD_RTOL, RANK_RTOL, _bracket_shift
+
+
+def _deflate(A_, B_):
+    _, sv, Vh = np.linalg.svd(np.vstack([A_, B_]))
+    smax = float(sv[0]) if sv.size else 0.0
+    q = int(np.sum(sv > RANK_RTOL * smax)) if smax else 0
+    P = Vh.conj().T[:, :q]
+    Ad = P.conj().T @ A_ @ P
+    Bd = P.conj().T @ B_ @ P
+    return 0.5 * (Ad + Ad.conj().T), 0.5 * (Bd + Bd.conj().T)
+
+
+def _qz_eigenvalues(Ad, Bd, r):
+    if r == 0 or Ad.shape[0] == 0:
+        return np.empty(0)
+    alpha, beta = sla.eig(Ad, Bd, right=False, homogeneous_eigvals=True)
+    score = np.abs(beta) / (np.abs(alpha) + np.abs(beta) + 1e-300)
+    idx = np.argsort(score)[::-1][:r]
+    lam = alpha[idx] / beta[idx]
+    if np.any(np.abs(np.imag(lam)) > 1e-6 * (1.0 + np.abs(lam))):
+        raise NotPsdPencil("finite eigenvalues have non-real components")
+    return np.sort(np.real(lam))
+
+
+def qz_analysis(A, B):
+    """(lambda_plus ascending, lambda_minus descending, lambda0, m0, inertia
+    of B) of a positive semi-definite pencil; raises NotPsdPencil otherwise."""
+    A_, B_ = as_herm(A), as_herm(B)
+    inb = inertia(B_)
+    Ad, Bd = _deflate(A_, B_)
+    lam = _qz_eigenvalues(Ad, Bd, inb.rank)
+    lam0 = _bracket_shift(lam, inb.n_minus)
+    w, V = np.linalg.eigh(Ad - lam0 * Bd)
+    floor = PSD_RTOL * (np.max(np.abs(Ad), initial=0.0)
+                        + abs(lam0) * np.max(np.abs(Bd), initial=0.0))
+    if w.size and w[0] < -floor:
+        raise NotPsdPencil(f"A - lambda0*B has eigenvalue {w[0]:.3e}")
+    K0 = V[:, w <= floor]
+    d = np.linalg.eigvalsh(K0.conj().T @ Bd @ K0)
+    m0 = int(np.sum(np.abs(d) <= GRAM_RTOL * np.max(np.abs(Bd), initial=0.0)))
+    if m0:
+        lam[np.argsort(np.abs(lam - lam0))[: K0.shape[1] + m0]] = lam0
+        lam.sort()
+    return lam[inb.n_minus:], lam[: inb.n_minus][::-1], lam0, m0, inb

@@ -12,7 +12,12 @@ import math
 import numpy as np
 
 from tracemin.errors import DegenerateDraw
-from tracemin.oracle import _draw_z, _j_orthonormalize, _SignatureCoords
+from tracemin.oracle import (
+    CONVERGED_GN2_RTOL,
+    _draw_z,
+    _j_orthonormalize,
+    _SignatureCoords,
+)
 from tracemin.spectral import as_herm, max_norm
 
 
@@ -85,6 +90,7 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
             gn2 = float(np.sum(np.abs(K) ** 2))
             if Gr is not None:
                 gn2 += float(np.sum(np.abs(Gr) ** 2))
+            f_start = f
             if hyperbolic and it % 25 == 0:
                 for _ in range(4):
                     ip = int(rng.integers(coords.n_plus))
@@ -102,6 +108,8 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
                     ft = f_of(Z, Rt)
                     if ft < f - 1e-12 * (1.0 + abs(f)):
                         R, f = Rt, ft
+            # a probe that moved the point leaves its gradient unknown
+            gn2_start = gn2 if f == f_start else np.inf
             if f < divergence:
                 reason = "unbounded"
                 break
@@ -143,7 +151,8 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
             if not accepted:
                 stalls += 1
                 if stalls >= 2:
-                    reason = "stalled"
+                    tol = CONVERGED_GN2_RTOL * (1.0 + abs(f)) ** 2
+                    reason = "converged" if gn2_start <= tol else "stalled"
                     break
             if it % 40 == 39:
                 Z = _j_orthonormalize(

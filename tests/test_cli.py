@@ -13,6 +13,7 @@ import tracemin.indefinite
 from tracemin import __version__
 from tracemin.cli import main
 from tracemin.errors import DegenerateDraw
+from helpers import check_factorizations, psd_pencil, spy_factorizations
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -146,6 +147,23 @@ class TestPencil:
         assert rep["diagonalizable"] is False
         assert rep["m0"] == 1
         assert rep["lambda0"] == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_one_eigh_of_b(self, capsys, monkeypatch, tmp_path, singular):
+        A, B, lp, lm = psd_pencil(np.random.default_rng(31), 7, 5, n_inf=2 * singular,
+                                  n_common=int(singular), n_coupled=int(singular))
+        doc = {"constraint": "plus_identity", "d": [[1.0]]}
+        for key, M in (("a", A), ("b", B)):
+            doc[key] = np.stack([M.real, M.imag], axis=-1).tolist()
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps(doc))
+        calls = spy_factorizations(monkeypatch)
+        code, rep = run_json(capsys, "pencil", str(path))
+        assert code == 0
+        assert rep["m0"] == int(singular)
+        assert rep["lambda_plus"] == pytest.approx(lp, abs=1e-9)
+        assert rep["lambda_minus"] == pytest.approx(lm, abs=1e-9)
+        check_factorizations(calls, B)
 
     def test_non_psd(self, capsys):
         code, rep = run_json(capsys, "pencil", str(FIXTURES / "nonpsd.json"))

@@ -15,7 +15,14 @@ from tracemin import (
     solve_indefinite_plus,
     solve_signature,
 )
-from helpers import canonical_pencil_instance, random_psd
+from tracemin import spectral
+from helpers import (
+    canonical_pencil_instance,
+    check_factorizations,
+    psd_pencil,
+    random_psd,
+    spy_factorizations,
+)
 
 A3 = np.diag([1.0, 2.0, 5.0])
 B3 = np.diag([1.0, 1.0, -1.0])
@@ -213,3 +220,95 @@ def test_finiteness_dichotomy_scales_with_d(seed):
         assert not solve(A, B, c * D_bad, spec).finite
         assert check_finiteness(c * D_psd)
         assert solve(A, B, c * D_psd, spec).value == pytest.approx(c * base, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["plus_identity", "minus_identity", "signature"])
+@pytest.mark.parametrize("singular", [False, True])
+def test_indefinite_solve_validates_once_and_factors_b_once(monkeypatch, kind, singular):
+    rng = np.random.default_rng(21)
+    A, B, _lp, _lm = psd_pencil(rng, 6, 5, n_inf=2 * singular, n_common=int(singular))
+    n = A.shape[0]
+    constraint = {"plus_identity": ConstraintSpec.plus_identity(2),
+                  "minus_identity": ConstraintSpec.minus_identity(2),
+                  "signature": ConstraintSpec.signature(1, 1)}[kind]
+    D = np.diag([2.0, 1.0])
+    calls = spy_factorizations(monkeypatch)
+    validated = []
+    real_init = spectral.HermitianMatrix.__init__
+
+    def counting_init(self, entries):
+        validated.append(np.shape(entries))
+        real_init(self, entries)
+
+    monkeypatch.setattr(spectral.HermitianMatrix, "__init__", counting_init)
+    rep = solve(A, B, D, constraint, want_optimizer=True)
+    assert rep.attained and rep.x_opt is not None
+    assert rep.inertia_b.n_zero == 3 * singular
+    assert sorted(validated) == sorted([(n, n), (n, n), (2, 2)])
+    check_factorizations(calls, B)
+
+
+def _scale_instances():
+    """Indefinite PSD pencils with PSD weights for the metamorphic tests:
+    canonical instances (nonsingular B, every tenth coupled) and singular B
+    with infinite eigenvalues and a common nullspace, coupled or not."""
+    out = []
+    for seed in range(12):
+        A, B, n_plus, n_minus, *_rest = canonical_pencil_instance(seed)
+        out.append((A, B, n_plus, n_minus))
+    for seed, coupled in ((0, 0), (1, 1), (2, 0), (3, 1)):
+        rng = np.random.default_rng(seed + 8000)
+        A, B, lp, lm = psd_pencil(rng, 3, 2, n_inf=2, n_common=1, n_coupled=coupled)
+        out.append((A, B, lp.size, lm.size))
+    return out
+
+
+def _constraints(rng, n_plus, n_minus):
+    kp = int(rng.integers(1, n_plus + 1))
+    km = int(rng.integers(1, n_minus + 1))
+    Dp, Dm = random_psd(rng, kp), random_psd(rng, km)
+    D = np.zeros((kp + km, kp + km), dtype=complex)
+    D[:kp, :kp], D[kp:, kp:] = Dp, Dm
+    # (constraint, D, tr(D X^H B X) on the feasible set)
+    return [(ConstraintSpec.plus_identity(kp), Dp, np.trace(Dp).real),
+            (ConstraintSpec.minus_identity(km), Dm, -np.trace(Dm).real),
+            (ConstraintSpec.signature(kp, km), D, (np.trace(Dp) - np.trace(Dm)).real)]
+
+
+@pytest.mark.parametrize("index", range(16))
+def test_value_scales_with_a_and_b(index):
+    # value(c*A) = c*value and value(A, c*B) = value/c for c in 10^[-8, 8]:
+    # the rank, Schur-complement and certificate thresholds are relative
+    A, B, n_plus, n_minus = _scale_instances()[index]
+    rng = np.random.default_rng(index + 9000)
+    for constraint, D, _trace_b in _constraints(rng, n_plus, n_minus):
+        base = solve(A, B, D, constraint)
+        for j in range(-8, 9):
+            c = 10.0 ** j
+            for rep, expected in ((solve(c * A, B, D, constraint), c * base.value),
+                                  (solve(A, c * B, D, constraint), base.value / c)):
+                assert rep.attained == base.attained, (constraint.kind, c)
+                assert rep.value == pytest.approx(expected, rel=1e-9), (constraint.kind, c)
+
+
+@pytest.mark.parametrize("index", range(16))
+def test_value_invariant_under_congruence_and_shift(index):
+    # (A, B) -> (T^H A T, T^H B T) keeps the value; A -> A + s*B adds
+    # s * tr(D X^H B X), which the constraint fixes
+    A, B, n_plus, n_minus = _scale_instances()[index]
+    rng = np.random.default_rng(index + 9500)
+    n = A.shape[0]
+    T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+    At, Bt = T.conj().T @ A @ T, T.conj().T @ B @ T
+    At, Bt = 0.5 * (At + At.conj().T), 0.5 * (Bt + Bt.conj().T)
+    for constraint, D, trace_b in _constraints(rng, n_plus, n_minus):
+        base = solve(A, B, D, constraint)
+        scale = 1.0 + abs(base.value)
+        rep = solve(At, Bt, D, constraint)
+        assert rep.attained == base.attained
+        assert rep.value == pytest.approx(base.value, abs=1e-8 * scale)
+        for s_ in (-3.0, -0.25, 0.5, 7.0):
+            rep = solve(A + s_ * B, B, D, constraint)
+            assert rep.attained == base.attained
+            assert rep.value == pytest.approx(base.value + s_ * trace_b,
+                                              abs=1e-9 * (scale + abs(s_ * trace_b)))

@@ -22,6 +22,7 @@ from tracemin import (
     objective,
     solve_definite_min,
 )
+from tracemin.cli import load_problem
 from tracemin.oracle import _cayley_trials
 from helpers import (
     canonical_pencil_instance,
@@ -32,6 +33,7 @@ from helpers import (
 )
 from sequential_oracle import sequential_search
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 P_DEFAULT = CounterexampleParams(mu=2.0, delta=0.25)
 
 
@@ -243,6 +245,16 @@ class TestLockstep:
         assert res.unbounded_flag
         assert "unbounded" in res.stop_reasons
         assert set(res.stop_reasons) <= set(tracemin.oracle.STOP_REASONS)
+
+    def test_finished_restarts_read_converged(self):
+        # every kyfan.json restart reaches f = 3 and stops where its line
+        # searches can no longer beat the acceptance margin: with a vanishing
+        # gradient that is convergence, not a stall
+        A, B, D, constraint, _sense = load_problem(FIXTURES / "kyfan.json")
+        res = local_search(A, B, D, constraint, restarts=20, iters=500, seed=0)
+        assert res.best_value == pytest.approx(3.0, abs=1e-10)
+        assert res.stop_reasons.count("converged") >= 15
+        assert res.stop_reasons.count("converged") + res.stop_reasons.count("stalled") == 20
 
     def test_singular_cayley_system_is_rejected(self):
         S = np.zeros((2, 2, 2))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tracemin import (
     NotPsdPencil,
@@ -8,7 +10,9 @@ from tracemin import (
     find_lambda0,
     finite_eigenvalues,
 )
-from helpers import canonical_pencil_instance
+from tracemin.pencil import RANK_RTOL
+from helpers import canonical_pencil_instance, psd_pencil, random_unitary
+from qz_pencil import qz_analysis
 
 LAMBDA0_F2_A = np.array([[0.0, 0.0], [0.0, 1.0]])
 LAMBDA0_F2_B = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -131,3 +135,75 @@ def test_degenerate_bracket_diagonalizable():
     U = np.hstack([an.eigvecs_plus, an.eigvecs_minus])
     J = np.diag([1.0, 1.0, -1.0])
     assert np.max(np.abs(U.conj().T @ B @ U - J)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_plus=st.integers(0, 8),
+    n_minus=st.integers(0, 8),
+    n_inf=st.integers(0, 3),
+    n_common=st.integers(0, 3),
+    n_coupled=st.integers(0, 2),
+    n_touch=st.integers(0, 1),
+    not_psd=st.booleans(),
+)
+def test_matches_qz_reference(seed, n_plus, n_minus, n_inf, n_common, n_coupled,
+                              n_touch, not_psd):
+    # the analysis on one eigh(B) against the QZ analysis it replaced, over
+    # mixed inertia, singular B with and without a common nullspace, coupled
+    # Jordan blocks and degenerate brackets
+    n = n_plus + n_minus + n_inf + n_common + 2 * (n_coupled + n_touch)
+    assume(2 <= n <= 24)
+    not_psd = not_psd and n_inf > 0
+    rng = np.random.default_rng(seed)
+    A, B, lp, lm = psd_pencil(rng, n_plus, n_minus, n_inf, n_common, n_coupled,
+                              n_touch, a_inf_sign=-1.0 if not_psd else 1.0)
+    if not_psd:
+        # A is negative on part of N(B): no shift certifies the pencil
+        with pytest.raises(NotPsdPencil):
+            qz_analysis(A, B)
+        with pytest.raises(NotPsdPencil):
+            finite_eigenvalues(A, B)
+        return
+    ref_plus, ref_minus, _lam0, ref_m0, ref_inb = qz_analysis(A, B)
+    an = finite_eigenvalues(A, B)
+    assert an.inertia_b == ref_inb
+    assert an.m0 == ref_m0 == n_coupled
+    assert an.diagonalizable == (ref_m0 == 0)
+    assert an.lambda_plus.shape == ref_plus.shape == lp.shape
+    assert an.lambda_minus.shape == ref_minus.shape == lm.shape
+    scale = max(1.0, np.max(np.abs(np.r_[ref_plus, ref_minus]), initial=0.0))
+    assert np.max(np.abs(an.lambda_plus - ref_plus), initial=0.0) <= 1e-8 * scale
+    assert np.max(np.abs(an.lambda_minus - ref_minus), initial=0.0) <= 1e-8 * scale
+    assert np.max(np.abs(an.lambda_plus - lp), initial=0.0) <= 1e-6
+    assert np.max(np.abs(an.lambda_minus - lm), initial=0.0) <= 1e-6
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_null_block_cholesky_agrees_with_rank_decision(factor, sign):
+    # A acts on the null direction of B with size sigma near the rank
+    # threshold RANK_RTOL * ||A||_F. Below it the direction is common null and
+    # deflated whatever its sign; above it A must be positive there, and a
+    # positive sigma, however small, is an infinite eigenvalue, not a kernel
+    # direction of the certificate.
+    base = np.diag([2.0, 3.0, 0.0])
+    sigma = factor * RANK_RTOL * np.linalg.norm(base)
+    W = random_unitary(np.random.default_rng(5), 3)
+    A = W.conj().T @ np.diag([2.0, 3.0, sign * sigma]) @ W
+    B = W.conj().T @ np.diag([1.0, -1.0, 0.0]) @ W
+    A, B = 0.5 * (A + A.conj().T), 0.5 * (B + B.conj().T)
+    if factor > 1 and sign < 0:
+        with pytest.raises(NotPsdPencil):
+            finite_eigenvalues(A, B)
+        return
+    an = finite_eigenvalues(A, B)
+    assert an.inertia_b.n_zero == 1 and an.rank == 2
+    assert an.diagonalizable and an.m0 == 0
+    assert np.max(np.abs(an.lambda_plus - [2.0])) <= 1e-12
+    assert np.max(np.abs(an.lambda_minus - [-3.0])) <= 1e-12
+    assert diagonalizability(A, B, an) == (True, 0)
+    U = np.hstack([an.eigvecs_plus, an.eigvecs_minus])
+    assert np.max(np.abs(U.conj().T @ B @ U - np.diag([1.0, -1.0]))) <= 1e-10
+    assert np.max(np.abs(A @ U - B @ U @ np.diag([2.0, -3.0]))) <= 1e-8
