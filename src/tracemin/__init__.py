@@ -31,7 +31,6 @@ from .errors import (
     Unsupported,
 )
 from .indefinite import (
-    ConstraintSpec,
     check_finiteness,
     epsilon_suboptimal,
     solve,
@@ -60,6 +59,7 @@ from .pencil import (
     find_lambda0,
     finite_eigenvalues,
 )
+from .problem import ConstraintSpec, Problem
 from .spectral import (
     EigenDecomposition,
     HermitianMatrix,
@@ -90,6 +90,7 @@ __all__ = [
     "NotPsdPencil",
     "OracleResult",
     "ParseError",
+    "Problem",
     "PsdPencilAnalysis",
     "SolveReport",
     "TraceminError",

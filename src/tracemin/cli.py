@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NotPsdPencil, ParseError, TraceminError
-from .indefinite import ConstraintSpec, solve
+from .errors import ParseError, TraceminError
+from .indefinite import solve
 from .oracle import (
     STOP_REASONS,
     CounterexampleParams,
@@ -28,7 +28,7 @@ from .oracle import (
     objective,
 )
 from .pencil import finite_eigenvalues
-from .spectral import as_herm
+from .problem import ConstraintSpec, Problem, signature_problem
 
 GAP_LOWER = -1e-8   # oracle may undershoot the analytic value by at most this
 GAP_UPPER = 1e-4    # ... and may exceed it by at most this on attained instances
@@ -73,8 +73,17 @@ def _parse_matrix(obj, name):
     return np.array([[_parse_entry(e) for e in r] for r in obj], dtype=complex)
 
 
-def parse_problem(doc: dict):
-    """Validate a problem document into (A, B, D, constraint, sense)."""
+def _parse_count(doc, name):
+    """The JSON integer in field ``name``, or None when the field is absent."""
+    if name not in doc:
+        return None
+    if type(doc[name]) is not int:
+        raise ParseError(f"field {name!r} must be an integer, got {doc[name]!r}")
+    return doc[name]
+
+
+def parse_problem(doc: dict) -> Problem:
+    """Validate a problem document into a `Problem`."""
     if not isinstance(doc, dict):
         raise ParseError("problem file must be a JSON object")
     for req in ("a", "b", "constraint"):
@@ -86,46 +95,31 @@ def parse_problem(doc: dict):
     if kind not in ("plus_identity", "minus_identity", "signature"):
         raise ParseError(f"unknown constraint {kind!r}")
     sense = doc.get("sense", "min")
-    if sense not in ("min", "max"):
-        raise ParseError(f"sense must be 'min' or 'max', got {sense!r}")
-
     try:
-        if kind == "signature":
-            if "d" in doc:
-                D = _parse_matrix(doc["d"], "d")
-                k_plus = doc.get("k_plus")
-                k_minus = doc.get("k_minus")
-                if k_plus is None or k_minus is None:
-                    raise ParseError("signature with full d needs k_plus and k_minus")
-            else:
-                if "d_plus" not in doc or "d_minus" not in doc:
-                    raise ParseError("signature needs d, or d_plus and d_minus")
-                Dp = _parse_matrix(doc["d_plus"], "d_plus")
-                Dm = _parse_matrix(doc["d_minus"], "d_minus")
-                k_plus = doc.get("k_plus", Dp.shape[0])
-                k_minus = doc.get("k_minus", Dm.shape[0])
-                D = np.zeros((k_plus + k_minus, k_plus + k_minus), dtype=complex)
-                D[:k_plus, :k_plus] = Dp
-                D[k_plus:, k_plus:] = Dm
-            constraint = ConstraintSpec.signature(int(k_plus), int(k_minus))
-        else:
+        if kind != "signature":
             if "d" not in doc:
                 raise ParseError(f"constraint {kind!r} needs field 'd'")
             D = _parse_matrix(doc["d"], "d")
-            k = int(doc.get("k", D.shape[0]))
-            constraint = (
-                ConstraintSpec.plus_identity(k)
-                if kind == "plus_identity"
-                else ConstraintSpec.minus_identity(k)
-            )
+            k = _parse_count(doc, "k")
+            return Problem.of(A, B, D, ConstraintSpec(kind, D.shape[0] if k is None else k),
+                              sense)
+        if "d" in doc:
+            D = _parse_matrix(doc["d"], "d")
+            k_plus, k_minus = _parse_count(doc, "k_plus"), _parse_count(doc, "k_minus")
+            if k_plus is None or k_minus is None:
+                raise ParseError("signature with full d needs k_plus and k_minus")
+            return Problem.of(A, B, D, ConstraintSpec.signature(k_plus, k_minus), sense)
+        if "d_plus" not in doc or "d_minus" not in doc:
+            raise ParseError("signature needs d, or d_plus and d_minus")
+        return signature_problem(
+            A, B, _parse_matrix(doc["d_plus"], "d_plus"), _parse_matrix(doc["d_minus"], "d_minus"),
+            _parse_count(doc, "k_plus"), _parse_count(doc, "k_minus"), sense,
+        )
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
-    if D.shape[0] != D.shape[1] or D.shape[0] != constraint.k:
-        raise ParseError("d must be square of size k")
-    return A, B, D, constraint, sense
 
 
-def load_problem(path: str):
+def load_problem(path: str) -> Problem:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -185,65 +179,41 @@ def _error_report(exc: TraceminError) -> dict:
 
 
 def cmd_solve(args) -> int:
-    try:
-        A, B, D, constraint, sense = load_problem(args.path)
-    except ParseError as exc:
-        _emit(_error_report(exc), args.mode, sys.stderr)
-        return 1
-    try:
-        rep = solve(A, B, D, constraint, sense=sense, want_optimizer=args.optimizer)
-        inb = rep.inertia_b
-        diagnostics = {
-            "inertia_b": [inb.n_plus, inb.n_zero, inb.n_minus],
-        }
-        if rep.analysis is not None:
-            analysis = rep.analysis
-            diagnostics["lambda0"] = analysis.lambda0
-            diagnostics["lambda_plus"] = [float(v) for v in analysis.lambda_plus]
-            diagnostics["lambda_minus"] = [float(v) for v in analysis.lambda_minus]
-            diagnostics["m0"] = analysis.m0
-        report = {
-            "route": rep.route,
-            "finite": rep.finite,
-            "value": rep.value,
-            "attained": rep.attained,
-            "pairing": [[w, lam, role] for (w, lam, role) in rep.pairing],
-            "warnings": list(rep.warnings),
-            "diagnostics": diagnostics,
-            "tool_version": __version__,
-        }
-        if rep.x_opt is not None:
-            report["x_opt"] = _enc_matrix(rep.x_opt)
-            diagnostics["constraint_residual"] = constraint_residual(
-                B, rep.x_opt, constraint.matrix()
-            )
-            diagnostics["objective_at_x_opt"] = objective(A, D, rep.x_opt)
-        _emit(report, args.mode)
-        return 0
-    except (ValueError, ParseError) as exc:
-        _emit({"error": {"code": "PARSE_ERROR", "message": str(exc)},
-               "tool_version": __version__}, args.mode, sys.stderr)
-        return 1
-    except TraceminError as exc:
-        _emit(_error_report(exc), args.mode, sys.stderr)
-        return 2
+    p = load_problem(args.path)
+    rep = solve(*p, want_optimizer=args.optimizer)
+    inb = rep.inertia_b
+    diagnostics = {
+        "inertia_b": [inb.n_plus, inb.n_zero, inb.n_minus],
+    }
+    if rep.analysis is not None:
+        analysis = rep.analysis
+        diagnostics["lambda0"] = analysis.lambda0
+        diagnostics["lambda_plus"] = [float(v) for v in analysis.lambda_plus]
+        diagnostics["lambda_minus"] = [float(v) for v in analysis.lambda_minus]
+        diagnostics["m0"] = analysis.m0
+    report = {
+        "route": rep.route,
+        "finite": rep.finite,
+        "value": rep.value,
+        "attained": rep.attained,
+        "pairing": [[w, lam, role] for (w, lam, role) in rep.pairing],
+        "warnings": list(rep.warnings),
+        "diagnostics": diagnostics,
+        "tool_version": __version__,
+    }
+    if rep.x_opt is not None:
+        report["x_opt"] = _enc_matrix(rep.x_opt)
+        diagnostics["constraint_residual"] = constraint_residual(
+            p.B, rep.x_opt, p.constraint.matrix()
+        )
+        diagnostics["objective_at_x_opt"] = objective(p.A, p.D, rep.x_opt)
+    _emit(report, args.mode)
+    return 0
 
 
 def cmd_pencil(args) -> int:
-    try:
-        A, B, _D, _constraint, _sense = load_problem(args.path)
-    except ParseError as exc:
-        _emit(_error_report(exc), args.mode, sys.stderr)
-        return 1
-    try:
-        analysis = finite_eigenvalues(A, B)
-    except ValueError as exc:
-        _emit({"error": {"code": "PARSE_ERROR", "message": str(exc)},
-               "tool_version": __version__}, args.mode, sys.stderr)
-        return 1
-    except NotPsdPencil as exc:
-        _emit(_error_report(exc), args.mode, sys.stderr)
-        return 2
+    p = load_problem(args.path)
+    analysis = finite_eigenvalues(p.A, p.B)
     inb = analysis.inertia_b
     report = {
         "inertia_b": [inb.n_plus, inb.n_zero, inb.n_minus],
@@ -259,26 +229,14 @@ def cmd_pencil(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        A, B, D, constraint, sense = load_problem(args.path)
-    except ParseError as exc:
-        _emit(_error_report(exc), args.mode, sys.stderr)
-        return 1
-    try:
-        rep = solve(A, B, D, constraint, sense=sense, want_optimizer=False)
-    except TraceminError as exc:
-        _emit(_error_report(exc), args.mode, sys.stderr)
-        return 2
-    try:
-        # a sup is checked by running the oracle on -A, so its min matches it
-        oracle = local_search(
-            -as_herm(A) if sense == "max" else A, B, D, constraint,
-            restarts=args.restarts, iters=args.iters, seed=args.seed,
-        )
-    except TraceminError as exc:
-        _emit(_error_report(exc), args.mode, sys.stderr)
-        return 2
-    if sense == "max":
+    p = load_problem(args.path)
+    rep = solve(*p, want_optimizer=False)
+    # a sup is checked by running the oracle on -A, so its min matches it
+    oracle = local_search(
+        -p.A.mat if p.sense == "max" else p.A, p.B, p.D, p.constraint,
+        restarts=args.restarts, iters=args.iters, seed=args.seed,
+    )
+    if p.sense == "max":
         oracle_best = -oracle.best_value
         gap = rep.value - oracle_best if rep.finite else None
     else:
@@ -313,9 +271,7 @@ def cmd_counterexample(args) -> int:
     try:
         p = CounterexampleParams(mu=args.mu, delta=args.delta)
     except ValueError as exc:
-        _emit({"error": {"code": "PARSE_ERROR", "message": str(exc)},
-               "tool_version": __version__}, args.mode, sys.stderr)
-        return 1
+        raise ParseError(str(exc)) from exc
     tau_star, sig_minus, sig_plus = counterexample_stationary(p)
     f_min, bound, margin = counterexample_gap(p)
     report = {
@@ -461,8 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A `TraceminError` is reported as JSON (or text)
+    on stderr: exit 1 for a `ParseError`, 2 for any other."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TraceminError as exc:
+        _emit(_error_report(exc), args.mode, sys.stderr)
+        return 1 if isinstance(exc, ParseError) else 2
 
 
 if __name__ == "__main__":

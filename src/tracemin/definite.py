@@ -4,12 +4,13 @@ with positive definite B.
 The optimal value pairs the descending eigenvalues of D against extreme
 eigenvalues of the pencil A - lambda*B: the ell nonnegative weights take the
 ell smallest pencil eigenvalues, the k - ell negative weights the k - ell
-largest. A solve validates A, B and D once and factors B once: the Cholesky
-factor L that certifies B > 0 (`spectral.cholesky`) also reduces the pencil
-to the Hermitian matrix L^-1 A L^-H. One tridiagonalization of that matrix
-then yields exactly the k eigenpairs the pairing uses (MRRR on two index
-ranges), and only those k eigenvectors are transformed back. The optimizer is
-returned in original coordinates. The maximum is the minimum on -A.
+largest. A solve validates the problem once (`problem.Problem`) and factors
+B once: the Cholesky factor L that certifies B > 0 (`spectral.cholesky`)
+also reduces the pencil to the Hermitian matrix L^-1 A L^-H. One
+tridiagonalization of that matrix then yields exactly the k eigenpairs the
+pairing uses (MRRR on two index ranges), and only those k eigenvectors are
+transformed back. The optimizer is returned in original coordinates. The
+maximum is the minimum on -A.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from scipy.linalg import lapack
 
 from .errors import MissingOptimizer
 from .pencil import PsdPencilAnalysis
+from .problem import identity_problem
 from .spectral import (
     WEIGHT_RTOL,
     Inertia,
@@ -131,45 +133,30 @@ def _split_omegas(D_, tol=None) -> OmegaSplit:
     return OmegaSplit(omegas=w, ell=int(np.sum(w >= -tol)), q=Q)
 
 
-def _validated(A, B, D, k):
-    """A, B and D validated once, with k defaulted and the dimensions checked."""
-    A_ = as_herm(A)
-    B_ = as_herm(B)
-    D_ = as_herm(D)
-    if k is None:
-        k = D_.shape[0]
-    n = A_.shape[0]
-    if B_.shape[0] != n:
-        raise ValueError("A and B dimension mismatch")
-    if D_.shape[0] != k:
-        raise ValueError("D must be k x k")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return A_, B_, D_, k
-
-
 def solve_definite_min(A, B, D, k=None, want_optimizer=False) -> SolveReport:
     """Minimize tr(D X^H A X) over X^H B X = I_k for positive definite B."""
-    A_, B_, D_, k = _validated(A, B, D, k)
-    return _solve_definite(A_, _certified_cholesky(B_), D_, k, "min", want_optimizer)
+    p = identity_problem(A, B, D, k, "plus_identity")
+    return _solve_definite(p.A.mat, _certified_cholesky(p.B.mat), p.D.mat, p.sense,
+                           want_optimizer)
 
 
 def solve_definite_max(A, B, D, k=None, want_optimizer=False) -> SolveReport:
     """Maximize tr(D X^H A X) over X^H B X = I_k; the minimizer on -A,
     negated."""
-    A_, B_, D_, k = _validated(A, B, D, k)
-    return _solve_definite(A_, _certified_cholesky(B_), D_, k, "max", want_optimizer)
+    p = identity_problem(A, B, D, k, "plus_identity", "max")
+    return _solve_definite(p.A.mat, _certified_cholesky(p.B.mat), p.D.mat, p.sense,
+                           want_optimizer)
 
 
-def _solve_definite(A_, L, D_, k, sense, want_optimizer) -> SolveReport:
+def _solve_definite(A_, L, D_, sense, want_optimizer) -> SolveReport:
     """The definite route on validated A and D, with B = L L^H."""
     if sense == "max":
-        rep = _solve_definite(-A_, L, D_, k, "min", want_optimizer)
+        rep = _solve_definite(-A_, L, D_, "min", want_optimizer)
         rep.route = "definite-max"
         rep.value = -rep.value
         rep.pairing = [(w, -lam, role) for (w, lam, role) in rep.pairing]
         return rep
-    n = A_.shape[0]
+    n, k = A_.shape[0], D_.shape[0]
     om = _split_omegas(D_)
     ell = om.ell
     # nonnegative weights take the ell smallest pencil eigenvalues, negative

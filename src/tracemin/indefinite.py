@@ -8,7 +8,7 @@ certifying shift, and is attained iff the pencil is diagonalizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,59 +21,17 @@ from .errors import (
     NotPositiveDefinite,
     Unsupported,
 )
-from .pencil import PsdPencilAnalysis, finite_eigenvalues
+from .oracle import feasible_sample, local_search
+from .pencil import finite_eigenvalues
+from .problem import ConstraintSpec, Problem, identity_problem, signature_problem
 from .spectral import (
     WEIGHT_RTOL,
-    HermitianMatrix,
     Inertia,
     _certified_cholesky,
     _scaled_tol,
     as_herm,
     max_norm,
 )
-
-
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Which congruence constraint is imposed on X^H B X."""
-
-    kind: str  # "plus_identity" | "minus_identity" | "signature"
-    k: int
-    k_plus: int = 0
-    k_minus: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("plus_identity", "minus_identity", "signature"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.k < 1:
-            raise ValueError("need k >= 1")
-        if self.kind == "signature":
-            if self.k_plus < 0 or self.k_minus < 0:
-                raise ValueError("signature split must be nonnegative")
-            if self.k_plus + self.k_minus != self.k:
-                raise ValueError("signature split must sum to k")
-
-    @classmethod
-    def plus_identity(cls, k):
-        return cls("plus_identity", k, k_plus=k, k_minus=0)
-
-    @classmethod
-    def minus_identity(cls, k):
-        return cls("minus_identity", k, k_plus=0, k_minus=k)
-
-    @classmethod
-    def signature(cls, k_plus, k_minus):
-        return cls("signature", k_plus + k_minus, k_plus=k_plus, k_minus=k_minus)
-
-    def signature_vector(self) -> np.ndarray:
-        if self.kind == "plus_identity":
-            return np.ones(self.k)
-        if self.kind == "minus_identity":
-            return -np.ones(self.k)
-        return np.concatenate([np.ones(self.k_plus), -np.ones(self.k_minus)])
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.signature_vector())
 
 
 def check_finiteness(D) -> bool:
@@ -83,70 +41,10 @@ def check_finiteness(D) -> bool:
     return wmin >= -_scaled_tol(D_, WEIGHT_RTOL)
 
 
-def _require_indefinite(analysis: PsdPencilAnalysis):
-    inb = analysis.inertia_b
-    if inb.n_plus < 1 or inb.n_minus < 1:
-        raise Unsupported("B must be genuinely indefinite for this route")
-
-
-def _validated(A, B, D, k):
-    """A and B validated once into HermitianMatrix values (which
-    `finite_eigenvalues` takes without validating again), D validated, and k
-    defaulted and checked against D."""
-    Ah, Bh = HermitianMatrix.of(A), HermitianMatrix.of(B)
-    D_ = as_herm(D)
-    if k is None:
-        k = D_.shape[0]
-    if D_.shape[0] != k:
-        raise ValueError("D must be k x k")
-    return Ah, Bh, D_, k
-
-
 def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False, analysis=None):
     """inf tr(D X^H A X) over X^H B X = I_k for genuinely indefinite B."""
-    Ah, Bh, D_, k = _validated(A, B, D, k)
-    if analysis is None:
-        analysis = finite_eigenvalues(Ah, Bh)
-    return _solve_plus(Ah.mat, Bh.mat, D_, k, want_optimizer, analysis)
-
-
-def _solve_plus(A_, B_, D_, k, want_optimizer, analysis):
-    """The plus route on validated arrays and a completed analysis."""
-    _require_indefinite(analysis)
-    if k > analysis.inertia_b.n_plus:
-        raise KTooLarge(f"k={k} exceeds n_plus={analysis.inertia_b.n_plus}")
-    route = "indefinite-plus"
-    # the report keeps the analysis without its eigenvector blocks: x_opt
-    # holds what the solve takes from them, and a report should not pin an
-    # n x rank(B) array
-    evidence = replace(analysis, eigvecs_plus=None, eigvecs_minus=None)
-    if max_norm(A_) == 0.0:
-        rep = _solve_zero_a(route, B_, ConstraintSpec.plus_identity(k), want_optimizer)
-        rep.analysis = evidence
-        return rep
-    om = _split_omegas(D_)
-    if om.ell < k:
-        # D has a weight below -WEIGHT_RTOL * max|D|: `check_finiteness` fails
-        return SolveReport(route=route, finite=False, value=None, attained=False,
-                           analysis=evidence)
-    pairing = [
-        (float(om.omegas[i]), float(analysis.lambda_plus[i]), f"lambda+[{i + 1}]")
-        for i in range(k)
-    ]
-    value = float(sum(w * lam for w, lam, _ in pairing))
-    x_opt = None
-    attained = analysis.diagonalizable
-    if attained and want_optimizer:
-        x_opt = analysis.eigvecs_plus[:, :k] @ om.q.conj().T
-    return SolveReport(
-        route=route,
-        finite=True,
-        value=value,
-        attained=attained,
-        x_opt=x_opt,
-        pairing=pairing,
-        analysis=evidence,
-    )
+    p = identity_problem(A, B, D, k, "plus_identity")
+    return _solve_indefinite(p, want_optimizer, analysis)
 
 
 def solve_indefinite_minus(A, B, D, k=None, want_optimizer=False, analysis=None):
@@ -155,31 +53,8 @@ def solve_indefinite_minus(A, B, D, k=None, want_optimizer=False, analysis=None)
     The constraint is X^H (-B) X = I_k, so this is the plus route on (A, -B),
     whose pencil eigenvalues are those of (A, B) negated.
     """
-    Ah, Bh, D_, k = _validated(A, B, D, k)
-    if analysis is None:
-        analysis = finite_eigenvalues(Ah, Bh)
-    return _solve_minus(Ah.mat, Bh.mat, D_, k, want_optimizer, analysis)
-
-
-def _solve_minus(A_, B_, D_, k, want_optimizer, analysis):
-    """The minus route on validated arrays and a completed analysis."""
-    try:
-        rep = _solve_plus(A_, -B_, D_, k, want_optimizer, analysis.mirrored())
-    except KTooLarge:
-        raise KTooLarge(
-            f"k={k} exceeds n_minus={analysis.inertia_b.n_minus}"
-        ) from None
-    rep.route = "indefinite-minus"
-    rep.pairing = [(w, lam, f"-lambda-[{i + 1}]")
-                   for i, (w, lam, _role) in enumerate(rep.pairing)]
-    rep.analysis = rep.analysis.mirrored()
-    if rep.x_opt is not None and "degenerate_A" in rep.warnings:
-        # any feasible X attains 0; draw it in B's own coordinates, as the
-        # zero-A plus route does
-        rep.x_opt = _solve_zero_a(
-            rep.route, B_, ConstraintSpec.minus_identity(k), want_optimizer
-        ).x_opt
-    return rep
+    p = identity_problem(A, B, D, k, "minus_identity")
+    return _solve_indefinite(p, want_optimizer, analysis)
 
 
 def solve_signature(
@@ -187,72 +62,81 @@ def solve_signature(
     want_optimizer=False, analysis=None,
 ):
     """inf tr(diag(D+, D-) X^H A X) over X^H B X = diag(I, -I)."""
-    Ah, Bh = HermitianMatrix.of(A), HermitianMatrix.of(B)
-    Dp = as_herm(D_plus) if np.size(D_plus) else np.empty((0, 0))
-    Dm = as_herm(D_minus) if np.size(D_minus) else np.empty((0, 0))
-    if k_plus is None:
-        k_plus = Dp.shape[0]
-    if k_minus is None:
-        k_minus = Dm.shape[0]
-    if Dp.shape[0] != k_plus or Dm.shape[0] != k_minus:
-        raise ValueError("block sizes must match (k_plus, k_minus)")
-    if k_plus + k_minus < 1:
-        raise ValueError("need k_plus + k_minus >= 1")
+    p = signature_problem(A, B, D_plus, D_minus, k_plus, k_minus)
+    return _solve_indefinite(p, want_optimizer, analysis)
+
+
+def _solve_indefinite(p: Problem, want_optimizer, analysis=None) -> SolveReport:
+    """The indefinite routes on a validated problem and its pencil analysis.
+
+    The +1 block of D pairs its descending eigenvalues with the smallest
+    lambda+, the -1 block with the largest lambda- negated (the plus route on
+    (A, -B)). The infimum is finite iff both blocks are positive
+    semi-definite, and attained iff the pencil is diagonalizable.
+    """
+    c = p.constraint
+    Dp, Dm = _split_block_d(p.D.mat, c.k_plus)
     if analysis is None:
-        analysis = finite_eigenvalues(Ah, Bh)
-    return _solve_signature(Ah.mat, Bh.mat, Dp, Dm, want_optimizer, analysis)
-
-
-def _solve_signature(A_, B_, Dp, Dm, want_optimizer, analysis):
-    """The signature route on validated arrays and a completed analysis."""
-    k_plus, k_minus = Dp.shape[0], Dm.shape[0]
-    if k_minus == 0:
-        return _solve_plus(A_, B_, Dp, k_plus, want_optimizer, analysis)
-    if k_plus == 0:
-        return _solve_minus(A_, B_, Dm, k_minus, want_optimizer, analysis)
-    rep_p = _solve_plus(A_, B_, Dp, k_plus, want_optimizer, analysis)
-    rep_m = _solve_minus(A_, B_, Dm, k_minus, want_optimizer, analysis)
-    route = "indefinite-signature"
-    warnings = sorted(set(rep_p.warnings) | set(rep_m.warnings))
-    if not (rep_p.finite and rep_m.finite):
-        return SolveReport(route=route, finite=False, value=None, attained=False,
-                           warnings=warnings, analysis=rep_p.analysis)
-    x_opt = None
-    attained = rep_p.attained and rep_m.attained
-    if attained and want_optimizer and rep_p.x_opt is not None and rep_m.x_opt is not None:
-        x_opt = np.hstack([rep_p.x_opt, rep_m.x_opt])
-    return SolveReport(
-        route=route,
-        finite=True,
-        value=float(rep_p.value + rep_m.value),
-        attained=attained,
-        x_opt=x_opt,
-        pairing=rep_p.pairing + rep_m.pairing,
-        warnings=warnings,
-        analysis=rep_p.analysis,
+        analysis = finite_eigenvalues(p.A, p.B)
+    inb = analysis.inertia_b
+    if inb.n_plus < 1 or inb.n_minus < 1:
+        raise Unsupported("B must be genuinely indefinite for this route")
+    for k, count, name in ((c.k_plus, inb.n_plus, "n_plus"),
+                           (c.k_minus, inb.n_minus, "n_minus")):
+        if k > count:
+            raise KTooLarge(f"k={k} exceeds {name}={count}")
+    # the report keeps the analysis without its eigenvector blocks: x_opt
+    # holds what the solve takes from them, and a report should not pin an
+    # n x rank(B) array
+    rep = SolveReport(
+        route="indefinite-" + ("signature" if c.k_plus and c.k_minus
+                               else "plus" if c.k_plus else "minus"),
+        finite=True, value=0.0, attained=True, inertia_b=inb,
+        analysis=replace(analysis, eigvecs_plus=None, eigvecs_minus=None),
     )
+    if max_norm(p.A.mat) == 0.0:
+        # every feasible X attains 0: one draw for the whole constraint
+        rep.warnings = ["degenerate_A"]
+        if want_optimizer:
+            rep.x_opt = feasible_sample(p.B, c, seed=0)
+        return rep
+    sides = [
+        _pair(D_, lam, V, role, want_optimizer)
+        for D_, lam, V, role in (
+            (Dp, analysis.lambda_plus, analysis.eigvecs_plus, "lambda+"),
+            (Dm, -analysis.lambda_minus, analysis.eigvecs_minus, "-lambda-"),
+        )
+        if D_.shape[0]
+    ]
+    if None in sides:
+        # a block has a weight below -WEIGHT_RTOL * max|D|: `check_finiteness`
+        # fails
+        rep.finite, rep.value, rep.attained = False, None, False
+        return rep
+    rep.value = float(sum(value for value, _, _ in sides))
+    rep.pairing = [entry for _, pairing, _ in sides for entry in pairing]
+    rep.attained = analysis.diagonalizable
+    if rep.attained and want_optimizer:
+        rep.x_opt = np.hstack([x for _, _, x in sides])
+    return rep
 
 
-def _solve_zero_a(route, B_, constraint, want_optimizer):
-    x = None
-    if want_optimizer:
-        from .oracle import feasible_sample
-
-        x = feasible_sample(B_, constraint, seed=0)
-    return SolveReport(
-        route=route,
-        finite=True,
-        value=0.0,
-        attained=True,
-        x_opt=x,
-        pairing=[],
-        warnings=["degenerate_A"],
-    )
+def _pair(D_, eigs, V, role, want_optimizer):
+    """(value, pairing, X) of one block of D: its descending eigenvalues pair
+    with eigs[:k], and X = V[:, :k] Q^H when V is given and an optimizer is
+    wanted; None when the block has a negative weight."""
+    k = D_.shape[0]
+    om = _split_omegas(D_)
+    if om.ell < k:
+        return None
+    pairing = [(float(om.omegas[i]), float(eigs[i]), f"{role}[{i + 1}]") for i in range(k)]
+    x = V[:, :k] @ om.q.conj().T if want_optimizer and V is not None else None
+    return float(sum(w * lam for w, lam, _ in pairing)), pairing, x
 
 
-def _split_block_d(D_, k_plus, k_minus):
-    """Split a full k x k D into diagonal blocks, rejecting coupling between
-    the +1 and -1 index groups."""
+def _split_block_d(D_, k_plus):
+    """Split a full k x k D into its diagonal blocks at k_plus, rejecting
+    coupling between the +1 and -1 index groups."""
     off = D_[:k_plus, k_plus:]
     if max_norm(off) > _scaled_tol(D_, WEIGHT_RTOL):
         raise BlockStructureViolated(
@@ -268,65 +152,36 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
     D is the full k x k weight matrix; for signature constraints it must be
     block-diagonal conformally with diag(I_{k+}, -I_{k-}).
     """
-    Ah, Bh = HermitianMatrix.of(A), HermitianMatrix.of(B)
-    A_, B_ = Ah.mat, Bh.mat
-    D_ = as_herm(D)
-    if sense not in ("min", "max"):
-        raise ValueError(f"unknown sense {sense!r}")
-    if D_.shape[0] != constraint.k:
-        raise ValueError("D must be k x k for the given constraint")
-    if A_.shape != B_.shape:
-        raise ValueError("A and B dimension mismatch")
-    n = A_.shape[0]
-    if constraint.k > n:
-        raise ValueError("constraint has more columns than the ambient space")
-
+    p = Problem.of(A, B, D, constraint, sense)
+    n = p.A.n
     # a Cholesky factor of B or -B certifies a definite B, and the definite
-    # route solves from it; only an indefinite or singular B needs its
-    # eigendecomposition, which gives the inertia here and, kept by Bh, the
-    # pencil analysis
-    L = _definite_factor(B_)
-    if L is not None:
-        if constraint.kind == "minus_identity" or constraint.k_minus > 0:
-            raise InfeasibleConstraint(
-                "X^H B X cannot have -1 diagonal entries for positive definite B"
-            )
-        rep = _solve_definite(A_, L, D_, constraint.k, sense, want_optimizer)
-        rep.inertia_b = Inertia(n, 0, 0)
+    # route solves from it (on -B for negative definite B); only an
+    # indefinite or singular B needs its eigendecomposition, which gives the
+    # inertia here and, kept by p.B, the pencil analysis
+    for negated, wrong, entries, suffix, inb in (
+        (False, constraint.k_minus, "-1 diagonal entries for positive", "", Inertia(n, 0, 0)),
+        (True, constraint.k_plus, "+1 diagonal entries for negative", "-negated-b",
+         Inertia(0, 0, n)),
+    ):
+        L = _definite_factor(-p.B.mat if negated else p.B.mat)
+        if L is None:
+            continue
+        if wrong:
+            raise InfeasibleConstraint(f"X^H B X cannot have {entries} definite B")
+        rep = _solve_definite(p.A.mat, L, p.D.mat, p.sense, want_optimizer)
+        rep.route += suffix
+        rep.inertia_b = inb
         return rep
-    L = _definite_factor(-B_)
-    if L is not None:
-        # B negative definite: the definite problem on -B
-        if constraint.kind == "plus_identity" or constraint.k_plus > 0:
-            raise InfeasibleConstraint(
-                "X^H B X cannot have +1 diagonal entries for negative definite B"
-            )
-        rep = _solve_definite(A_, L, D_, constraint.k, sense, want_optimizer)
-        rep.route += "-negated-b"
-        rep.inertia_b = Inertia(0, 0, n)
-        return rep
-    inb = Bh.inertia()
+    inb = p.B.inertia()
     if inb.n_plus == 0 or inb.n_minus == 0:
         raise Unsupported(
             "singular semi-definite B is outside the analytic coverage"
         )
-
-    # genuinely indefinite B
-    if sense == "max":
+    if p.sense == "max":
         raise Unsupported(
             "maximization under genuinely indefinite B has no analytic solution"
         )
-    if constraint.kind == "signature":
-        Dp, Dm = _split_block_d(D_, constraint.k_plus, constraint.k_minus)
-    analysis = finite_eigenvalues(Ah, Bh)
-    if constraint.kind == "plus_identity":
-        rep = _solve_plus(A_, B_, D_, constraint.k, want_optimizer, analysis)
-    elif constraint.kind == "minus_identity":
-        rep = _solve_minus(A_, B_, D_, constraint.k, want_optimizer, analysis)
-    else:
-        rep = _solve_signature(A_, B_, Dp, Dm, want_optimizer, analysis)
-    rep.inertia_b = inb
-    return rep
+    return _solve_indefinite(p, want_optimizer)
 
 
 def _definite_factor(B_):
@@ -346,18 +201,17 @@ def epsilon_suboptimal(A, B, D, constraint: ConstraintSpec, eps: float, seed=0):
     the target is out of reach."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rep = solve(A, B, D, constraint, sense="min", want_optimizer=True)
+    p = Problem.of(A, B, D, constraint)
+    rep = solve(*p, want_optimizer=True)
     if not rep.finite:
         raise Unsupported("infimum is -inf; no eps-suboptimal point exists")
     if rep.attained and rep.x_opt is not None:
         return rep.x_opt
 
-    from .oracle import local_search
-
     target = rep.value + eps
     for i, (restarts, iters) in enumerate([(8, 500), (16, 2000), (32, 8000)]):
         res = local_search(
-            A, B, D, constraint, restarts=restarts, iters=iters,
+            p.A, p.B, p.D, constraint, restarts=restarts, iters=iters,
             seed=int(seed) + i,
         )
         if res.best_value <= target:

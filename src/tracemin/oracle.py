@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDraw, InfeasibleConstraint
-from .indefinite import ConstraintSpec
-from .spectral import as_herm, max_norm
+from .problem import ConstraintSpec
+from .spectral import HermitianMatrix, as_herm, max_norm
 
 
 def objective(A, D, X) -> float:
@@ -104,13 +104,13 @@ class _SignatureCoords:
     R free on the nullspace."""
 
     def __init__(self, B, constraint: ConstraintSpec):
-        B_ = as_herm(B)
-        w, V = np.linalg.eigh(B_)
-        tol = 1e-10 * (1.0 + max_norm(B_))
+        Bh = HermitianMatrix.of(B)
+        w, V = Bh.eigh()
+        tol = 1e-10 * (1.0 + max_norm(Bh.mat))
         pos = np.where(w > tol)[0][::-1]  # largest first
         neg = np.where(w < -tol)[0]
         zero = np.where(np.abs(w) <= tol)[0]
-        self.n = B_.shape[0]
+        self.n = Bh.n
         self.n_plus = len(pos)
         self.n_minus = len(neg)
         self.n_zero = len(zero)
@@ -315,16 +315,16 @@ def local_search(
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     A_ = as_herm(A)
-    B_ = as_herm(B)
+    Bh = HermitianMatrix.of(B)
     D_ = as_herm(D)
     C = constraint.matrix()
-    coords = _SignatureCoords(B_, constraint)
+    coords = _SignatureCoords(Bh, constraint)
     divergence = -1e6 * (1.0 + max_norm(A_) * max_norm(D_))
 
     if max_norm(D_) == 0.0:
         # f vanishes on the whole feasible set: any feasible point is optimal
-        X = feasible_sample(B_, constraint, seed)
-        return OracleResult(0.0, X, 0, constraint_residual(B_, X, C),
+        X = feasible_sample(Bh, constraint, seed)
+        return OracleResult(0.0, X, 0, constraint_residual(Bh, X, C),
                             stop_reasons=("converged",))
 
     # compress A onto the range/null split once; every evaluation and gradient
@@ -498,7 +498,7 @@ def local_search(
         best_value=float(best_f),
         best_X=X,
         iterations=int(s.iterations.sum()),
-        feasibility_residual=constraint_residual(B_, X, C),
+        feasibility_residual=constraint_residual(Bh, X, C),
         unbounded_flag=unbounded,
         stop_reasons=tuple(s.reasons),
     )

@@ -19,7 +19,7 @@ mu = 1/(lambda - lambda0) come from one eigh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,20 +63,6 @@ class PsdPencilAnalysis:
     @property
     def rank(self) -> int:
         return self.inertia_b.rank
-
-    def mirrored(self) -> PsdPencilAnalysis:
-        """The analysis of (A, -B): its eigenvalues are the negated ones of
-        (A, B), so the plus and minus groups trade places."""
-        inb = self.inertia_b
-        return replace(
-            self,
-            lambda0=-self.lambda0,
-            inertia_b=Inertia(inb.n_minus, inb.n_zero, inb.n_plus),
-            lambda_plus=-self.lambda_minus,
-            lambda_minus=-self.lambda_plus,
-            eigvecs_plus=self.eigvecs_minus,
-            eigvecs_minus=self.eigvecs_plus,
-        )
 
 
 def find_lambda0(A, B) -> float | None:

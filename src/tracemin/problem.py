@@ -1,0 +1,113 @@
+"""The trace-optimization problem as one validated value.
+
+inf (or sup) tr(D X^H A X) subject to X^H B X = I_k, -I_k or
+diag(I_{k+}, -I_{k-}). `Problem.of` checks A, B, D, the constraint and the
+sense once; the routes and the CLI take the value it returns, and the oracle
+its matrices, without checking them again.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+import scipy.linalg as sla
+
+from .spectral import HermitianMatrix, as_herm
+
+
+@dataclass(frozen=True)
+class ConstraintSpec:
+    """Which congruence constraint is imposed on X^H B X.
+
+    ``k_plus`` and ``k_minus`` count the +1 and -1 diagonal entries; for the
+    identity kinds they are (k, 0) and (0, k) whatever was passed.
+    """
+
+    kind: str  # "plus_identity" | "minus_identity" | "signature"
+    k: int
+    k_plus: int = 0
+    k_minus: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("plus_identity", "minus_identity", "signature"):
+            raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if self.k < 1:
+            raise ValueError("need k >= 1")
+        if self.kind == "signature":
+            if self.k_plus < 0 or self.k_minus < 0:
+                raise ValueError("signature split must be nonnegative")
+            if self.k_plus + self.k_minus != self.k:
+                raise ValueError("signature split must sum to k")
+        else:
+            plus = self.k if self.kind == "plus_identity" else 0
+            object.__setattr__(self, "k_plus", plus)
+            object.__setattr__(self, "k_minus", self.k - plus)
+
+    @classmethod
+    def plus_identity(cls, k):
+        return cls("plus_identity", k)
+
+    @classmethod
+    def minus_identity(cls, k):
+        return cls("minus_identity", k)
+
+    @classmethod
+    def signature(cls, k_plus, k_minus):
+        return cls("signature", k_plus + k_minus, k_plus=k_plus, k_minus=k_minus)
+
+    def signature_vector(self) -> np.ndarray:
+        return np.concatenate([np.ones(self.k_plus), -np.ones(self.k_minus)])
+
+    def matrix(self) -> np.ndarray:
+        return np.diag(self.signature_vector())
+
+
+class Problem(NamedTuple):
+    """A validated problem: Hermitian A and B of one order n, a Hermitian
+    k x k weight matrix D, a constraint with k <= n, and the sense."""
+
+    A: HermitianMatrix
+    B: HermitianMatrix
+    D: HermitianMatrix
+    constraint: ConstraintSpec
+    sense: str = "min"
+
+    @classmethod
+    def of(cls, A, B, D, constraint: ConstraintSpec, sense="min") -> Problem:
+        """The problem validated, or ValueError naming the first fault.
+
+        Matrices that are already HermitianMatrix values are kept as they
+        are, so ``Problem.of(*problem)`` returns the problem unchanged
+        without validating a matrix again.
+        """
+        Ah, Bh, Dh = (HermitianMatrix.of(M) for M in (A, B, D))
+        if sense not in ("min", "max"):
+            raise ValueError(f"unknown sense {sense!r}")
+        if Dh.n != constraint.k:
+            raise ValueError("D must be k x k for the given constraint")
+        if Ah.n != Bh.n:
+            raise ValueError("A and B dimension mismatch")
+        if constraint.k > Ah.n:
+            raise ValueError("constraint has more columns than the ambient space")
+        return cls(Ah, Bh, Dh, constraint, sense)
+
+
+def identity_problem(A, B, D, k, kind, sense="min") -> Problem:
+    """The problem of a route function's (A, B, D, k) arguments under the
+    constraint X^H B X = +-I_k of ``kind``; k defaults to the order of D."""
+    Dh = HermitianMatrix.of(D)
+    return Problem.of(A, B, Dh, ConstraintSpec(kind, Dh.n if k is None else k), sense)
+
+
+def signature_problem(A, B, D_plus, D_minus, k_plus=None, k_minus=None,
+                      sense="min") -> Problem:
+    """The problem of separate weight blocks under X^H B X = diag(I_{k+},
+    -I_{k-}), D = diag(D+, D-); k+ and k- default to the orders of the blocks
+    and must equal them when given."""
+    Dp, Dm = (as_herm(M) if np.size(M) else np.empty((0, 0)) for M in (D_plus, D_minus))
+    split = (Dp.shape[0], Dm.shape[0])
+    if any(k is not None and k != size for k, size in zip((k_plus, k_minus), split)):
+        raise ValueError("block sizes must match (k_plus, k_minus)")
+    return Problem.of(A, B, sla.block_diag(Dp, Dm), ConstraintSpec.signature(*split), sense)

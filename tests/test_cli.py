@@ -11,6 +11,7 @@ import tracemin
 import tracemin.cli
 import tracemin.indefinite
 from tracemin import __version__
+from tracemin import spectral
 from tracemin.cli import main
 from tracemin.errors import DegenerateDraw
 from helpers import check_factorizations, psd_pencil, spy_factorizations
@@ -382,3 +383,79 @@ class TestParseMatrix:
         assert rep["error"]["code"] == "PARSE_ERROR"
         assert rep["error"]["message"] == (
             "matrix entry must be a number or [re, im] pair, got None")
+
+
+def _write_problem(tmp_path, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+MALFORMED = {
+    "non_hermitian_a": {"a": [[1, 2], [0, 1]], "b": [[1, 0], [0, -1]], "d": [[1]],
+                        "constraint": "plus_identity"},
+    "size_mismatch": {"a": [[1, 0], [0, 2]], "b": [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+                      "d": [[1]], "constraint": "plus_identity"},
+    "k_above_n": {"a": [[1, 0], [0, 2]], "b": [[1, 0], [0, -1]],
+                  "d": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "constraint": "plus_identity"},
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "pencil", "verify"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_problem_is_a_parse_error(capsys, tmp_path, command, name):
+    code, out, err = run(capsys, command, _write_problem(tmp_path, MALFORMED[name]))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "PARSE_ERROR"
+
+
+SIGNATURE_DOC = {"a": [[1, 0, 0], [0, 2, 0], [0, 0, 5]], "b": [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+                 "d": [[1, 0], [0, 1]], "constraint": "signature", "k_plus": 1, "k_minus": 1}
+SPLIT_DOC = {"a": SIGNATURE_DOC["a"], "b": SIGNATURE_DOC["b"], "d_plus": [[1]],
+             "d_minus": [[1]], "constraint": "signature"}
+
+
+@pytest.mark.parametrize("base, field, value", [
+    ("kyfan", "k", 2.7), ("kyfan", "k", 2.0), ("kyfan", "k", "2"), ("kyfan", "k", True),
+    ("signature", "k_plus", 1.9), ("signature", "k_minus", "1"),
+    ("signature", "k_plus", None), ("split", "k_plus", 1.0), ("split", "k_minus", False),
+])
+def test_counts_must_be_json_integers(capsys, tmp_path, base, field, value):
+    doc = {"kyfan": json.loads((FIXTURES / "kyfan.json").read_text()),
+           "signature": dict(SIGNATURE_DOC), "split": dict(SPLIT_DOC)}[base]
+    doc[field] = value
+    code, rep = run_json(capsys, "solve", _write_problem(tmp_path, doc))
+    assert code == 1
+    assert rep["error"]["code"] == "PARSE_ERROR"
+    assert rep["error"]["message"] == f"field {field!r} must be an integer, got {value!r}"
+
+
+def test_split_counts_must_match_the_blocks(capsys, tmp_path):
+    # a 1 x 1 d_plus used to be broadcast into a 2 x 2 block of ones
+    code, rep = run_json(capsys, "solve", _write_problem(tmp_path, dict(SPLIT_DOC, k_plus=2)))
+    assert code == 1
+    assert rep["error"] == {"code": "PARSE_ERROR",
+                            "message": "block sizes must match (k_plus, k_minus)"}
+
+
+@pytest.mark.parametrize("doc", [SIGNATURE_DOC, SPLIT_DOC])
+def test_integer_counts_are_accepted(capsys, tmp_path, doc):
+    code, rep = run_json(capsys, "solve", _write_problem(tmp_path, doc))
+    assert code == 0
+    assert rep["value"] == pytest.approx(1.0 + 5.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [("solve", "--optimizer"), ("verify",), ("pencil",)])
+@pytest.mark.parametrize("fixture, k", [("kyfan.json", 2), ("indefinite_plus.json", 1)])
+def test_each_command_validates_each_matrix_once(capsys, monkeypatch, argv, fixture, k):
+    validated = []
+    real_init = spectral.HermitianMatrix.__init__
+
+    def counting_init(self, entries):
+        validated.append(np.shape(entries))
+        real_init(self, entries)
+
+    monkeypatch.setattr(spectral.HermitianMatrix, "__init__", counting_init)
+    code, _rep = run_json(capsys, argv[0], str(FIXTURES / fixture), *argv[1:])
+    assert code == 0
+    assert sorted(validated) == sorted([(3, 3), (3, 3), (k, k)])

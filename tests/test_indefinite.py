@@ -9,6 +9,7 @@ from tracemin import (
     Unsupported,
     check_finiteness,
     epsilon_suboptimal,
+    feasible_sample,
     finite_eigenvalues,
     solve,
     solve_indefinite_minus,
@@ -312,3 +313,16 @@ def test_value_invariant_under_congruence_and_shift(index):
             assert rep.attained == base.attained
             assert rep.value == pytest.approx(base.value + s_ * trace_b,
                                               abs=1e-9 * (scale + abs(s_ * trace_b)))
+
+
+def test_zero_a_optimizer_is_one_feasible_draw():
+    # A = 0: every feasible X attains 0, and the optimizer is one draw for
+    # the whole constraint, so a signature block is feasible as a whole
+    A, B = np.zeros((4, 4)), np.diag([1.0, 2.0, -1.0, -3.0])
+    for constraint in (ConstraintSpec.plus_identity(2), ConstraintSpec.minus_identity(1),
+                       ConstraintSpec.signature(2, 1)):
+        rep = solve(A, B, np.eye(constraint.k), constraint, want_optimizer=True)
+        assert rep.value == 0.0 and rep.attained and rep.warnings == ["degenerate_A"]
+        X = rep.x_opt
+        assert np.max(np.abs(X.conj().T @ B @ X - constraint.matrix())) <= 1e-10
+        assert np.array_equal(X, feasible_sample(B, constraint, seed=0))

@@ -287,6 +287,21 @@ def test_oracle_imports_no_analytic_module():
         assert not names & analytic, ast.dump(node)
 
 
+def test_oracle_imports_nothing_from_indefinite():
+    """The constraint type lives in `problem`, so the oracle needs nothing
+    from the module whose routes it certifies."""
+    tree = ast.parse(pathlib.Path(tracemin.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split("."))
+            if not node.module:
+                imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+    assert "indefinite" not in imported
+
+
 class TestCounterexampleClosedForm:
     def test_matches_direct_trace_on_grid(self):
         p = P_DEFAULT
