@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
     rep = solve(*p, want_optimizer=False)
     # a sup is checked by running the oracle on -A, so its min matches it
     oracle = local_search(
-        -p.A.mat if p.sense == "max" else p.A, p.B, p.D, p.constraint,
+        -p.A if p.sense == "max" else p.A, p.B, p.D, p.constraint,
         restarts=args.restarts, iters=args.iters, seed=args.seed,
     )
     if p.sense == "max":

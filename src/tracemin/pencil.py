@@ -5,16 +5,19 @@ One eigh of B gives its inertia, its nonzero eigenvalues Lambda_B and
 N(B) = span U0. The common nullspace, the kernel of A*U0, is deflated; on
 the rest of N(B) A is positive definite for a positive semi-definite pencil,
 and its Schur complement S leaves the regular rank(B)-sized pencil
-S - lambda*Lambda_B with the same finite spectrum: the eigenvalues of the
-J-Hermitian J |Lambda_B|^-1/2 S |Lambda_B|^-1/2, J = sign(Lambda_B) (Liang,
-Li & Bai, LAA 438, 2013), from one nonsymmetric eigenvalue solve. The shift
-lambda0 sits in the bracket [max lambda-, min lambda+]. A Cholesky
-factorization of S - lambda0*Lambda_B - floor*I proves the pencil
-diagonalizable; only when it fails does one eigh certify the shift and give
-the kernel K0, and the pencil is diagonalizable iff no direction of K0 is
-B-null. The eigenvectors are K0, B-orthonormalized, plus those of the
-definite pair on K0's B-orthogonal complement, whose eigenvalues
-mu = 1/(lambda - lambda0) come from one eigh.
+S - lambda*Lambda_B with the same finite spectrum. Bisection with one
+Cholesky per step seeks a strict shift, S - sigma*Lambda_B > 0 (Crawford &
+Moon, LAA 51, 1983), and gives up on a nearly B-null negative direction. One
+definite eigh of (Lambda_B, S - sigma*Lambda_B) then gives every eigenvalue,
+sigma + 1/mu, and eigenvector. Without a strict shift (a coupled block, a
+degenerate or narrow bracket) one nonsymmetric solve of the J-Hermitian
+J |Lambda_B|^-1/2 S |Lambda_B|^-1/2, J = sign(Lambda_B) (Liang, Li & Bai,
+LAA 438, 2013), gives the eigenvalues. The shift lambda0, the midpoint of the
+bracket [max lambda-, min lambda+], is certified by a Cholesky of
+S - lambda0*Lambda_B - floor*I, or else by an eigh of the eigenvalues below
+the floor, which span the kernel K0; the pencil is diagonalizable iff no
+direction of K0 is B-null. Without a strict shift its vectors are K0 and
+those of the definite pair at lambda0 on K0's complement.
 """
 
 from __future__ import annotations
@@ -38,6 +41,13 @@ RANK_RTOL = 1e-9
 PSD_RTOL = 1e-9
 # a direction of K0 with |x^H B x| <= GRAM_RTOL * |B| is B-null
 GRAM_RTOL = 1e-8
+# a negative direction x of S - sigma*Lambda_B with |x^H Lambda_B x| <= STEER_RTOL
+# * ||x||^2 * max|Lambda_B| is nearly B-null and cannot steer the shift search
+STEER_RTOL = 0.1
+# a strict shift leaves S - sigma*Lambda_B >= SHIFT_RTOL * (max|A11| +
+# |sigma|*max|Lambda_B|), so the definite pair there gives eigenvalues to about
+# eps / SHIFT_RTOL relative (at PSD_RTOL's floor they could lose 1e-8)
+SHIFT_RTOL = 1e-3
 
 
 @dataclass
@@ -127,6 +137,37 @@ def _bracket_shift(lam, n_minus) -> float:
     return 0.5 * float(lam[n_minus - 1] + lam[n_minus])
 
 
+def _strict_shift(S, b, scale) -> float | None:
+    """sigma with S - sigma*diag(b) - margin*I positive definite, or None.
+    A Cholesky that fails at pivot j leaves the negative direction
+    x = [-M11^-1 m; 1]: sign(x^H diag(b) x) says which side of the bracket
+    sigma is on, and x^H S x / x^H diag(b) x bounds that side. The search
+    ends on a nearly B-null x or a bracket too narrow for the margin."""
+    bmax = max_norm(b)
+    # every finite eigenvalue lies within ||J |b|^-1/2 S |b|^-1/2||
+    hi = 2.0 * float(np.linalg.norm(S / np.sqrt(np.outer(np.abs(b), np.abs(b)))))
+    lo = -hi
+    while True:
+        sigma = 0.5 * (lo + hi)
+        margin = SHIFT_RTOL * (scale + abs(sigma) * bmax)
+        if (hi - lo) * bmax <= 2.0 * margin:
+            return None
+        M = S - np.diag(sigma * b + margin)
+        L, info = lapack.zpotrf(M, lower=1)
+        if info == 0:
+            return sigma
+        j = info - 1
+        x = np.r_[-sla.cho_solve((L[:j, :j], True), M[:j, j]), 1.0]
+        xb = float(np.real(x.conj() @ (b[: j + 1] * x)))
+        if abs(xb) <= STEER_RTOL * float(np.real(x.conj() @ x)) * bmax:
+            return None
+        rho = float(np.real(x.conj() @ S[: j + 1, : j + 1] @ x)) / xb
+        if xb > 0:
+            hi = min(sigma, rho)
+        else:
+            lo = max(sigma, rho)
+
+
 def _certify(S, b, lam0, scale):
     """(M, U0, d, m0): M = S - lam0*diag(b) certified >= 0, U0 an orthonormal
     basis of its kernel K0 with U0^H diag(b) U0 = diag(d), and m0 the number
@@ -137,12 +178,12 @@ def _certify(S, b, lam0, scale):
     floor = PSD_RTOL * (scale + abs(lam0) * max_norm(b))
     if _shifted_cholesky_info(M, floor) == 0:
         return M, np.empty((M.shape[0], 0)), np.empty(0), 0
-    w, V = np.linalg.eigh(M)
-    if w[0] < -floor:
+    # the eigenvalues at or below the floor certify M and span K0
+    w, K0 = sla.eigh(M, subset_by_value=(-np.inf, floor), driver="evr")
+    if w.size and w[0] < -floor:
         raise NotPsdPencil(
             f"A - lambda0*B has eigenvalue {w[0]:.3e} at lambda0 = {lam0:.6g}"
         )
-    K0 = V[:, w <= floor]
     G = K0.conj().T @ (b[:, None] * K0)
     d, W = np.linalg.eigh(0.5 * (G + G.conj().T))
     m0 = int(np.sum(np.abs(d) <= GRAM_RTOL * max_norm(b)))
@@ -156,38 +197,38 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     HermitianMatrix; B's eigendecomposition is then the one it keeps.
     """
     inb, S, b, E, scale = _reduce(A, B)
-    lam = _j_hermitian_eigenvalues(S, b)
+    sigma = _strict_shift(S, b, scale)
+    if sigma is None:
+        lam = _j_hermitian_eigenvalues(S, b)
+    else:
+        mu, ep, em = _eigenvectors(b, S - np.diag(sigma * b), S[:, :0], b[:0], inb)
+        lam = np.sort(sigma + 1.0 / mu)
     lam0 = _bracket_shift(lam, inb.n_minus)
     M, U0, d, m0 = _certify(S, b, lam0, scale)
-    ep = em = None
     if m0:
         # each B-null kernel direction closes a 2x2 Jordan block at lambda0,
         # whose eigenvalue the eigensolver splits by O(sqrt(eps))
         lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
         lam.sort()
-    else:
-        ep, em = _eigenvectors(b, M, U0, d, inb)
-        ep, em = E @ ep, E @ em
+    elif sigma is None:
+        mu, ep, em = _eigenvectors(b, M, U0, d, inb)
     return PsdPencilAnalysis(
-        lambda0=lam0,
-        inertia_b=inb,
-        lambda_plus=lam[inb.n_minus:].copy(),
-        lambda_minus=lam[: inb.n_minus][::-1].copy(),
-        diagonalizable=m0 == 0,
-        m0=m0,
-        eigvecs_plus=ep,
-        eigvecs_minus=em,
+        lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
+        lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,
+        m0=m0, eigvecs_plus=None if m0 else E @ ep,
+        eigvecs_minus=None if m0 else E @ em,
     )
 
 
 def _eigenvectors(b, M, U0, d, inb):
-    """diag(b)-normalized eigenvector blocks (plus ascending, minus
-    descending in eigenvalue) of the diagonalizable pencil S - lambda*diag(b).
+    """(mu, plus block, minus block) of the diagonalizable pencil
+    S - lambda*diag(b) at a shift with M = S - shift*diag(b) >= 0: blocks
+    diag(b)-normalized, plus ascending and minus descending in eigenvalue.
 
-    K0 contributes U0 / sqrt|d| at lambda0. On the diag(b)-orthogonal
+    K0 contributes U0 / sqrt|d| at the shift. On the diag(b)-orthogonal
     complement C of K0, C^H M C > 0, so eigh(C^H diag(b) C, C^H M C) is a
-    definite pair with eigenvalues mu = 1/(lambda - lambda0) and vectors of
-    B-norm mu."""
+    definite pair with eigenvalues mu = 1/(lambda - shift), ascending, and
+    vectors of B-norm mu."""
     U0 = U0 / np.sqrt(np.abs(d))
     Bd = np.diag(b)
     if U0.shape[1]:
@@ -198,15 +239,14 @@ def _eigenvectors(b, M, U0, d, inb):
         mu, Y = sla.eigh(Bd, M)
     V = Y / np.sqrt(np.abs(mu))
     pos, neg = mu > 0, mu < 0
-    if (np.sum(d > 0) + np.sum(pos), np.sum(d < 0) + np.sum(neg)) != (
-        inb.n_plus, inb.n_minus
-    ):
+    counts = (np.sum(d > 0) + np.sum(pos), np.sum(d < 0) + np.sum(neg))
+    if counts != (inb.n_plus, inb.n_minus):
         raise NotPsdPencil("eigenvector signs disagree with the inertia of B")
     # mu ascending: lambda ascends over positive mu read backwards and
     # descends over negative mu read forwards
     ep = np.hstack([U0[:, d > 0], V[:, pos][:, ::-1]])
     em = np.hstack([U0[:, d < 0], V[:, neg]])
-    return ep, em
+    return mu, ep, em
 
 
 def eigenvectors_of(A, B, mu: float) -> np.ndarray:

@@ -73,6 +73,12 @@ class HermitianMatrix:
         """`inertia` of the matrix, counted from the kept eigenvalues."""
         return _count_inertia(self.eigh()[0], _scaled_tol(self.mat, ZERO_RTOL))
 
+    def __neg__(self) -> HermitianMatrix:
+        """The exact negation, without validating it again."""
+        neg = object.__new__(HermitianMatrix)
+        neg.mat, neg._eigh = -self.mat, None
+        return neg
+
     @property
     def n(self) -> int:
         return self.mat.shape[0]

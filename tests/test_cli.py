@@ -459,3 +459,37 @@ def test_each_command_validates_each_matrix_once(capsys, monkeypatch, argv, fixt
     code, _rep = run_json(capsys, argv[0], str(FIXTURES / fixture), *argv[1:])
     assert code == 0
     assert sorted(validated) == sorted([(3, 3), (3, 3), (k, k)])
+
+
+@pytest.mark.parametrize("fixture", ["maxsense.json", "kyfan.json"])
+def test_verify_on_max_problem_validates_a_and_b_once(capsys, monkeypatch, tmp_path,
+                                                      fixture):
+    # the oracle checks a sup on -A, the exact negation of the validated A;
+    # maxsense.json (indefinite B) stops at the route error, kyfan.json made a
+    # max problem reaches the oracle
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc["sense"] = "max"
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    validated = []
+    real_init = spectral.HermitianMatrix.__init__
+
+    def counting_init(self, entries):
+        validated.append(np.shape(entries))
+        real_init(self, entries)
+
+    monkeypatch.setattr(spectral.HermitianMatrix, "__init__", counting_init)
+    code, rep = run_json(capsys, "verify", str(path), "--restarts", "4", "--iters", "100")
+    n = len(doc["a"])
+    assert [shape for shape in validated if shape == (n, n)] == [(n, n), (n, n)]
+    if fixture == "kyfan.json":
+        assert code == 0 and rep["analytic"]["route"] == "definite-max"
+
+
+def test_negation_is_exact_and_not_validated_again(monkeypatch):
+    H = spectral.HermitianMatrix(np.array([[1.0, 2.0 - 1.0j], [2.0 + 1.0j, -3.0]]))
+    monkeypatch.setattr(spectral.HermitianMatrix, "__init__", None)
+    neg = -H
+    assert isinstance(neg, spectral.HermitianMatrix)
+    assert np.array_equal(neg.mat, -H.mat)
+    assert np.allclose(neg.eigh()[0], -H.eigh()[0][::-1], rtol=0.0, atol=1e-14)

@@ -326,3 +326,32 @@ def test_zero_a_optimizer_is_one_feasible_draw():
         X = rep.x_opt
         assert np.max(np.abs(X.conj().T @ B @ X - constraint.matrix())) <= 1e-10
         assert np.array_equal(X, feasible_sample(B, constraint, seed=0))
+
+
+@pytest.mark.parametrize("kind", ["plus_identity", "minus_identity", "signature"])
+@pytest.mark.parametrize("singular", [False, True])
+@pytest.mark.parametrize("coupled", [0, 1])
+def test_indefinite_solve_takes_eigvals_only_without_strict_shift(
+    monkeypatch, kind, singular, coupled
+):
+    # a diagonalizable pencil has a strict shift, and the definite pair there
+    # gives its whole spectrum; only a coupled block leaves the nonsymmetric
+    # eigenvalue solve, once
+    rng = np.random.default_rng(22)
+    A, B, _lp, _lm = psd_pencil(rng, 6, 5, n_inf=2 * singular, n_common=int(singular),
+                                n_coupled=coupled)
+    constraint = {"plus_identity": ConstraintSpec.plus_identity(2),
+                  "minus_identity": ConstraintSpec.minus_identity(2),
+                  "signature": ConstraintSpec.signature(1, 1)}[kind]
+    calls = []
+    real = np.linalg.eigvals
+
+    def counted(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rep = solve(A, B, np.diag([2.0, 1.0]), constraint, want_optimizer=True)
+    assert rep.finite and rep.attained == (not coupled)
+    assert rep.analysis.m0 == coupled
+    assert len(calls) == coupled

@@ -207,3 +207,61 @@ def test_null_block_cholesky_agrees_with_rank_decision(factor, sign):
     U = np.hstack([an.eigvecs_plus, an.eigvecs_minus])
     assert np.max(np.abs(U.conj().T @ B @ U - np.diag([1.0, -1.0]))) <= 1e-10
     assert np.max(np.abs(A @ U - B @ U @ np.diag([2.0, -3.0]))) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("width", [0.0, 1e-13, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 3e-4,
+                                   1e-3, 3e-3, 1e-2, 1e-1])
+def test_narrow_bracket_matches_qz_reference(seed, width):
+    # touching pairs at lambda0 make the bracket degenerate; A + width*|A|*I
+    # opens it by O(width), so its width falls below, near and above the
+    # certificate's floor (PSD_RTOL relative) and the strict shift's margin
+    # (SHIFT_RTOL relative), where the search for a strict shift gives up,
+    # succeeds narrowly or succeeds at once
+    rng = np.random.default_rng(seed + 9000)
+    A, B, _lp, _lm = psd_pencil(rng, 3, 2, n_inf=seed % 2, n_common=int(seed % 3 == 2),
+                                n_touch=1 + seed % 2)
+    A = A + width * np.max(np.abs(A)) * np.eye(A.shape[0])
+    ref_plus, ref_minus, ref_lam0, ref_m0, ref_inb = qz_analysis(A, B)
+    an = finite_eigenvalues(A, B)
+    assert an.inertia_b == ref_inb
+    assert an.m0 == ref_m0 == 0 and an.diagonalizable
+    scale = max(1.0, np.max(np.abs(np.r_[ref_plus, ref_minus])))
+    assert np.max(np.abs(an.lambda_plus - ref_plus)) <= 1e-8 * scale
+    assert np.max(np.abs(an.lambda_minus - ref_minus)) <= 1e-8 * scale
+    assert abs(an.lambda0 - ref_lam0) <= 1e-8 * scale
+    # vectors of a pair split by the width are conditioned like 1 / width
+    U = np.hstack([an.eigvecs_plus, an.eigvecs_minus])
+    J = np.diag(np.r_[np.ones(ref_plus.size), -np.ones(ref_minus.size)])
+    assert np.max(np.abs(U.conj().T @ B @ U - J)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_strict_shift_search_is_scale_free(monkeypatch, seed, side):
+    # the search's stop and give-up rules are relative: (c*A, B) and (A, B/c)
+    # take the strict path whenever (A, B) does, and their eigenvalues are c
+    # times those of (A, B)
+    calls = []
+    real = np.linalg.eigvals
+
+    def counted(M, *args, **kwargs):
+        calls.append(np.shape(M))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rng = np.random.default_rng(seed + 9100)
+    coupled = seed == 3
+    A, B, _lp, _lm = psd_pencil(rng, 4, 3, n_inf=seed % 2, n_common=seed % 2,
+                                n_coupled=int(coupled))
+    base = finite_eigenvalues(A, B)
+    for j in range(-8, 9):
+        c = 10.0 ** j
+        calls.clear()
+        an = finite_eigenvalues(c * A, B) if side == "A" else finite_eigenvalues(A, B / c)
+        assert len(calls) == int(coupled)
+        assert an.m0 == base.m0
+        scale = c * np.max(np.abs(np.r_[base.lambda_plus, base.lambda_minus]))
+        assert np.max(np.abs(an.lambda_plus - c * base.lambda_plus)) <= 1e-9 * scale
+        assert np.max(np.abs(an.lambda_minus - c * base.lambda_minus)) <= 1e-9 * scale
+        assert an.lambda0 == pytest.approx(c * base.lambda0, abs=1e-9 * scale)
