@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .errors import MissingOptimizer
 from .pencil import PsdPencilAnalysis
@@ -28,6 +26,8 @@ from .spectral import (
     WEIGHT_RTOL,
     Inertia,
     _certified_cholesky,
+    _pair_eigenpairs,
+    _reduce_pair,
     _scaled_tol,
     as_herm,
     max_norm,
@@ -79,43 +79,8 @@ def pencil_eig_definite(A, B) -> DefinitePencilEigen:
     B_ = as_herm(B)
     if A_.shape != B_.shape:
         raise ValueError("A and B must have the same shape")
-    lam, U = _pencil_eigenpairs(A_, _certified_cholesky(B_), A_.shape[0], 0)
+    lam, U = _pair_eigenpairs(_reduce_pair(A_, _certified_cholesky(B_)), A_.shape[0], 0)
     return DefinitePencilEigen(u=U, lambdas=lam)
-
-
-def _pencil_eigenpairs(A_, L, n_low, n_high, vectors=True):
-    """The n_low smallest and n_high largest eigenvalues of A - lambda*L L^H,
-    ascending, with B-orthonormal eigenvectors (None unless ``vectors``).
-
-    One reduction C = L^-1 A L^-H, one tridiagonalization C = Q T Q^H, the
-    selected eigenpairs of the real tridiagonal T, and the back-transformation
-    X = L^-H Q V of the selected columns only.
-    """
-    n = A_.shape[0]
-    C = lapack.zhegst(A_, L, lower=1)[0]
-    lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
-    C, d, e, tau, _ = lapack.zhetrd(C, lower=1, lwork=lwork, overwrite_a=1)
-    ranges = [r for r in ((0, n_low - 1), (n - n_high, n - 1)) if r[0] <= r[1]]
-    # MRRR (stemr) keeps the vectors of the two ranges orthogonal even when one
-    # cluster of equal eigenvalues spans both; stebz/stein may return the same
-    # vector in both calls
-    parts = [
-        sla.eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i",
-                             select_range=r, lapack_driver="stemr")
-        for r in ranges
-    ]
-    if not vectors:
-        # the empty head covers a request for no eigenvalues (D = 0)
-        return np.concatenate([np.empty(0), *parts]), None
-    lam = np.concatenate([w for w, _ in parts])
-    Y = np.hstack([V for _, V in parts]).astype(complex)
-    if n > 1:
-        # Q = H(1)...H(n-1), reflector H(i) stored below the subdiagonal of C
-        refl = np.asfortranarray(C[1:, : n - 1])
-        lwork = int(lapack.zunmqr("L", "N", refl, tau, Y[1:], -1)[1][0].real)
-        Y[1:] = lapack.zunmqr("L", "N", refl, tau, Y[1:], lwork)[0]
-    X = sla.solve_triangular(L, Y, lower=True, trans="C", check_finite=False)
-    return lam, X
 
 
 def split_omegas(D, tol: float | None = None) -> OmegaSplit:
@@ -161,7 +126,7 @@ def _solve_definite(A_, L, D_, sense, want_optimizer) -> SolveReport:
     ell = om.ell
     # nonnegative weights take the ell smallest pencil eigenvalues, negative
     # weights the k-ell largest
-    lams, U = _pencil_eigenpairs(A_, L, ell, k - ell, want_optimizer)
+    lams, U = _pair_eigenpairs(_reduce_pair(A_, L), ell, k - ell, want_optimizer)
     sel = list(range(ell)) + list(range(n - k + ell, n))
     pairing = [
         (float(om.omegas[i]), float(lams[i]), f"lambda[{sel[i] + 1}]")
@@ -207,7 +172,7 @@ def characterize_minimizer(report: SolveReport, A, B, D) -> MinimizerCheck:
     M = Z.conj().T @ A_ @ Z
     off = M - np.diag(np.diag(M))
     L = _certified_cholesky(as_herm(B))
-    expected = _pencil_eigenpairs(A_, L, ell_p, ell_m, vectors=False)[0]
+    expected = _pair_eigenpairs(_reduce_pair(A_, L), ell_p, ell_m, vectors=False)[0]
     return MinimizerCheck(
         compressed=M,
         offdiag_max=max_norm(off),

@@ -84,14 +84,14 @@ def _solve_indefinite(p: Problem, want_optimizer, analysis=None) -> SolveReport:
                            (c.k_minus, inb.n_minus, "n_minus")):
         if k > count:
             raise KTooLarge(f"k={k} exceeds {name}={count}")
-    # the report keeps the analysis without its eigenvector blocks: x_opt
-    # holds what the solve takes from them, and a report should not pin an
-    # n x rank(B) array
+    # the report keeps the analysis without its eigenvectors: x_opt holds
+    # what the solve takes from them, and a report should not pin the kept
+    # reduction
     rep = SolveReport(
         route="indefinite-" + ("signature" if c.k_plus and c.k_minus
                                else "plus" if c.k_plus else "minus"),
         finite=True, value=0.0, attained=True, inertia_b=inb,
-        analysis=replace(analysis, eigvecs_plus=None, eigvecs_minus=None),
+        analysis=replace(analysis, _vectors=None),
     )
     if max_norm(p.A.mat) == 0.0:
         # every feasible X attains 0: one draw for the whole constraint
@@ -99,14 +99,9 @@ def _solve_indefinite(p: Problem, want_optimizer, analysis=None) -> SolveReport:
         if want_optimizer:
             rep.x_opt = feasible_sample(p.B, c, seed=0)
         return rep
-    sides = [
-        _pair(D_, lam, V, role, want_optimizer)
-        for D_, lam, V, role in (
-            (Dp, analysis.lambda_plus, analysis.eigvecs_plus, "lambda+"),
-            (Dm, -analysis.lambda_minus, analysis.eigvecs_minus, "-lambda-"),
-        )
-        if D_.shape[0]
-    ]
+    sides = [_pair(D_, lam, role) for D_, lam, role in
+             ((Dp, analysis.lambda_plus, "lambda+"), (Dm, -analysis.lambda_minus, "-lambda-"))
+             if D_.shape[0]]
     if None in sides:
         # a block has a weight below -WEIGHT_RTOL * max|D|: `check_finiteness`
         # fails
@@ -116,21 +111,22 @@ def _solve_indefinite(p: Problem, want_optimizer, analysis=None) -> SolveReport:
     rep.pairing = [entry for _, pairing, _ in sides for entry in pairing]
     rep.attained = analysis.diagonalizable
     if rep.attained and want_optimizer:
-        rep.x_opt = np.hstack([x for _, _, x in sides])
+        # the k_plus smallest lambda+ and k_minus largest lambda- pair with D
+        V = [Vs for Vs in analysis.eigvecs(c.k_plus, c.k_minus) if Vs.shape[1]]
+        rep.x_opt = np.hstack([Vs @ q.conj().T for Vs, (_, _, q) in zip(V, sides)])
     return rep
 
 
-def _pair(D_, eigs, V, role, want_optimizer):
-    """(value, pairing, X) of one block of D: its descending eigenvalues pair
-    with eigs[:k], and X = V[:, :k] Q^H when V is given and an optimizer is
-    wanted; None when the block has a negative weight."""
+def _pair(D_, eigs, role):
+    """(value, pairing, Q) of one block of D: its descending eigenvalues pair
+    with eigs[:k], and Q holds their eigenvectors; None when the block has a
+    negative weight."""
     k = D_.shape[0]
     om = _split_omegas(D_)
     if om.ell < k:
         return None
     pairing = [(float(om.omegas[i]), float(eigs[i]), f"{role}[{i + 1}]") for i in range(k)]
-    x = V[:, :k] @ om.q.conj().T if want_optimizer and V is not None else None
-    return float(sum(w * lam for w, lam, _ in pairing)), pairing, x
+    return float(sum(w * lam for w, lam, _ in pairing)), pairing, om.q
 
 
 def _split_block_d(D_, k_plus):

@@ -7,22 +7,25 @@ the rest of N(B) A is positive definite for a positive semi-definite pencil,
 and its Schur complement S leaves the regular rank(B)-sized pencil
 S - lambda*Lambda_B with the same finite spectrum. Bisection with one
 Cholesky per step seeks a strict shift, S - sigma*Lambda_B > 0 (Crawford &
-Moon, LAA 51, 1983), and gives up on a nearly B-null negative direction. One
-definite eigh of (Lambda_B, S - sigma*Lambda_B) then gives every eigenvalue,
-sigma + 1/mu, and eigenvector. Without a strict shift (a coupled block, a
-degenerate or narrow bracket) one nonsymmetric solve of the J-Hermitian
-J |Lambda_B|^-1/2 S |Lambda_B|^-1/2, J = sign(Lambda_B) (Liang, Li & Bai,
-LAA 438, 2013), gives the eigenvalues. The shift lambda0, the midpoint of the
-bracket [max lambda-, min lambda+], is certified by a Cholesky of
-S - lambda0*Lambda_B - floor*I, or else by an eigh of the eigenvalues below
-the floor, which span the kernel K0; the pencil is diagonalizable iff no
-direction of K0 is B-null. Without a strict shift its vectors are K0 and
-those of the definite pair at lambda0 on K0's complement.
+Moon, LAA 51, 1983) inside the bracket of the quotients S_ii / b_i, and
+gives up on a nearly B-null negative direction. One tridiagonal reduction
+of the definite pair (Lambda_B, S - sigma*Lambda_B) gives every eigenvalue,
+sigma + 1/mu, as values, and is kept for `PsdPencilAnalysis.eigvecs`, which
+transforms back only the eigenvectors asked for. Without a strict shift (a
+coupled block, a degenerate or narrow bracket) one nonsymmetric solve of the
+J-Hermitian J |Lambda_B|^-1/2 S |Lambda_B|^-1/2, J = sign(Lambda_B) (Liang,
+Li & Bai, LAA 438, 2013), gives the eigenvalues. The shift lambda0, the
+midpoint of the bracket [max lambda-, min lambda+], is certified by a
+Cholesky of S - lambda0*Lambda_B - floor*I, or else by an eigh of the
+eigenvalues below the floor, which span the kernel K0; the pencil is
+diagonalizable iff no direction of K0 is B-null. Without a strict shift its
+vectors are K0 and those of the definite pair at lambda0 on K0's complement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -30,7 +33,7 @@ from scipy.linalg import lapack
 
 from .errors import NotPsdPencil
 from .spectral import HermitianMatrix, Inertia, as_herm, max_norm
-from .spectral import _shifted_cholesky_info
+from .spectral import _pair_eigenpairs, _reduce_pair, _shifted_cholesky_info
 
 # singular values below this times the largest (of [A; B] in
 # `eigenvectors_of`, of A*U0 against ||A||_F in the deflation) count as zero
@@ -56,9 +59,9 @@ class PsdPencilAnalysis:
 
     lambda_plus holds the n_plus largest finite eigenvalues ascending;
     lambda_minus the n_minus smallest, indexed descending so entry 0 is the
-    largest of the minus group. Eigenvector blocks are present only when the
-    pencil is diagonalizable; their columns have B-norm +1 / -1 and align
-    with the eigenvalue lists.
+    largest of the minus group. Eigenvectors exist only when the pencil is
+    diagonalizable; `eigvecs` computes them on request, and their columns
+    have B-norm +1 / -1 and align with the eigenvalue lists.
     """
 
     lambda0: float
@@ -67,12 +70,22 @@ class PsdPencilAnalysis:
     lambda_minus: np.ndarray
     diagonalizable: bool
     m0: int
-    eigvecs_plus: np.ndarray | None = None
-    eigvecs_minus: np.ndarray | None = None
+    # (k_plus, k_minus) -> the leading columns of both blocks; None when m0 > 0
+    _vectors: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return self.inertia_b.rank
+
+    def eigvecs(self, k_plus: int, k_minus: int):
+        """(plus, minus): the eigenvectors of lambda_plus[:k_plus] and of
+        lambda_minus[:k_minus], or (None, None) when the pencil is not
+        diagonalizable."""
+        return (None, None) if self._vectors is None else self._vectors(k_plus, k_minus)
+
+    # the full blocks
+    eigvecs_plus = property(lambda self: self.eigvecs(self.inertia_b.n_plus, 0)[0])
+    eigvecs_minus = property(lambda self: self.eigvecs(0, self.inertia_b.n_minus)[1])
 
 
 def find_lambda0(A, B) -> float | None:
@@ -144,9 +157,14 @@ def _strict_shift(S, b, scale) -> float | None:
     sigma is on, and x^H S x / x^H diag(b) x bounds that side. The search
     ends on a nearly B-null x or a bracket too narrow for the margin."""
     bmax = max_norm(b)
-    # every finite eigenvalue lies within ||J |b|^-1/2 S |b|^-1/2||
-    hi = 2.0 * float(np.linalg.norm(S / np.sqrt(np.outer(np.abs(b), np.abs(b)))))
-    lo = -hi
+    # a certifying sigma has S_ii - sigma*b_i >= 0, so the quotients S_ii / b_i
+    # bound it below (b_i < 0) and above (b_i > 0); a side without such b_i
+    # takes the reach of every finite eigenvalue, ||J |b|^-1/2 S |b|^-1/2||
+    q = np.real(np.diag(S)) / b
+    lo, hi = float(np.max(q[b < 0], initial=-np.inf)), float(np.min(q[b > 0], initial=np.inf))
+    if np.isinf(hi - lo):
+        reach = 2.0 * float(np.linalg.norm(S / np.sqrt(np.outer(np.abs(b), np.abs(b)))))
+        lo, hi = max(lo, -reach), min(hi, reach)
     while True:
         sigma = 0.5 * (lo + hi)
         margin = SHIFT_RTOL * (scale + abs(sigma) * bmax)
@@ -201,7 +219,12 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     if sigma is None:
         lam = _j_hermitian_eigenvalues(S, b)
     else:
-        mu, ep, em = _eigenvectors(b, S - np.diag(sigma * b), S[:, :0], b[:0], inb)
+        # all mu = 1/(lambda - sigma) of the pair (diag(b), S - sigma*diag(b))
+        reduction = _reduce_pair(np.diag(b.astype(complex)),
+                                 lapack.zpotrf(S - np.diag(sigma * b), lower=1)[0])
+        mu = sla.eigh_tridiagonal(*reduction[:2], eigvals_only=True, lapack_driver="sterf")
+        if (np.sum(mu > 0), np.sum(mu < 0)) != (inb.n_plus, inb.n_minus):
+            raise NotPsdPencil("eigenvalue signs disagree with the inertia of B")
         lam = np.sort(sigma + 1.0 / mu)
     lam0 = _bracket_shift(lam, inb.n_minus)
     M, U0, d, m0 = _certify(S, b, lam0, scale)
@@ -210,18 +233,30 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
         # whose eigenvalue the eigensolver splits by O(sqrt(eps))
         lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
         lam.sort()
+        vectors = None
     elif sigma is None:
-        mu, ep, em = _eigenvectors(b, M, U0, d, inb)
+        Vp, Vm = (E @ V for V in _eigenvectors(b, M, U0, d, inb))
+        vectors = lambda k_plus, k_minus: (Vp[:, :k_plus], Vm[:, :k_minus])
+    else:
+        vectors = lambda k_plus, k_minus: _paired_vectors(reduction, E, k_plus, k_minus)
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
         lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,
-        m0=m0, eigvecs_plus=None if m0 else E @ ep,
-        eigvecs_minus=None if m0 else E @ em,
+        m0=m0, _vectors=vectors,
     )
 
 
+def _paired_vectors(reduction, E, k_plus, k_minus):
+    """The diag(b)-normalized vectors of the k_plus largest and k_minus
+    smallest mu, mapped through E: lambda = sigma + 1/mu ascends over positive
+    mu read backwards and descends over negative mu read forwards."""
+    mu, X = _pair_eigenpairs(reduction, k_minus, k_plus)
+    V = E @ (X / np.sqrt(np.abs(mu)))
+    return V[:, k_minus:][:, ::-1], V[:, :k_minus]
+
+
 def _eigenvectors(b, M, U0, d, inb):
-    """(mu, plus block, minus block) of the diagonalizable pencil
+    """(plus block, minus block) of the diagonalizable pencil
     S - lambda*diag(b) at a shift with M = S - shift*diag(b) >= 0: blocks
     diag(b)-normalized, plus ascending and minus descending in eigenvalue.
 
@@ -246,7 +281,7 @@ def _eigenvectors(b, M, U0, d, inb):
     # descends over negative mu read forwards
     ep = np.hstack([U0[:, d > 0], V[:, pos][:, ::-1]])
     em = np.hstack([U0[:, d < 0], V[:, neg]])
-    return mu, ep, em
+    return ep, em
 
 
 def eigenvectors_of(A, B, mu: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense Hermitian building blocks.
 
 Eigensolver and Cholesky wrappers with explicit residual contracts, inertia
-counting, and the majorization utilities (prefix-dominance test, weighted-sum
+counting, the reduction of a definite pair and the selection of its
+eigenpairs, and the majorization utilities (prefix-dominance test, weighted-sum
 bounds) that the trace-optimization formulas rest on.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import NotPositiveDefinite
@@ -64,9 +66,11 @@ class HermitianMatrix:
     def eigh(self):
         """(w ascending, V) with mat = V diag(w) V^H. Computed on first use
         and kept, so every caller handed this value shares one
-        eigendecomposition; callers must not modify the arrays."""
+        eigendecomposition; both arrays are read-only."""
         if self._eigh is None:
             self._eigh = np.linalg.eigh(self.mat)
+            for kept in self._eigh:
+                kept.flags.writeable = False
         return self._eigh
 
     def inertia(self) -> Inertia:
@@ -183,6 +187,46 @@ def _shifted_cholesky_info(M, tau) -> int:
     shifted = np.array(M, dtype=complex, order="F")
     shifted.flat[:: M.shape[0] + 1] -= tau
     return int(lapack.zpotrf(shifted, lower=1, overwrite_a=1)[1])
+
+
+def _reduce_pair(A_, L):
+    """(d, e, L, C, tau): the definite pair (A, L L^H) reduced once to
+    C = L^-1 A L^-H (zhegst) = Q T Q^H (zhetrd), T with diagonal d and
+    off-diagonal e, Q's reflectors below C's subdiagonal with factors tau."""
+    n = A_.shape[0]
+    C = lapack.zhegst(A_, L, lower=1)[0]
+    lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
+    C, d, e, tau, _ = lapack.zhetrd(C, lower=1, lwork=lwork, overwrite_a=1)
+    return d, e, L, C, tau
+
+
+def _pair_eigenpairs(reduction, n_low, n_high, vectors=True):
+    """The n_low smallest and n_high largest eigenvalues of a `_reduce_pair`
+    reduction, ascending, with L L^H-orthonormal eigenvectors (None unless
+    ``vectors``): MRRR on T, then X = L^-H Q V of the selected columns only."""
+    d, e, L, C, tau = reduction
+    n = d.size
+    ranges = [r for r in ((0, n_low - 1), (n - n_high, n - 1)) if r[0] <= r[1]]
+    # MRRR (stemr) keeps the vectors of the two ranges orthogonal even when one
+    # cluster of equal eigenvalues spans both; stebz/stein may return the same
+    # vector in both calls
+    parts = [
+        sla.eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i",
+                             select_range=r, lapack_driver="stemr")
+        for r in ranges
+    ]
+    if not vectors:
+        # the empty heads cover a request for none (D = 0, or no column wanted)
+        return np.concatenate([np.empty(0), *parts]), None
+    lam = np.concatenate([np.empty(0)] + [w for w, _ in parts])
+    Y = np.hstack([np.empty((n, 0))] + [V for _, V in parts]).astype(complex)
+    if n > 1:
+        # Q = H(1)...H(n-1), reflector H(i) stored below the subdiagonal of C
+        refl = np.asfortranarray(C[1:, : n - 1])
+        lwork = int(lapack.zunmqr("L", "N", refl, tau, Y[1:], -1)[1][0].real)
+        Y[1:] = lapack.zunmqr("L", "N", refl, tau, Y[1:], lwork)[0]
+    X = sla.solve_triangular(L, Y, lower=True, trans="C", check_finite=False)
+    return lam, X
 
 
 def majorizes(beta, alpha) -> bool:

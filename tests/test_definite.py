@@ -315,3 +315,35 @@ def test_value_scales_with_d(seed):
                         (solve_definite_max, solve_definite_max(A, B, D).value)):
             assert fn(A, B, c * D).value == pytest.approx(c * ref, rel=1e-9)
         assert split_omegas(c * D).ell == split_omegas(D).ell
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_definite_value_scales_and_is_invariant(seed, sign, sense):
+    # on the definite route, for B and -B: value(c*A) = c*value and
+    # value(A, c*B) = value/c for c in 10^[-8, 8]; the value is unchanged
+    # under D -> Q D Q^H for a unitary Q and under the congruence
+    # (A, B) -> (T^H A T, T^H B T) with T's singular values in [1, 2]
+    rng = np.random.default_rng(seed + 9600)
+    n = int(rng.integers(3, 9))
+    A, B = _congruent_pair(rng, np.sort(rng.standard_normal(n)))
+    B = sign * B
+    k = int(rng.integers(2, n + 1))
+    D = np.diag(_weights(rng, k, "mixed"))
+    constraint = ConstraintSpec("plus_identity" if sign > 0 else "minus_identity", k)
+    base = solve(A, B, D, constraint, sense=sense)
+    assert base.route.startswith(f"definite-{sense}")
+    for j in range(-8, 9):
+        c = 10.0 ** j
+        for rep, expected in ((solve(c * A, B, D, constraint, sense=sense), c * base.value),
+                              (solve(A, c * B, D, constraint, sense=sense), base.value / c)):
+            assert rep.value == pytest.approx(expected, rel=1e-9), c
+    Q = random_unitary(rng, k)
+    rotated = solve(A, B, Q @ D @ Q.conj().T, constraint, sense=sense)
+    assert rotated.value == pytest.approx(base.value, rel=1e-9)
+    T = (random_unitary(rng, n) * rng.uniform(1.0, 2.0, n)) @ random_unitary(rng, n)
+    At, Bt = T.conj().T @ A @ T, T.conj().T @ B @ T
+    At, Bt = 0.5 * (At + At.conj().T), 0.5 * (Bt + Bt.conj().T)
+    congruent = solve(At, Bt, D, constraint, sense=sense)
+    assert congruent.value == pytest.approx(base.value, rel=1e-9)

@@ -355,3 +355,64 @@ def test_indefinite_solve_takes_eigvals_only_without_strict_shift(
     assert rep.finite and rep.attained == (not coupled)
     assert rep.analysis.m0 == coupled
     assert len(calls) == coupled
+
+
+def _spy_back_transforms(monkeypatch):
+    """Record the column count of every zunmqr and triangular solve, and
+    whether each tridiagonal eigensolve asked for vectors."""
+    import scipy.linalg as sla
+    from scipy.linalg import lapack
+
+    cols, tridiagonal = [], []
+    real_unmqr, real_solve, real_tri = lapack.zunmqr, sla.solve_triangular, sla.eigh_tridiagonal
+
+    def unmqr(side, trans, a, tau, c, *args, **kwargs):
+        cols.append(("zunmqr", np.shape(c)[1]))
+        return real_unmqr(side, trans, a, tau, c, *args, **kwargs)
+
+    def solve_triangular(a, b, *args, **kwargs):
+        cols.append(("solve_triangular", np.shape(b)[1]))
+        return real_solve(a, b, *args, **kwargs)
+
+    def eigh_tridiagonal(d, e, *args, **kwargs):
+        tridiagonal.append(not kwargs.get("eigvals_only", False))
+        return real_tri(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zunmqr", unmqr)
+    monkeypatch.setattr(sla, "solve_triangular", solve_triangular)
+    monkeypatch.setattr(sla, "eigh_tridiagonal", eigh_tridiagonal)
+    return cols, tridiagonal
+
+
+@pytest.mark.parametrize("kind", ["plus_identity", "minus_identity", "signature"])
+def test_strict_path_solve_transforms_back_only_k_columns(monkeypatch, kind):
+    # a diagonalizable pencil with a strict shift: the optimizer takes the k
+    # paired eigenvectors from the kept reduction, with no full eigh of the
+    # r x r definite pair
+    A, B, lp, lm = psd_pencil(np.random.default_rng(9400), 7, 6)
+    n = A.shape[0]
+    kp, km = {"plus_identity": (3, 0), "minus_identity": (0, 2), "signature": (2, 3)}[kind]
+    constraint = (ConstraintSpec.signature(kp, km) if kind == "signature"
+                  else ConstraintSpec(kind, kp + km))
+    D = np.diag(np.r_[np.arange(kp, 0, -1), np.arange(km, 0, -1)]).astype(float)
+    cols, tridiagonal = _spy_back_transforms(monkeypatch)
+    calls = spy_factorizations(monkeypatch)
+    rep = solve(A, B, D, constraint, want_optimizer=True)
+    check_factorizations(calls, B)
+    assert [shape for name, shape, _M in calls if name == "eigh"] == [(n, n)] + [
+        (k, k) for k in (kp, km) if k]
+    assert cols and all(c == kp + km for _name, c in cols)
+    assert tridiagonal.count(True) == int(kp > 0) + int(km > 0)
+    J = np.diag(np.r_[np.ones(kp), -np.ones(km)])
+    assert np.max(np.abs(rep.x_opt.conj().T @ B @ rep.x_opt - J)) <= 1e-10
+    assert rep.value == pytest.approx(float(np.diag(D) @ np.r_[lp[:kp], -lm[:km]]),
+                                      rel=1e-9)
+
+
+def test_solve_without_optimizer_computes_no_eigenvector(monkeypatch):
+    A, B, _lp, _lm = psd_pencil(np.random.default_rng(9401), 5, 4)
+    cols, tridiagonal = _spy_back_transforms(monkeypatch)
+    rep = solve(A, B, np.eye(3), ConstraintSpec.plus_identity(3))
+    assert rep.attained and rep.x_opt is None
+    assert cols == [] and tridiagonal == [False]
+    assert rep.analysis.eigvecs(3, 0) == (None, None)

@@ -10,6 +10,7 @@ from tracemin import (
     find_lambda0,
     finite_eigenvalues,
 )
+from tracemin import pencil
 from tracemin.pencil import RANK_RTOL
 from helpers import canonical_pencil_instance, psd_pencil, random_unitary
 from qz_pencil import qz_analysis
@@ -265,3 +266,113 @@ def test_strict_shift_search_is_scale_free(monkeypatch, seed, side):
         assert np.max(np.abs(an.lambda_plus - c * base.lambda_plus)) <= 1e-9 * scale
         assert np.max(np.abs(an.lambda_minus - c * base.lambda_minus)) <= 1e-9 * scale
         assert an.lambda0 == pytest.approx(c * base.lambda0, abs=1e-9 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_plus=st.integers(1, 6),
+    n_minus=st.integers(1, 6),
+    n_inf=st.integers(0, 3),
+    n_common=st.integers(0, 2),
+    log_width=st.one_of(st.none(), st.floats(-8.0, 0.0)),
+)
+def test_diagonal_quotient_bracket_contains_qz_bracket(seed, n_plus, n_minus, n_inf,
+                                                       n_common, log_width):
+    # every certifying shift sigma has e_i^H (S - sigma*Lambda_B) e_i >= 0, so
+    # the quotients S_ii / b_i bound [max lambda-, min lambda+] on both sides,
+    # also for a degenerate bracket opened to widths down to 1e-8
+    rng = np.random.default_rng(seed)
+    n_touch = 0 if log_width is None else 1
+    A, B, _lp, _lm = psd_pencil(rng, n_plus, n_minus, n_inf, n_common, n_touch=n_touch)
+    if log_width is not None:
+        A = A + 10.0 ** log_width * np.max(np.abs(A)) * np.eye(A.shape[0])
+    ref_plus, ref_minus, _lam0, _m0, _inb = qz_analysis(A, B)
+    _inb, S, b, _E, _scale = pencil._reduce(A, B)
+    q = np.real(np.diag(S)) / b
+    tol = 1e-8 * max(1.0, np.max(np.abs(np.r_[ref_plus, ref_minus])))
+    assert np.max(q[b < 0]) <= ref_minus[0] + tol
+    assert np.min(q[b > 0]) >= ref_plus[0] - tol
+
+
+def _tied_pencil(rng, lp, lm):
+    """(A, B) with eigenvalues lp above and lm below the bracket, made dense by
+    a congruence with singular values in [1, 2]."""
+    signs = np.r_[np.ones(len(lp)), -np.ones(len(lm))]
+    n = signs.size
+    W = (random_unitary(rng, n) * rng.uniform(1.0, 2.0, n)) @ random_unitary(rng, n)
+    A = W.conj().T @ np.diag(signs * np.r_[lp, lm]) @ W
+    B = W.conj().T @ np.diag(signs) @ W
+    return 0.5 * (A + A.conj().T), 0.5 * (B + B.conj().T)
+
+
+def _pencil_cases():
+    """(name, A, B, strict): strict when the analysis finds a strict shift."""
+    rng = np.random.default_rng(9200)
+    yield "ties", *_tied_pencil(rng, [0.5, 1.5, 1.5, 2.5], [-1.0, -2.0, -2.0]), True
+    yield "singular", *psd_pencil(rng, 3, 3, n_inf=2, n_common=1)[:2], True
+    # a degenerate bracket leaves no strict shift: the full blocks, sliced
+    yield "touching", *psd_pencil(rng, 2, 2, n_touch=1)[:2], False
+
+
+@pytest.mark.parametrize("case", [c[0] for c in _pencil_cases()])
+def test_eigvecs_selection_satisfies_the_pencil(monkeypatch, case):
+    # every (k_plus, k_minus) selection holds eigenvectors aligned with the
+    # eigenvalue lists and B-orthonormal with signs +1 / -1, also when a tie
+    # straddles column k
+    _name, A, B, strict = next(c for c in _pencil_cases() if c[0] == case)
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or real(M))
+    an = finite_eigenvalues(A, B)
+    assert an.diagonalizable and len(calls) == int(not strict)
+    n_plus, n_minus = an.inertia_b.n_plus, an.inertia_b.n_minus
+    for kp in range(n_plus + 1):
+        for km in range(n_minus + 1):
+            Vp, Vm = an.eigvecs(kp, km)
+            assert Vp.shape == (A.shape[0], kp) and Vm.shape == (A.shape[0], km)
+            V = np.hstack([Vp, Vm])
+            lam = np.r_[an.lambda_plus[:kp], an.lambda_minus[:km]]
+            J = np.diag(np.r_[np.ones(kp), -np.ones(km)])
+            assert np.max(np.abs(V.conj().T @ B @ V - J), initial=0.0) <= 1e-10
+            assert np.max(np.abs(A @ V - B @ V * lam), initial=0.0) <= 1e-9
+
+
+def test_eigvecs_of_a_coupled_pencil_are_none():
+    A, B, _lp, _lm = psd_pencil(np.random.default_rng(9300), 2, 2, n_coupled=1)
+    an = finite_eigenvalues(A, B)
+    assert an.m0 == 1
+    assert an.eigvecs(1, 1) == (None, None)
+    assert an.eigvecs_plus is None and an.eigvecs_minus is None
+
+
+def test_strict_shift_search_opens_on_the_quotient_bracket(monkeypatch):
+    # the quotient bracket hugs [max lambda-, min lambda+], so its midpoint is
+    # strict at the first Cholesky on most pencils (a Frobenius bracket,
+    # up to sqrt(rank B) wider, took 2.2 on average here)
+    from scipy.linalg import lapack
+
+    real_shift, real_potrf, steps = pencil._strict_shift, lapack.zpotrf, []
+
+    def shift(S, b, scale):
+        count = [0]
+
+        def potrf(*args, **kwargs):
+            count[0] += 1
+            return real_potrf(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "zpotrf", potrf)
+        sigma = real_shift(S, b, scale)
+        monkeypatch.setattr(lapack, "zpotrf", real_potrf)
+        steps.append(count[0])
+        assert sigma is not None
+        return sigma
+
+    monkeypatch.setattr(pencil, "_strict_shift", shift)
+    for seed in range(60):
+        rng = np.random.default_rng(seed + 9700)
+        A, B, _lp, _lm = psd_pencil(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+                                    n_inf=int(rng.integers(0, 3)),
+                                    n_common=int(rng.integers(0, 2)))
+        finite_eigenvalues(A, B)
+    assert np.mean(steps) <= 1.5

@@ -175,3 +175,14 @@ def test_solve_routes_as_inertia_at_tolerance(rel, sign):
     else:
         with pytest.raises(Unsupported):
             solve(np.eye(3), B, np.eye(1), constraint)
+
+
+def test_kept_eigendecomposition_is_read_only():
+    # every caller handed a HermitianMatrix shares one eigendecomposition, so
+    # writing to it would corrupt the others' view
+    H = HermitianMatrix(np.diag([1.0, -2.0, 0.0]))
+    w, V = H.eigh()
+    for kept in (w, V):
+        with pytest.raises(ValueError):
+            kept[0] = 7.0
+    assert H.eigh()[0][0] == -2.0

@@ -1,0 +1,113 @@
+"""Interleaved benchmark pairs: one commit against another, seed by seed.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload pencil-scale \
+        --seeds 901-910 --out BENCH_8.json
+
+For every seed the unchanged ``bench/run.py --seconds 15 --trace 0`` runs once
+in each tree, alternating which tree runs first, and the last JSON line of
+each run is read. For every end-to-end metric in CHANGE_DIR's
+``BENCHMARK.json`` the summary gives both sides' median and quartiles and the
+number of pairs the change wins (ties count for neither side), plus the
+``failed`` count of each side. ``--workload`` may be repeated. ``--out``
+writes the summaries, the machine and every run's metrics as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SECONDS = 15
+SIDES = ("parent", "change")
+
+
+def seed_range(text):
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def run_bench(tree, workload, seed):
+    """The last JSON line of one benchmark run in ``tree``."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SECONDS), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4)
+    return q1, med, q3
+
+
+def summarize(runs, metrics):
+    """Per metric: both sides' (q1, median, q3), the change's wins and losses,
+    and whether the medians differ by more than the parent's IQR."""
+    out = {}
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        pairs = [tuple(r[side]["metrics"][name]["value"] for side in SIDES) for r in runs]
+        wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+        losses = sum((c > p) if lower else (c < p) for p, c in pairs)
+        q = {side: quartiles([pair[i] for pair in pairs]) for i, side in enumerate(SIDES)}
+        out[name] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            **{side: dict(zip(("q1", "median", "q3"), q[side])) for side in SIDES},
+            "change_wins": wins, "change_losses": losses, "pairs": len(pairs),
+            "median_gap_exceeds_parent_iqr":
+                abs(q["change"][1] - q["parent"][1]) > q["parent"][2] - q["parent"][0],
+        }
+    return out
+
+
+def run_pairs(trees, workload, seeds, metrics):
+    runs = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        run = {"seed": seed, "first": order[0]}
+        for side in order:
+            run[side] = run_bench(trees[side], workload, seed)
+        runs.append(run)
+        print(f"{workload} seed {seed}: " + "  ".join(
+            f"{side} failed={run[side]['failed']}" for side in SIDES), flush=True)
+    summary = summarize(runs, metrics)
+    print(f"{'metric':<14}{'parent q1/med/q3':>34}{'change q1/med/q3':>34}  wins")
+    for name, s in summary.items():
+        cols = ["/".join(f"{s[side][k]:.4g}" for k in ("q1", "median", "q3")) for side in SIDES]
+        print(f"{name:<14}{cols[0]:>34}{cols[1]:>34}  {s['change_wins']}/{s['pairs']}")
+    failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
+    print("failed: " + ", ".join(f"{side} {n}" for side, n in failed.items()))
+    return {"failed": failed, "summary": summary, "runs": runs}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--workload", action="append", required=True,
+                   help="repeat to run several workloads, one after another")
+    p.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
+    p.add_argument("--out", type=Path)
+    args = p.parse_args(argv)
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    results = {w: run_pairs(trees, w, args.seeds, metrics) for w in args.workload}
+    if args.out:
+        doc = {
+            "command": f"bench/run.py --seconds {SECONDS} --trace 0", "seeds": args.seeds,
+            "machine": {"platform": platform.platform(), "processor": platform.machine(),
+                        "cpus": os.cpu_count(), "python": platform.python_version()},
+            "workloads": results,
+        }
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
