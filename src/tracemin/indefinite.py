@@ -75,7 +75,9 @@ def _solve_indefinite(p: Problem, want_optimizer, analysis=None) -> SolveReport:
     """
     c = p.constraint
     Dp, Dm = _split_block_d(p.D.mat, c.k_plus)
-    if analysis is None:
+    if analysis is None or (want_optimizer and analysis.diagonalizable
+                            and analysis._vectors is None):
+        # a report's analysis keeps no eigenvectors: an optimizer needs them
         analysis = finite_eigenvalues(p.A, p.B)
     inb = analysis.inertia_b
     if inb.n_plus < 1 or inb.n_minus < 1:

@@ -18,8 +18,10 @@ Li & Bai, LAA 438, 2013), gives the eigenvalues. The shift lambda0, the
 midpoint of the bracket [max lambda-, min lambda+], is certified by a
 Cholesky of S - lambda0*Lambda_B - floor*I, or else by an eigh of the
 eigenvalues below the floor, which span the kernel K0; the pencil is
-diagonalizable iff no direction of K0 is B-null. Without a strict shift its
-vectors are K0 and those of the definite pair at lambda0 on K0's complement.
+diagonalizable iff no direction of K0 is B-null. Without a strict shift a
+diagonalizable pencil's eigenvectors are K0 at lambda0 and those of the
+definite pair at lambda0 on K0's B-orthogonal complement, reduced once and
+kept the same way, so both paths transform back only the columns asked for.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ class PsdPencilAnalysis:
     lambda_plus holds the n_plus largest finite eigenvalues ascending;
     lambda_minus the n_minus smallest, indexed descending so entry 0 is the
     largest of the minus group. Eigenvectors exist only when the pencil is
-    diagonalizable; `eigvecs` computes them on request, and their columns
-    have B-norm +1 / -1 and align with the eigenvalue lists.
+    diagonalizable: the analysis keeps one reduced definite pair (at the
+    strict shift, or at lambda0 beside the kernel K0), and `eigvecs`
+    computes from it only the columns asked for. They have B-norm +1 / -1
+    and align with the eigenvalue lists.
     """
 
     lambda0: float
@@ -216,29 +220,29 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     """
     inb, S, b, E, scale = _reduce(A, B)
     sigma = _strict_shift(S, b, scale)
+    K, d, Q = np.empty((b.size, 0)), np.empty(0), None
     if sigma is None:
         lam = _j_hermitian_eigenvalues(S, b)
     else:
-        # all mu = 1/(lambda - sigma) of the pair (diag(b), S - sigma*diag(b))
-        reduction = _reduce_pair(np.diag(b.astype(complex)),
-                                 lapack.zpotrf(S - np.diag(sigma * b), lower=1)[0])
-        mu = sla.eigh_tridiagonal(*reduction[:2], eigvals_only=True, lapack_driver="sterf")
-        if (np.sum(mu > 0), np.sum(mu < 0)) != (inb.n_plus, inb.n_minus):
-            raise NotPsdPencil("eigenvalue signs disagree with the inertia of B")
+        mu, reduction = _definite_pair(np.diag(b), S - np.diag(sigma * b), d, inb)
         lam = np.sort(sigma + 1.0 / mu)
     lam0 = _bracket_shift(lam, inb.n_minus)
-    M, U0, d, m0 = _certify(S, b, lam0, scale)
+    M, U0, d0, m0 = _certify(S, b, lam0, scale)
     if m0:
         # each B-null kernel direction closes a 2x2 Jordan block at lambda0,
         # whose eigenvalue the eigensolver splits by O(sqrt(eps))
         lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
         lam.sort()
         vectors = None
-    elif sigma is None:
-        Vp, Vm = (E @ V for V in _eigenvectors(b, M, U0, d, inb))
-        vectors = lambda k_plus, k_minus: (Vp[:, :k_plus], Vm[:, :k_minus])
     else:
-        vectors = lambda k_plus, k_minus: _paired_vectors(reduction, E, k_plus, k_minus)
+        if sigma is None:
+            # K0's columns are eigenvectors at lambda0; on its diag(b)-orthogonal
+            # complement Q the pair (diag(b), M) at lambda0 is definite
+            K, d = U0 / np.sqrt(np.abs(d0)), d0
+            Q = np.linalg.qr(b[:, None] * U0, mode="complete")[0][:, U0.shape[1]:]
+            Qh = Q.conj().T
+            reduction = _definite_pair(Qh @ (b[:, None] * Q), Qh @ M @ Q, d, inb)[1]
+        vectors = lambda kp, km: _paired_vectors(reduction, E, K, d, Q, kp, km)
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
         lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,
@@ -246,42 +250,34 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     )
 
 
-def _paired_vectors(reduction, E, k_plus, k_minus):
-    """The diag(b)-normalized vectors of the k_plus largest and k_minus
-    smallest mu, mapped through E: lambda = sigma + 1/mu ascends over positive
-    mu read backwards and descends over negative mu read forwards."""
-    mu, X = _pair_eigenpairs(reduction, k_minus, k_plus)
-    V = E @ (X / np.sqrt(np.abs(mu)))
+def _definite_pair(Bp, Mp, d, inb):
+    """(mu, reduction): every mu = 1/(lambda - shift) of the definite pair
+    (Bp, Mp = S - shift*Bp > 0) and its tridiagonal reduction (None if empty).
+    The signs of mu and of the kernel's B-norms d must match B's inertia."""
+    L, info = lapack.zpotrf(Mp, lower=1)
+    if info:
+        raise NotPsdPencil("A - lambda*B is not positive definite off its kernel")
+    reduction = _reduce_pair(Bp, L) if L.size else None
+    mu = (np.empty(0) if reduction is None else
+          sla.eigh_tridiagonal(*reduction[:2], eigvals_only=True, lapack_driver="sterf"))
+    if (np.sum(np.r_[d, mu] > 0), np.sum(np.r_[d, mu] < 0)) != (inb.n_plus, inb.n_minus):
+        raise NotPsdPencil("eigenvalue signs disagree with the inertia of B")
+    return mu, reduction
+
+
+def _paired_vectors(reduction, E, K, d, Q, k_plus, k_minus):
+    """B-normalized eigenvectors of the k_plus smallest lambda+ and k_minus
+    largest lambda-, mapped through E: first the kernel's K at lambda0, split
+    by the sign of its B-norms d, then the pair's (mapped by Q if given):
+    lambda+ = shift + 1/mu read backwards over mu > 0, lambda- forwards over mu < 0."""
+    Kp, Km = K[:, d > 0][:, :k_plus], K[:, d < 0][:, :k_minus]
+    n_high, n_low = k_plus - Kp.shape[1], k_minus - Km.shape[1]
+    Y = K[:, :0]
+    if n_low + n_high:
+        mu, X = _pair_eigenpairs(reduction, n_low, n_high)
+        Y = (X if Q is None else Q @ X) / np.sqrt(np.abs(mu))
+    V = E @ np.hstack([Km, Y, Kp[:, ::-1]])
     return V[:, k_minus:][:, ::-1], V[:, :k_minus]
-
-
-def _eigenvectors(b, M, U0, d, inb):
-    """(plus block, minus block) of the diagonalizable pencil
-    S - lambda*diag(b) at a shift with M = S - shift*diag(b) >= 0: blocks
-    diag(b)-normalized, plus ascending and minus descending in eigenvalue.
-
-    K0 contributes U0 / sqrt|d| at the shift. On the diag(b)-orthogonal
-    complement C of K0, C^H M C > 0, so eigh(C^H diag(b) C, C^H M C) is a
-    definite pair with eigenvalues mu = 1/(lambda - shift), ascending, and
-    vectors of B-norm mu."""
-    U0 = U0 / np.sqrt(np.abs(d))
-    Bd = np.diag(b)
-    if U0.shape[1]:
-        C = np.linalg.qr(Bd @ U0, mode="complete")[0][:, U0.shape[1]:]
-        mu, Y = sla.eigh(C.conj().T @ Bd @ C, C.conj().T @ M @ C)
-        Y = C @ Y
-    else:
-        mu, Y = sla.eigh(Bd, M)
-    V = Y / np.sqrt(np.abs(mu))
-    pos, neg = mu > 0, mu < 0
-    counts = (np.sum(d > 0) + np.sum(pos), np.sum(d < 0) + np.sum(neg))
-    if counts != (inb.n_plus, inb.n_minus):
-        raise NotPsdPencil("eigenvector signs disagree with the inertia of B")
-    # mu ascending: lambda ascends over positive mu read backwards and
-    # descends over negative mu read forwards
-    ep = np.hstack([U0[:, d > 0], V[:, pos][:, ::-1]])
-    em = np.hstack([U0[:, d < 0], V[:, neg]])
-    return ep, em
 
 
 def eigenvectors_of(A, B, mu: float) -> np.ndarray:
@@ -307,9 +303,9 @@ def eigenvectors_of(A, B, mu: float) -> np.ndarray:
 
 
 def diagonalizability(A, B, analysis: PsdPencilAnalysis) -> tuple[bool, int]:
-    """Recompute the diagonalizability certificate for a completed analysis:
+    """The diagonalizability certificate of a completed analysis:
     diagonalizable iff no direction of the kernel of A - lambda0*B is B-null,
-    with m0 such directions (coupled blocks) otherwise."""
-    _inb, S, b, _E, scale = _reduce(A, B)
-    m0 = _certify(S, b, analysis.lambda0, scale)[3]
-    return m0 == 0, m0
+    with m0 such directions (coupled blocks) otherwise. The analysis of A and
+    B made that certificate; running it again is the same code on the same
+    input and cannot disagree, so the analysis's own answer is returned."""
+    return analysis.diagonalizable, analysis.m0

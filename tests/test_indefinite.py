@@ -416,3 +416,54 @@ def test_solve_without_optimizer_computes_no_eigenvector(monkeypatch):
     assert rep.attained and rep.x_opt is None
     assert cols == [] and tridiagonal == [False]
     assert rep.analysis.eigvecs(3, 0) == (None, None)
+
+
+def test_report_analysis_handed_back_gives_the_optimizer():
+    # a report keeps its analysis without eigenvectors; handed back to a
+    # route that wants an optimizer, it is recomputed rather than read
+    rep = solve_indefinite_plus(A3, B3, np.eye(1), want_optimizer=True)
+    again = solve_indefinite_plus(A3, B3, np.eye(1), want_optimizer=True,
+                                  analysis=rep.analysis)
+    assert again.value == rep.value and again.attained
+    X = again.x_opt
+    assert X.shape == (3, 1)
+    assert np.max(np.abs(X.conj().T @ B3 @ X - np.eye(1))) <= 1e-10
+
+
+@pytest.mark.parametrize("width, kernel, tol", [(0.0, 2, 1e-10), (1e-6, 0, 1e-8)])
+def test_non_strict_path_transforms_back_only_needed_columns(monkeypatch, width, kernel,
+                                                             tol):
+    # a touching bracket (K0 holds one eigenvector of each sign at lambda0) and
+    # one opened by 1e-6 (too narrow for a strict shift, K0 empty): the
+    # analysis keeps one reduced definite pair, and an optimizer transforms
+    # back only the columns K0 does not supply, with no generalized eigh; the
+    # pair at lambda0 then has mu up to 1 / width, which bounds the accuracy
+    import scipy.linalg as sla
+
+    A, B, _lp, _lm = psd_pencil(np.random.default_rng(9402), 3, 3, n_touch=1)
+    A = A + width * np.max(np.abs(A)) * np.eye(A.shape[0])
+    generalized, eigvals = [], []
+    real_eigh, real_eigvals = sla.eigh, np.linalg.eigvals
+
+    def eigh(a, b=None, *args, **kwargs):
+        generalized.append(b is not None)
+        return real_eigh(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigvals.append(1) or real_eigvals(M))
+    cols, tridiagonal = _spy_back_transforms(monkeypatch)
+    an = finite_eigenvalues(A, B)
+    assert eigvals == [1] and an.diagonalizable
+    assert cols == [] and tridiagonal == [False]
+    constraint = ConstraintSpec.signature(2, 2)
+    rep = solve(A, B, np.diag([2.0, 1.0, 2.0, 1.0]), constraint, want_optimizer=True)
+    assert rep.attained
+    assert {name for name, _c in cols} == {"zunmqr", "solve_triangular"}
+    assert all(c == 4 - kernel for _name, c in cols)
+    assert tridiagonal == [False, False, True, True]
+    assert not any(generalized)
+    J = np.diag([1.0, 1.0, -1.0, -1.0])
+    assert np.max(np.abs(rep.x_opt.conj().T @ B @ rep.x_opt - J)) <= tol
+    assert rep.value == pytest.approx(
+        2 * rep.analysis.lambda_plus[0] + rep.analysis.lambda_plus[1]
+        - 2 * rep.analysis.lambda_minus[0] - rep.analysis.lambda_minus[1], rel=1e-12)

@@ -13,6 +13,7 @@ from tracemin import (
 from tracemin import pencil
 from tracemin.pencil import RANK_RTOL
 from helpers import canonical_pencil_instance, psd_pencil, random_unitary
+from helpers import spy_factorizations
 from qz_pencil import qz_analysis
 
 LAMBDA0_F2_A = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -376,3 +377,25 @@ def test_strict_shift_search_opens_on_the_quotient_bracket(monkeypatch):
                                     n_common=int(rng.integers(0, 2)))
         finite_eigenvalues(A, B)
     assert np.mean(steps) <= 1.5
+
+
+@pytest.mark.parametrize("seed", [1, 9, 19, 30])
+def test_diagonalizability_reads_the_analysis(monkeypatch, seed):
+    # the certificate is the analysis's own: no second eigh of B, no SVD of
+    # A*U0 and no eigh of the kernel
+    A, B, *_rest = canonical_pencil_instance(seed)
+    an = finite_eigenvalues(A, B)
+    calls = spy_factorizations(monkeypatch)
+    assert diagonalizability(A, B, an) == (an.diagonalizable, an.m0)
+    assert calls == []
+
+
+def test_eigvecs_when_the_kernel_spans_the_range_of_b():
+    # lambda0 = 1 is the only eigenvalue, so A - lambda0*B = 0 and the definite
+    # pair on K0's complement is empty: every vector comes from K0
+    A, B = np.diag([1.0, -1.0, 3.0]), np.diag([1.0, -1.0, 0.0])
+    an = finite_eigenvalues(A, B)
+    assert an.lambda0 == 1.0 and an.diagonalizable and an.rank == 2
+    Vp, Vm = an.eigvecs(1, 1)
+    assert np.allclose(np.abs(Vp[:, 0]), [1.0, 0.0, 0.0])
+    assert np.allclose(np.abs(Vm[:, 0]), [0.0, 1.0, 0.0])
