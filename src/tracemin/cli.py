@@ -173,6 +173,17 @@ def _error_report(exc: TraceminError) -> dict:
     }
 
 
+def _pencil_fields(inb, analysis) -> dict:
+    """B's inertia and, given a pencil analysis, its lambda0, eigenvalue lists
+    and m0."""
+    fields = {"inertia_b": [inb.n_plus, inb.n_zero, inb.n_minus]}
+    if analysis is not None:
+        fields.update(lambda0=analysis.lambda0, m0=analysis.m0,
+                      lambda_plus=[float(v) for v in analysis.lambda_plus],
+                      lambda_minus=[float(v) for v in analysis.lambda_minus])
+    return fields
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -181,16 +192,7 @@ def _error_report(exc: TraceminError) -> dict:
 def cmd_solve(args) -> int:
     p = load_problem(args.path)
     rep = solve(*p, want_optimizer=args.optimizer)
-    inb = rep.inertia_b
-    diagnostics = {
-        "inertia_b": [inb.n_plus, inb.n_zero, inb.n_minus],
-    }
-    if rep.analysis is not None:
-        analysis = rep.analysis
-        diagnostics["lambda0"] = analysis.lambda0
-        diagnostics["lambda_plus"] = [float(v) for v in analysis.lambda_plus]
-        diagnostics["lambda_minus"] = [float(v) for v in analysis.lambda_minus]
-        diagnostics["m0"] = analysis.m0
+    diagnostics = _pencil_fields(rep.inertia_b, rep.analysis)
     report = {
         "route": rep.route,
         "finite": rep.finite,
@@ -214,16 +216,8 @@ def cmd_solve(args) -> int:
 def cmd_pencil(args) -> int:
     p = load_problem(args.path)
     analysis = finite_eigenvalues(p.A, p.B)
-    inb = analysis.inertia_b
-    report = {
-        "inertia_b": [inb.n_plus, inb.n_zero, inb.n_minus],
-        "lambda0": analysis.lambda0,
-        "lambda_plus": [float(v) for v in analysis.lambda_plus],
-        "lambda_minus": [float(v) for v in analysis.lambda_minus],
-        "diagonalizable": analysis.diagonalizable,
-        "m0": analysis.m0,
-        "tool_version": __version__,
-    }
+    report = _pencil_fields(analysis.inertia_b, analysis)
+    report.update(diagonalizable=analysis.diagonalizable, tool_version=__version__)
     _emit(report, args.mode)
     return 0
 

@@ -40,33 +40,32 @@ def check_finiteness(D) -> bool:
     return _split_omegas(D_).ell == D_.shape[0]
 
 
-def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False, analysis=None):
+def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False):
     """inf tr(D X^H A X) over X^H B X = I_k for genuinely indefinite B."""
     p = identity_problem(A, B, D, k, "plus_identity")
-    return _solve_indefinite(p, want_optimizer, analysis)
+    return _solve_indefinite(p, want_optimizer)
 
 
-def solve_indefinite_minus(A, B, D, k=None, want_optimizer=False, analysis=None):
+def solve_indefinite_minus(A, B, D, k=None, want_optimizer=False):
     """inf tr(D X^H A X) over X^H B X = -I_k for genuinely indefinite B.
 
     The constraint is X^H (-B) X = I_k, so this is the plus route on (A, -B),
     whose pencil eigenvalues are those of (A, B) negated.
     """
     p = identity_problem(A, B, D, k, "minus_identity")
-    return _solve_indefinite(p, want_optimizer, analysis)
+    return _solve_indefinite(p, want_optimizer)
 
 
 def solve_signature(
-    A, B, D_plus, D_minus, k_plus=None, k_minus=None,
-    want_optimizer=False, analysis=None,
+    A, B, D_plus, D_minus, k_plus=None, k_minus=None, want_optimizer=False,
 ):
     """inf tr(diag(D+, D-) X^H A X) over X^H B X = diag(I, -I)."""
     p = signature_problem(A, B, D_plus, D_minus, k_plus, k_minus)
-    return _solve_indefinite(p, want_optimizer, analysis)
+    return _solve_indefinite(p, want_optimizer)
 
 
-def _solve_indefinite(p: Problem, want_optimizer, analysis=None) -> SolveReport:
-    """The indefinite routes on a validated problem and its pencil analysis.
+def _solve_indefinite(p: Problem, want_optimizer) -> SolveReport:
+    """The indefinite routes on a validated problem, from one pencil analysis.
 
     The +1 block of D pairs its descending eigenvalues with the smallest
     lambda+, the -1 block with the largest lambda- negated (the plus route on
@@ -75,10 +74,7 @@ def _solve_indefinite(p: Problem, want_optimizer, analysis=None) -> SolveReport:
     """
     c = p.constraint
     Dp, Dm = _split_block_d(p.D.mat, c.k_plus)
-    if analysis is None or (want_optimizer and analysis.diagonalizable
-                            and analysis._vectors is None):
-        # a report's analysis keeps no eigenvectors: an optimizer needs them
-        analysis = finite_eigenvalues(p.A, p.B)
+    analysis = finite_eigenvalues(p.A, p.B)
     inb = analysis.inertia_b
     if inb.n_plus < 1 or inb.n_minus < 1:
         raise Unsupported("B must be genuinely indefinite for this route")

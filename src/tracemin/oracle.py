@@ -129,12 +129,6 @@ class _SignatureCoords:
         self.col_signs = constraint.signature_vector()
         self.k = constraint.k
 
-    def to_x(self, Z, R=None):
-        X = self.P @ Z
-        if R is not None and self.n_zero:
-            X = X + self.N @ R
-        return X
-
 
 def _j_orthonormalize(Z, row_signs, col_signs, rng, max_retry=20):
     """Hyperbolic Gram-Schmidt: returns V with V^H J V = diag(col_signs),
@@ -182,14 +176,13 @@ def feasible_sample(B, constraint: ConstraintSpec, seed=0) -> np.ndarray:
     """Random X with X^H B X equal to the constraint matrix."""
     rng = np.random.default_rng(seed)
     coords = _SignatureCoords(B, constraint)
-    Z = _draw_z(coords, rng)
-    R = None
+    X = coords.P @ _draw_z(coords, rng)
     if coords.n_zero:
-        R = 0.3 * (
+        X = X + coords.N @ (0.3 * (
             rng.standard_normal((coords.n_zero, coords.k))
             + 1j * rng.standard_normal((coords.n_zero, coords.k))
-        )
-    return coords.to_x(Z, R)
+        ))
+    return X
 
 
 def _ct(M):
@@ -345,6 +338,12 @@ def local_search(
         """tr(D X^H Ac X) for every matrix of the stack X."""
         return np.real(np.sum(X.conj() * axd(X), axis=(-2, -1)))
 
+    def accept(X, f, Xt):
+        """The probes Xt, with their values, where they lower f; else X and f."""
+        ft = f_of(Xt)
+        better = ft < f - 1e-12 * (1.0 + np.abs(f))
+        return np.where(better[:, None, None], Xt, X), np.where(better, ft, f)
+
     rngs, Xs = [], []
     for restart in range(restarts):
         rng = np.random.default_rng([int(seed), restart])
@@ -400,11 +399,7 @@ def local_search(
                 ])
                 for p in range(4):
                     for t in (1.0, 4.0, 16.0):
-                        Xt = _boost_rows(X, pairs[:, p, 0], pairs[:, p, 1], t)
-                        ft = f_of(Xt)
-                        better = ft < f - 1e-12 * (1.0 + np.abs(f))
-                        X = np.where(better[:, None, None], Xt, X)
-                        f = np.where(better, ft, f)
+                        X, f = accept(X, f, _boost_rows(X, pairs[:, p, 0], pairs[:, p, 1], t))
             if nz:
                 kicks = np.array([
                     [g.standard_normal((nz, k)) + 1j * g.standard_normal((nz, k))
@@ -414,10 +409,7 @@ def local_search(
                 for i, t in enumerate((1.0, 10.0)):
                     Xt = X.copy()
                     Xt[:, r:] += t * kicks[:, i]
-                    ft = f_of(Xt)
-                    better = ft < f - 1e-12 * (1.0 + np.abs(f))
-                    X = np.where(better[:, None, None], Xt, X)
-                    f = np.where(better, ft, f)
+                    X, f = accept(X, f, Xt)
             gn2_start = np.where(f < s.f, np.inf, gn2)
             s.X, s.f = X, f
         if np.any(s.f < divergence):

@@ -11,17 +11,18 @@ Moon, LAA 51, 1983) inside the bracket of the quotients S_ii / b_i, and
 gives up on a nearly B-null negative direction. One tridiagonal reduction
 of the definite pair (Lambda_B, S - sigma*Lambda_B) gives every eigenvalue,
 sigma + 1/mu, as values, and is kept for `PsdPencilAnalysis.eigvecs`, which
-transforms back only the eigenvectors asked for. Without a strict shift (a
-coupled block, a degenerate or narrow bracket) one nonsymmetric solve of the
-J-Hermitian J |Lambda_B|^-1/2 S |Lambda_B|^-1/2, J = sign(Lambda_B) (Liang,
-Li & Bai, LAA 438, 2013), gives the eigenvalues. The shift lambda0, the
-midpoint of the bracket [max lambda-, min lambda+], is certified by a
-Cholesky of S - lambda0*Lambda_B - floor*I, or else by an eigh of the
+transforms back only the eigenvectors asked for; that pencil is definite, so
+diagonalizable with no kernel at the shift lambda0, the midpoint of the
+bracket [max lambda-, min lambda+]. Without a strict shift (a coupled block,
+a degenerate or narrow bracket) one nonsymmetric solve of the J-Hermitian
+J |Lambda_B|^-1/2 S |Lambda_B|^-1/2, J = sign(Lambda_B) (Liang, Li & Bai,
+LAA 438, 2013), gives the eigenvalues, and only then is lambda0 certified,
+by a Cholesky of S - lambda0*Lambda_B - floor*I or else by an eigh of the
 eigenvalues below the floor, which span the kernel K0; the pencil is
-diagonalizable iff no direction of K0 is B-null. Without a strict shift a
-diagonalizable pencil's eigenvectors are K0 at lambda0 and those of the
-definite pair at lambda0 on K0's B-orthogonal complement, reduced once and
-kept the same way, so both paths transform back only the columns asked for.
+diagonalizable iff no direction of K0 is B-null. Its eigenvectors are then
+K0 at lambda0 and those of the definite pair at lambda0 on K0's B-orthogonal
+complement, reduced once and kept the same way, so both paths transform back
+only the columns asked for.
 """
 
 from __future__ import annotations
@@ -220,29 +221,29 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     """
     inb, S, b, E, scale = _reduce(A, B)
     sigma = _strict_shift(S, b, scale)
-    K, d, Q = np.empty((b.size, 0)), np.empty(0), None
+    K, d, Q, m0 = np.empty((b.size, 0)), np.empty(0), None, 0
     if sigma is None:
         lam = _j_hermitian_eigenvalues(S, b)
+        lam0 = _bracket_shift(lam, inb.n_minus)
+        M, U0, d0, m0 = _certify(S, b, lam0, scale)
     else:
+        # sigma's Cholesky proves the pencil definite: no kernel at lambda0
         mu, reduction = _definite_pair(np.diag(b), S - np.diag(sigma * b), d, inb)
         lam = np.sort(sigma + 1.0 / mu)
-    lam0 = _bracket_shift(lam, inb.n_minus)
-    M, U0, d0, m0 = _certify(S, b, lam0, scale)
+        lam0 = _bracket_shift(lam, inb.n_minus)
     if m0:
         # each B-null kernel direction closes a 2x2 Jordan block at lambda0,
         # whose eigenvalue the eigensolver splits by O(sqrt(eps))
         lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
         lam.sort()
-        vectors = None
-    else:
-        if sigma is None:
-            # K0's columns are eigenvectors at lambda0; on its diag(b)-orthogonal
-            # complement Q the pair (diag(b), M) at lambda0 is definite
-            K, d = U0 / np.sqrt(np.abs(d0)), d0
-            Q = np.linalg.qr(b[:, None] * U0, mode="complete")[0][:, U0.shape[1]:]
-            Qh = Q.conj().T
-            reduction = _definite_pair(Qh @ (b[:, None] * Q), Qh @ M @ Q, d, inb)[1]
-        vectors = lambda kp, km: _paired_vectors(reduction, E, K, d, Q, kp, km)
+    elif sigma is None:
+        # K0's columns are eigenvectors at lambda0; on its diag(b)-orthogonal
+        # complement Q the pair (diag(b), M) at lambda0 is definite
+        K, d = U0 / np.sqrt(np.abs(d0)), d0
+        Q = np.linalg.qr(b[:, None] * U0, mode="complete")[0][:, U0.shape[1]:]
+        Qh = Q.conj().T
+        reduction = _definite_pair(Qh @ (b[:, None] * Q), Qh @ M @ Q, d, inb)[1]
+    vectors = None if m0 else lambda kp, km: _paired_vectors(reduction, E, K, d, Q, kp, km)
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
         lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 
 def random_hermitian(rng, n):
@@ -135,6 +136,19 @@ def spy_factorizations(monkeypatch):
                              (np.linalg, "svd", "svd"), (sla, "svd", "svd")):
         monkeypatch.setattr(mod, name, spy(getattr(mod, name), label))
     return calls
+
+
+def spy_choleskys(monkeypatch):
+    """Record the shape of every LAPACK zpotrf call."""
+    shapes = []
+    real = lapack.zpotrf
+
+    def wrapped(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zpotrf", wrapped)
+    return shapes
 
 
 def check_factorizations(calls, B):

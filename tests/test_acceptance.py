@@ -120,7 +120,7 @@ def test_criterion_3_indefinite_dichotomy(capsys):
 
         for seed, A, B, D, k in instances:
             an = finite_eigenvalues(A, B)
-            rep = solve_indefinite_plus(A, B, D, k, analysis=an)
+            rep = solve_indefinite_plus(A, B, D, k)
             assert rep.finite, seed
             res = local_search(
                 A, B, D, ConstraintSpec.plus_identity(k),

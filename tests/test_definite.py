@@ -15,7 +15,7 @@ from tracemin import (
     spectral,
     split_omegas,
 )
-from helpers import definite_instance, random_hermitian, random_unitary
+from helpers import definite_instance, random_hermitian, random_unitary, spy_choleskys
 
 
 def test_ky_fan_minimum():
@@ -112,6 +112,24 @@ def test_characterize_minimizer_diagonalizes(seed):
     chk = characterize_minimizer(rep, A, B, D)
     assert chk.offdiag_max <= 1e-7 * np.max(np.abs(A))
     assert np.allclose(np.sort(chk.diagonal), np.sort(chk.expected_diagonal), atol=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_characterize_minimizer_reads_the_pairing(monkeypatch, seed):
+    # the expected diagonal is the report's paired eigenvalues, for a max
+    # report too, and no Cholesky or reduction of the pencil is run again
+    A, B, D, k = definite_instance(seed)
+    rep = solve_definite_max(A, B, D, k, want_optimizer=True)
+    chk = characterize_minimizer(rep, A, B, D)
+    assert np.allclose(chk.diagonal, chk.expected_diagonal, atol=1e-7)
+    rep = solve_definite_min(A, B, D, k, want_optimizer=True)
+    potrf, hegst = spy_choleskys(monkeypatch), []
+    real = spectral.lapack.zhegst
+    monkeypatch.setattr(spectral.lapack, "zhegst",
+                        lambda *args, **kwargs: hegst.append(1) or real(*args, **kwargs))
+    chk = characterize_minimizer(rep, A, B, D)
+    assert np.allclose(chk.diagonal, chk.expected_diagonal, atol=1e-7)
+    assert potrf == [] and hegst == []
 
 
 def test_shift_rule():

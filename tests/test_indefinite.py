@@ -7,6 +7,7 @@ from tracemin import (
     InfeasibleConstraint,
     KTooLarge,
     Unsupported,
+    characterize_minimizer,
     check_finiteness,
     epsilon_suboptimal,
     feasible_sample,
@@ -129,7 +130,7 @@ def test_attainment_matches_diagonalizability(seed):
     rng = np.random.default_rng(seed + 2000)
     k = int(rng.integers(1, n_plus + 1))
     D = random_psd(rng, k)
-    rep = solve_indefinite_plus(A, B, D, analysis=an)
+    rep = solve_indefinite_plus(A, B, D)
     assert rep.finite
     assert rep.attained == an.diagonalizable
     w = np.sort(np.linalg.eigvalsh(D))[::-1]
@@ -418,16 +419,15 @@ def test_solve_without_optimizer_computes_no_eigenvector(monkeypatch):
     assert rep.analysis.eigvecs(3, 0) == (None, None)
 
 
-def test_report_analysis_handed_back_gives_the_optimizer():
-    # a report keeps its analysis without eigenvectors; handed back to a
-    # route that wants an optimizer, it is recomputed rather than read
-    rep = solve_indefinite_plus(A3, B3, np.eye(1), want_optimizer=True)
-    again = solve_indefinite_plus(A3, B3, np.eye(1), want_optimizer=True,
-                                  analysis=rep.analysis)
-    assert again.value == rep.value and again.attained
-    X = again.x_opt
-    assert X.shape == (3, 1)
-    assert np.max(np.abs(X.conj().T @ B3 @ X - np.eye(1))) <= 1e-10
+def test_characterize_minimizer_of_a_signature_report():
+    # the pairing lists the +1 block, then the -1 block; the compression
+    # orders all of D's weights descending, and the expected diagonal follows
+    A, B, _lp, _lm = psd_pencil(np.random.default_rng(9403), 3, 3)
+    D = np.diag([1.0, 2.0, 5.0, 3.0])
+    rep = solve(A, B, D, ConstraintSpec.signature(2, 2), want_optimizer=True)
+    chk = characterize_minimizer(rep, A, B, D)
+    assert chk.offdiag_max <= 1e-9
+    assert np.allclose(chk.diagonal, chk.expected_diagonal, atol=1e-9)
 
 
 @pytest.mark.parametrize("width, kernel, tol", [(0.0, 2, 1e-10), (1e-6, 0, 1e-8)])

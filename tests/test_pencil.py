@@ -9,11 +9,12 @@ from tracemin import (
     eigenvectors_of,
     find_lambda0,
     finite_eigenvalues,
+    solve_indefinite_plus,
 )
 from tracemin import pencil
 from tracemin.pencil import RANK_RTOL
 from helpers import canonical_pencil_instance, psd_pencil, random_unitary
-from helpers import spy_factorizations
+from helpers import spy_choleskys, spy_factorizations
 from qz_pencil import qz_analysis
 
 LAMBDA0_F2_A = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -399,3 +400,35 @@ def test_eigvecs_when_the_kernel_spans_the_range_of_b():
     Vp, Vm = an.eigvecs(1, 1)
     assert np.allclose(np.abs(Vp[:, 0]), [1.0, 0.0, 0.0])
     assert np.allclose(np.abs(Vm[:, 0]), [0.0, 1.0, 0.0])
+
+
+def _shift_case(kind, seed):
+    if kind == "canonical":
+        return canonical_pencil_instance(seed)[:2]
+    rng = np.random.default_rng(seed + 9800)
+    return psd_pencil(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)),
+                      n_inf=int(rng.integers(0, 3)), n_common=int(rng.integers(0, 2)))[:2]
+
+
+@pytest.mark.parametrize("kind, seed", [("canonical", s) for s in range(30)]
+                         + [("psd_pencil", s) for s in range(20)])
+def test_strict_shift_needs_no_certificate_at_lambda0(monkeypatch, kind, seed):
+    # a strict shift proves the pencil definite, so lambda0 inside the bracket
+    # has no kernel: S - lambda0*Lambda_B - floor*I has a Cholesky factor,
+    # m0 = 0, and a solve factors r x r matrices only in the search and once
+    # for the definite pair
+    A, B = _shift_case(kind, seed)
+    _inb, S, b, _E, scale = pencil._reduce(A, B)
+    shapes = spy_choleskys(monkeypatch)
+    sigma = pencil._strict_shift(S, b, scale)
+    if sigma is None:
+        return
+    steps = len(shapes)
+    an = finite_eigenvalues(A, B)
+    floor = pencil.PSD_RTOL * (scale + abs(an.lambda0) * np.max(np.abs(b)))
+    np.linalg.cholesky(S - np.diag(an.lambda0 * b + floor))
+    assert an.m0 == 0 and an.diagonalizable
+    shapes.clear()
+    rep = solve_indefinite_plus(A, B, np.eye(1), want_optimizer=True)
+    assert rep.attained and rep.x_opt.shape == (A.shape[0], 1)
+    assert shapes.count((b.size, b.size)) == steps + 1
