@@ -4,25 +4,24 @@ singular B.
 One eigh of B gives its inertia, its nonzero eigenvalues Lambda_B and
 N(B) = span U0. The common nullspace, the kernel of A*U0, is deflated; on
 the rest of N(B) A is positive definite for a positive semi-definite pencil,
-and its Schur complement S leaves the regular rank(B)-sized pencil
-S - lambda*Lambda_B with the same finite spectrum. Bisection with one
-Cholesky per step seeks a strict shift, S - sigma*Lambda_B > 0 (Crawford &
-Moon, LAA 51, 1983) inside the bracket of the quotients S_ii / b_i, and
-gives up on a nearly B-null negative direction. One tridiagonal reduction
-of the definite pair (Lambda_B, S - sigma*Lambda_B) gives every eigenvalue,
-sigma + 1/mu, as values, and is kept for `PsdPencilAnalysis.eigvecs`, which
-transforms back only the eigenvectors asked for; that pencil is definite, so
-diagonalizable with no kernel at the shift lambda0, the midpoint of the
-bracket [max lambda-, min lambda+]. Without a strict shift (a coupled block,
-a degenerate or narrow bracket) one nonsymmetric solve of the J-Hermitian
-J |Lambda_B|^-1/2 S |Lambda_B|^-1/2, J = sign(Lambda_B) (Liang, Li & Bai,
-LAA 438, 2013), gives the eigenvalues, and only then is lambda0 certified,
-by a Cholesky of S - lambda0*Lambda_B - floor*I or else by an eigh of the
-eigenvalues below the floor, which span the kernel K0; the pencil is
-diagonalizable iff no direction of K0 is B-null. Its eigenvectors are then
-K0 at lambda0 and those of the definite pair at lambda0 on K0's B-orthogonal
-complement, reduced once and kept the same way, so both paths transform back
-only the columns asked for.
+and its Schur complement S, in B's eigenvectors scaled by |Lambda_B|^-1/2,
+leaves the regular rank(B)-sized pencil S - lambda*J, J = sign(Lambda_B),
+with the same finite spectrum (Liang, Li & Bai, LAA 438, 2013); every
+decision is made in these units. Bisection with one Cholesky per step seeks
+a strict shift, S - sigma*J > 0 (Crawford & Moon, LAA 51, 1983) inside the
+bracket of the quotients S_ii / J_i, and gives up on a nearly J-null
+negative direction. One tridiagonal reduction of the definite pair
+(J, S - sigma*J) gives every eigenvalue, sigma + 1/mu, as values, and is
+kept for `PsdPencilAnalysis.eigvecs`, which transforms back only the
+eigenvectors asked for; that pencil is definite, so diagonalizable with no
+kernel at lambda0, the midpoint of the bracket [max lambda-, min lambda+].
+Without a strict shift (a coupled block, a degenerate or narrow bracket)
+one nonsymmetric solve of the J-Hermitian J*S gives the eigenvalues, and
+only then is lambda0 certified, by a Cholesky of S - lambda0*J - floor*I or
+else by an eigh of the eigenvalues below the floor, which span the kernel
+K0; the pencil is diagonalizable iff no direction of K0 is J-null. Its
+eigenvectors are then K0 at lambda0 and those of the definite pair at
+lambda0 on K0's J-orthogonal complement, reduced once and kept the same way.
 """
 
 from __future__ import annotations
@@ -41,19 +40,20 @@ from .spectral import _pair_eigenpairs, _reduce_pair, _shifted_cholesky_info
 # singular values below this times the largest (of [A; B] in
 # `eigenvectors_of`, of A*U0 against ||A||_F in the deflation) count as zero
 RANK_RTOL = 1e-9
-# eigenvalues of S - lambda0*Lambda_B below -PSD_RTOL * (max|A11| +
-# |lambda0|*max|Lambda_B|) refute the certificate; those at or below
-# +PSD_RTOL * (...) span its kernel K0
+# eigenvalues of S - lambda0*J below -PSD_RTOL * (max|A11| + |lambda0|)
+# refute the certificate; those at or below +PSD_RTOL * (...) span its kernel K0
 PSD_RTOL = 1e-9
-# a direction of K0 with |x^H B x| <= GRAM_RTOL * |B| is B-null
+# a unit direction x of K0 with |x^H J x| <= GRAM_RTOL is J-null (B-null)
 GRAM_RTOL = 1e-8
-# a negative direction x of S - sigma*Lambda_B with |x^H Lambda_B x| <= STEER_RTOL
-# * ||x||^2 * max|Lambda_B| is nearly B-null and cannot steer the shift search
+# a negative direction x of S - sigma*J with |x^H J x| <= STEER_RTOL * ||x||^2
+# is nearly J-null and cannot steer the shift search
 STEER_RTOL = 0.1
-# a strict shift leaves S - sigma*Lambda_B >= SHIFT_RTOL * (max|A11| +
-# |sigma|*max|Lambda_B|), so the definite pair there gives eigenvalues to about
-# eps / SHIFT_RTOL relative (at PSD_RTOL's floor they could lose 1e-8)
+# a strict shift leaves S - sigma*J >= SHIFT_RTOL * (max|A11| + |sigma|), so the
+# definite pair there gives eigenvalues to about eps / SHIFT_RTOL relative (at
+# PSD_RTOL's floor they could lose 1e-8)
 SHIFT_RTOL = 1e-3
+# an eigenvalue of J*S with |imag| > REAL_RTOL * (max|A11| + |lambda|) is not real
+REAL_RTOL = 1e-6
 
 
 @dataclass
@@ -103,12 +103,13 @@ def find_lambda0(A, B) -> float | None:
 
 
 def _reduce(A, B):
-    """(inertia of B, S, b, E, scale): the pencil S - lambda*diag(b) on B's
-    nonzero eigenvalues b, E mapping its eigenvectors to those of
-    A - lambda*B, and max|A11|, the scale of S. V2 spans the directions where
-    A*U0 has singular values above RANK_RTOL * ||A||_F (N(B) beyond
-    N(A) & N(B)); A22 = V2^H A V2 must be positive definite, and
-    S = A11 - A12 A22^-1 A21, E = U_r - V2 A22^-1 A21."""
+    """(inertia of B, S, J, E, scale): the pencil S - lambda*diag(J), J the
+    signs of B's nonzero eigenvalues Lambda_B, E mapping its eigenvectors to
+    those of A - lambda*B, and scale = max|A11|. Only here is |Lambda_B|
+    read: E starts as U_r |Lambda_B|^-1/2, so E^H B E = diag(J), and
+    A11 = E^H A E. V2 spans the directions where A*U0 has singular values
+    above RANK_RTOL * ||A||_F (N(B) beyond N(A) & N(B)); A22 = V2^H A V2 must
+    be positive definite, S = A11 - A12 A22^-1 A21, E -= V2 A22^-1 A21."""
     A_ = as_herm(A)
     Bh = HermitianMatrix.of(B)
     if A_.shape != Bh.mat.shape:
@@ -117,7 +118,8 @@ def _reduce(A, B):
     w, U = Bh.eigh()
     # eigh sorts ascending: the n_minus negative, n_zero null, n_plus positive
     nonzero = np.r_[: inb.n_minus, inb.n_minus + inb.n_zero : inb.n]
-    E, U0 = U[:, nonzero], U[:, inb.n_minus : inb.n_minus + inb.n_zero]
+    b = w[nonzero]
+    E, U0 = U[:, nonzero] / np.sqrt(np.abs(b)), U[:, inb.n_minus : inb.n_minus + inb.n_zero]
     S = E.conj().T @ A_ @ E
     scale = max_norm(S)
     if U0.shape[1]:
@@ -129,16 +131,15 @@ def _reduce(A, B):
         Y = sla.solve_triangular(L, V2.conj().T @ A_ @ E, lower=True)
         S = S - Y.conj().T @ Y
         E = E - V2 @ sla.solve_triangular(L, Y, lower=True, trans="C")
-    return inb, 0.5 * (S + S.conj().T), w[nonzero], E, scale
+    return inb, 0.5 * (S + S.conj().T), np.sign(b), E, scale
 
 
-def _j_hermitian_eigenvalues(S, b):
-    """The eigenvalues of S - lambda*diag(b), sorted ascending."""
-    s = 1.0 / np.sqrt(np.abs(b))
-    lam = np.linalg.eigvals(np.sign(b)[:, None] * (s[:, None] * S * s))
+def _j_hermitian_eigenvalues(S, J, scale):
+    """The eigenvalues of S - lambda*diag(J), sorted ascending."""
+    lam = np.linalg.eigvals(J[:, None] * S)
     # defective double eigenvalues split as a conjugate pair of width
     # O(sqrt(eps)), so the reality tolerance must sit well above that
-    if np.any(np.abs(np.imag(lam)) > 1e-6 * (1.0 + np.abs(lam))):
+    if np.any(np.abs(np.imag(lam)) > REAL_RTOL * (scale + np.abs(lam))):
         raise NotPsdPencil("finite eigenvalues have non-real components")
     return np.sort(np.real(lam))
 
@@ -155,34 +156,31 @@ def _bracket_shift(lam, n_minus) -> float:
     return 0.5 * float(lam[n_minus - 1] + lam[n_minus])
 
 
-def _strict_shift(S, b, scale) -> float | None:
-    """sigma with S - sigma*diag(b) - margin*I positive definite, or None.
+def _strict_shift(S, J, scale) -> float | None:
+    """sigma with S - sigma*diag(J) - margin*I positive definite, or None.
     A Cholesky that fails at pivot j leaves the negative direction
-    x = [-M11^-1 m; 1]: sign(x^H diag(b) x) says which side of the bracket
-    sigma is on, and x^H S x / x^H diag(b) x bounds that side. The search
-    ends on a nearly B-null x or a bracket too narrow for the margin."""
-    bmax = max_norm(b)
-    # a certifying sigma has S_ii - sigma*b_i >= 0, so the quotients S_ii / b_i
-    # bound it below (b_i < 0) and above (b_i > 0); a side without such b_i
-    # takes the reach of every finite eigenvalue, ||J |b|^-1/2 S |b|^-1/2||
-    q = np.real(np.diag(S)) / b
-    lo, hi = float(np.max(q[b < 0], initial=-np.inf)), float(np.min(q[b > 0], initial=np.inf))
-    if np.isinf(hi - lo):
-        reach = 2.0 * float(np.linalg.norm(S / np.sqrt(np.outer(np.abs(b), np.abs(b)))))
-        lo, hi = max(lo, -reach), min(hi, reach)
+    x = [-M11^-1 m; 1]: sign(x^H diag(J) x) says which side of the bracket
+    sigma is on, and x^H S x / x^H diag(J) x bounds that side. The search
+    ends on a nearly J-null x or a bracket too narrow for the margin."""
+    # a certifying sigma has S_ii - sigma*J_i >= 0, so the quotients S_ii / J_i
+    # bound it below (J_i < 0) and above (J_i > 0); a side without such J_i
+    # takes 2||S||_F, beyond every quotient and every eigenvalue of J*S
+    q = np.real(np.diag(S)) / J
+    reach = 2.0 * float(np.linalg.norm(S))
+    lo, hi = float(np.max(q[J < 0], initial=-reach)), float(np.min(q[J > 0], initial=reach))
     while True:
         sigma = 0.5 * (lo + hi)
-        margin = SHIFT_RTOL * (scale + abs(sigma) * bmax)
-        if (hi - lo) * bmax <= 2.0 * margin:
+        margin = SHIFT_RTOL * (scale + abs(sigma))
+        if hi - lo <= 2.0 * margin:
             return None
-        M = S - np.diag(sigma * b + margin)
+        M = S - np.diag(sigma * J + margin)
         L, info = lapack.zpotrf(M, lower=1)
         if info == 0:
             return sigma
         j = info - 1
         x = np.r_[-sla.cho_solve((L[:j, :j], True), M[:j, j]), 1.0]
-        xb = float(np.real(x.conj() @ (b[: j + 1] * x)))
-        if abs(xb) <= STEER_RTOL * float(np.real(x.conj() @ x)) * bmax:
+        xb = float(np.real(x.conj() @ (J[: j + 1] * x)))
+        if abs(xb) <= STEER_RTOL * float(np.real(x.conj() @ x)):
             return None
         rho = float(np.real(x.conj() @ S[: j + 1, : j + 1] @ x)) / xb
         if xb > 0:
@@ -191,14 +189,14 @@ def _strict_shift(S, b, scale) -> float | None:
             lo = max(sigma, rho)
 
 
-def _certify(S, b, lam0, scale):
-    """(M, U0, d, m0): M = S - lam0*diag(b) certified >= 0, U0 an orthonormal
-    basis of its kernel K0 with U0^H diag(b) U0 = diag(d), and m0 the number
-    of B-null directions. A Cholesky factorization of M - floor*I proves K0
+def _certify(S, J, lam0, scale):
+    """(M, U0, d, m0): M = S - lam0*diag(J) certified >= 0, U0 an orthonormal
+    basis of its kernel K0 with U0^H diag(J) U0 = diag(d), and m0 the number
+    of J-null directions. A Cholesky factorization of M - floor*I proves K0
     empty; only when it fails is M certified, and K0 read, by one eigh."""
     M = S.copy()
-    M.flat[:: M.shape[0] + 1] -= lam0 * b
-    floor = PSD_RTOL * (scale + abs(lam0) * max_norm(b))
+    M.flat[:: M.shape[0] + 1] -= lam0 * J
+    floor = PSD_RTOL * (scale + abs(lam0))
     if _shifted_cholesky_info(M, floor) == 0:
         return M, np.empty((M.shape[0], 0)), np.empty(0), 0
     # the eigenvalues at or below the floor certify M and span K0
@@ -207,9 +205,9 @@ def _certify(S, b, lam0, scale):
         raise NotPsdPencil(
             f"A - lambda0*B has eigenvalue {w[0]:.3e} at lambda0 = {lam0:.6g}"
         )
-    G = K0.conj().T @ (b[:, None] * K0)
+    G = K0.conj().T @ (J[:, None] * K0)
     d, W = np.linalg.eigh(0.5 * (G + G.conj().T))
-    m0 = int(np.sum(np.abs(d) <= GRAM_RTOL * max_norm(b)))
+    m0 = int(np.sum(np.abs(d) <= GRAM_RTOL))
     return M, K0 @ W, d, m0
 
 
@@ -219,16 +217,16 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     Raises NotPsdPencil when no certifying shift exists. A or B may be a
     HermitianMatrix; B's eigendecomposition is then the one it keeps.
     """
-    inb, S, b, E, scale = _reduce(A, B)
-    sigma = _strict_shift(S, b, scale)
-    K, d, Q, m0 = np.empty((b.size, 0)), np.empty(0), None, 0
+    inb, S, J, E, scale = _reduce(A, B)
+    sigma = _strict_shift(S, J, scale)
+    K, d, Q, m0 = np.empty((J.size, 0)), np.empty(0), None, 0
     if sigma is None:
-        lam = _j_hermitian_eigenvalues(S, b)
+        lam = _j_hermitian_eigenvalues(S, J, scale)
         lam0 = _bracket_shift(lam, inb.n_minus)
-        M, U0, d0, m0 = _certify(S, b, lam0, scale)
+        M, U0, d0, m0 = _certify(S, J, lam0, scale)
     else:
         # sigma's Cholesky proves the pencil definite: no kernel at lambda0
-        mu, reduction = _definite_pair(np.diag(b), S - np.diag(sigma * b), d, inb)
+        mu, reduction = _definite_pair(np.diag(J), S - np.diag(sigma * J), d, inb)
         lam = np.sort(sigma + 1.0 / mu)
         lam0 = _bracket_shift(lam, inb.n_minus)
     if m0:
@@ -237,12 +235,12 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
         lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
         lam.sort()
     elif sigma is None:
-        # K0's columns are eigenvectors at lambda0; on its diag(b)-orthogonal
-        # complement Q the pair (diag(b), M) at lambda0 is definite
+        # K0's columns are eigenvectors at lambda0; on its diag(J)-orthogonal
+        # complement Q the pair (diag(J), M) at lambda0 is definite
         K, d = U0 / np.sqrt(np.abs(d0)), d0
-        Q = np.linalg.qr(b[:, None] * U0, mode="complete")[0][:, U0.shape[1]:]
+        Q = np.linalg.qr(J[:, None] * U0, mode="complete")[0][:, U0.shape[1]:]
         Qh = Q.conj().T
-        reduction = _definite_pair(Qh @ (b[:, None] * Q), Qh @ M @ Q, d, inb)[1]
+        reduction = _definite_pair(Qh @ (J[:, None] * Q), Qh @ M @ Q, d, inb)[1]
     vectors = None if m0 else lambda kp, km: _paired_vectors(reduction, E, K, d, Q, kp, km)
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),

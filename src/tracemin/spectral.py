@@ -23,6 +23,8 @@ ZERO_RTOL = 1e-10
 # as zero (the split of D's weights, the finiteness dichotomy, the
 # minimizer's zero-weight columns and the coupling of signature blocks)
 WEIGHT_RTOL = 1e-10
+# prefix sums within MAJORIZE_RTOL * sum|beta| of each other count as tied
+MAJORIZE_RTOL = 1e-9
 
 
 def max_norm(M) -> float:
@@ -233,13 +235,13 @@ def majorizes(beta, alpha) -> bool:
     """True iff the multiset beta majorizes alpha: every descending prefix sum
     of beta dominates that of alpha, with equal totals.
 
-    Ties resolved with tolerance 1e-9 * (1 + |sum(beta)|).
+    Ties resolved with tolerance MAJORIZE_RTOL * sum(|beta|), scale-free.
     """
     b = np.sort(np.asarray(beta, dtype=float))[::-1]
     a = np.sort(np.asarray(alpha, dtype=float))[::-1]
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("alpha and beta must be equal-length nonempty 1-D")
-    tol = 1e-9 * (1.0 + abs(float(np.sum(b))))
+    tol = MAJORIZE_RTOL * float(np.sum(np.abs(b)))
     pb = np.cumsum(b)
     pa = np.cumsum(a)
     if np.any(pa[:-1] > pb[:-1] + tol):

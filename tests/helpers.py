@@ -120,6 +120,16 @@ def psd_pencil(rng, n_plus, n_minus, n_inf=0, n_common=0, n_coupled=0,
     return A, B, np.sort(lp), np.sort(lm)[::-1]
 
 
+def b_congruence(A, B, s):
+    """(T^H A T, T^H B T) for T = U diag(s) U^H, U the eigenvectors of B: a
+    congruence that scales B's eigenvalues by s**2 and leaves the pencil's
+    eigenvalues and its positive semi-definiteness unchanged."""
+    U = np.linalg.eigh(B)[1]
+    T = (U * np.asarray(s, dtype=float)) @ U.conj().T
+    A2, B2 = T.conj().T @ A @ T, T.conj().T @ B @ T
+    return 0.5 * (A2 + A2.conj().T), 0.5 * (B2 + B2.conj().T)
+
+
 def spy_factorizations(monkeypatch):
     """Record the shape, and the matrix, of every eigensolver and SVD call."""
     calls = []

@@ -4,16 +4,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracemin import (
+    ConstraintSpec,
     NotPsdPencil,
     diagonalizability,
     eigenvectors_of,
     find_lambda0,
     finite_eigenvalues,
+    inertia,
+    solve,
     solve_indefinite_plus,
 )
 from tracemin import pencil
 from tracemin.pencil import RANK_RTOL
-from helpers import canonical_pencil_instance, psd_pencil, random_unitary
+from helpers import b_congruence, canonical_pencil_instance, psd_pencil, random_unitary
 from helpers import spy_choleskys, spy_factorizations
 from qz_pencil import qz_analysis
 
@@ -432,3 +435,85 @@ def test_strict_shift_needs_no_certificate_at_lambda0(monkeypatch, kind, seed):
     rep = solve_indefinite_plus(A, B, np.eye(1), want_optimizer=True)
     assert rep.attained and rep.x_opt.shape == (A.shape[0], 1)
     assert shapes.count((b.size, b.size)) == steps + 1
+
+
+def _takes_strict_shift(A, B):
+    _inb, S, J, _E, scale = pencil._reduce(A, B)
+    return pencil._strict_shift(S, J, scale) is not None
+
+
+def test_canonical_pencils_take_the_strict_path_unless_coupled():
+    # every diagonalizable canonical pencil has a wide bracket and a strict
+    # shift at the scale-free margin, whatever the spread of B's eigenvalues
+    for seed in range(100):
+        A, B, *_rest, coupled = canonical_pencil_instance(seed)
+        assert _takes_strict_shift(A, B) == (not coupled), seed
+
+
+_CONGRUENCE_CASES = {
+    # (psd_pencil keywords or None for a canonical seed, coupled, log10 s span).
+    # A touching pair lies on the boundary of positive semi-definite pencils,
+    # and rounding T^H B T moves it by about eps*cond(B), past the
+    # certificate's floor once cond(B) nears 1e8; a coupled block splits by
+    # about sqrt(eps*cond(B)), past the reality check near 1e6. Their spans
+    # stay below those limits.
+    "canonical": (None, False, 2.0),
+    "plain": ({}, False, 2.0),
+    "singular": ({"n_inf": 2, "n_common": 1}, False, 2.0),
+    "touching": ({"n_touch": 1}, False, 1.5),
+    "touching singular": ({"n_inf": 1, "n_touch": 1}, False, 1.5),
+    "canonical coupled": (None, True, 0.75),
+    "coupled": ({"n_coupled": 1}, True, 1.0),
+    "coupled singular": ({"n_coupled": 1, "n_inf": 1, "n_common": 1}, True, 1.0),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(sorted(_CONGRUENCE_CASES)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_analysis_is_invariant_under_b_congruence(case, seed, data):
+    # a congruence T = U diag(s) U^H, U the eigenvectors of B, spreads B's
+    # eigenvalues by s**2 and leaves the pencil's eigenvalues as they are: the
+    # strict-or-give-up decision, m0 and the spectrum must not move
+    kw, coupled, span = _CONGRUENCE_CASES[case]
+    if kw is None:
+        # every tenth canonical seed, the one ending in 9, is coupled
+        digit = 9 if coupled else data.draw(st.integers(0, 8))
+        A, B, _np, _nm, lp, lm, _c = canonical_pencil_instance(10 * (seed % 10) + digit)
+    else:
+        rng = np.random.default_rng(seed)
+        A, B, lp, lm = psd_pencil(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), **kw)
+    log_s = data.draw(st.lists(st.floats(-span, span), min_size=A.shape[0],
+                               max_size=A.shape[0]))
+    A2, B2 = b_congruence(A, B, 10.0 ** np.array(log_s))
+    # past cond(B) ~ 1 / ZERO_RTOL a small eigenvalue of B counts as zero, or
+    # a rounded null one as nonzero: a rank decision, outside this invariance
+    assume(inertia(B2) == inertia(B))
+    base, an = finite_eigenvalues(A, B), finite_eigenvalues(A2, B2)
+    assert _takes_strict_shift(A2, B2) == _takes_strict_shift(A, B)
+    assert an.m0 == base.m0 == int(coupled)
+    assert an.diagonalizable == base.diagonalizable
+    scale = np.max(np.abs(np.r_[lp, lm]))
+    assert np.max(np.abs(an.lambda_plus - lp), initial=0.0) <= 1e-6 * scale
+    assert np.max(np.abs(an.lambda_minus - lm), initial=0.0) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("seed", [18, 55, 66, 84, 95])
+def test_spread_b_eigenvalues_keep_the_minimum_attained(seed):
+    # these congruences take cond(B) to 4e8-4e9; the pencils stay
+    # diagonalizable, so the minimum is attained at the generating lambda+
+    A, B, _np, _nm, lp, _lm, _c = canonical_pencil_instance(seed)
+    s = 10.0 ** np.random.default_rng(seed + 777).uniform(-2.0, 2.0, A.shape[0])
+    A2, B2 = b_congruence(A, B, s)
+    assert finite_eigenvalues(A2, B2).m0 == 0
+    rep = solve(A2, B2, np.eye(1), ConstraintSpec.plus_identity(1))
+    assert rep.attained
+    assert rep.value == pytest.approx(lp[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("c", 10.0 ** np.arange(-12, 9))
+def test_reality_check_is_scale_free(c):
+    # J*S has eigenvalues +-i*c: imaginary parts are measured against the
+    # scale of S, so the check rejects the pencil at every c
+    with pytest.raises(NotPsdPencil, match="non-real"):
+        finite_eigenvalues(c * np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))

@@ -107,6 +107,15 @@ class TestMajorizes:
     def test_reflexive(self):
         assert majorizes([1.5, -0.5], [1.5, -0.5])
 
+    @pytest.mark.parametrize("c", 10.0 ** np.arange(-12, 13))
+    def test_scale_free(self, c):
+        # the tie tolerance is relative to sum|beta|: an absolute part would
+        # call every pair of tiny vectors tied
+        assert majorizes(np.array([3, 1, 0]) * c, np.array([2, 1, 1]) * c)
+        assert not majorizes(np.array([2, 1, 1]) * c, np.array([3, 1, 0]) * c)
+        assert not majorizes(np.array([3, 1]) * c, np.array([2, 1]) * c)
+        assert majorizes(np.array([1.5, -0.5]) * c, np.array([1.5, -0.5]) * c)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_diagonal_majorized_by_spectrum(self, seed):
         # Schur-Horn: eigenvalues majorize the diagonal in any unitary basis
