@@ -53,7 +53,7 @@ class MissingOptimizer(TraceminError):
 
 
 class BudgetExceeded(TraceminError):
-    """Search budget exhausted before reaching the requested target."""
+    """The requested target is out of reach at working precision."""
 
     code = "BUDGET_EXCEEDED"
 

@@ -1,8 +1,8 @@
 """Top-level dispatch and the indefinite-B solvers.
 
 For genuinely indefinite B and a positive semi-definite pencil the infimum
-of tr(D X^H A X) is finite exactly when D >= 0; the value pairs the
-descending eigenvalues of D with the pencil eigenvalues nearest the
+of tr(D X^H A X) is finite exactly when D >= 0 or A = lambda0*B; the value
+pairs D's descending eigenvalues with the pencil eigenvalues nearest the
 certifying shift, and is attained iff the pencil is diagonalizable.
 """
 
@@ -21,8 +21,7 @@ from .errors import (
     NotPositiveDefinite,
     Unsupported,
 )
-from .oracle import feasible_sample, local_search
-from .pencil import finite_eigenvalues
+from .pencil import RANK_RTOL, finite_eigenvalues
 from .problem import ConstraintSpec, Problem, identity_problem, signature_problem
 from .spectral import (
     WEIGHT_RTOL,
@@ -32,6 +31,9 @@ from .spectral import (
     as_herm,
     max_norm,
 )
+
+# `epsilon_suboptimal` returns X only with max|X^H B X - C| <= FEASIBILITY_ATOL
+FEASIBILITY_ATOL = 1e-8
 
 
 def check_finiteness(D) -> bool:
@@ -64,13 +66,14 @@ def solve_signature(
     return _solve_indefinite(p, want_optimizer)
 
 
-def _solve_indefinite(p: Problem, want_optimizer) -> SolveReport:
+def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
     """The indefinite routes on a validated problem, from one pencil analysis.
 
     The +1 block of D pairs its descending eigenvalues with the smallest
     lambda+, the -1 block with the largest lambda- negated (the plus route on
     (A, -B)). The infimum is finite iff both blocks are positive
-    semi-definite, and attained iff the pencil is diagonalizable.
+    semi-definite or A = lambda0*B, and attained iff the pencil is
+    diagonalizable; given eps, an unattained one carries X within eps/2.
     """
     c = p.constraint
     Dp, Dm = _split_block_d(p.D.mat, c.k_plus)
@@ -91,11 +94,15 @@ def _solve_indefinite(p: Problem, want_optimizer) -> SolveReport:
         finite=True, value=0.0, attained=True, inertia_b=inb,
         analysis=replace(analysis, _vectors=None),
     )
-    if max_norm(p.A.mat) == 0.0:
-        # every feasible X attains 0: one draw for the whole constraint
+    # A = lambda0*B: the diagonal first rules out nearly every other A cheaply
+    tol, lam0 = RANK_RTOL * max_norm(p.A.mat), analysis.lambda0
+    if (max_norm(np.diag(p.A.mat) - lam0 * np.diag(p.B.mat)) <= tol
+            and max_norm(p.A.mat - lam0 * p.B.mat) <= tol):
+        # X^H A X = lambda0 * C for every feasible X; + 0.0 turns -0.0 into 0.0
         rep.warnings = ["degenerate_A"]
+        rep.value = float(lam0 * np.real(np.trace(Dp) - np.trace(Dm))) + 0.0
         if want_optimizer:
-            rep.x_opt = feasible_sample(p.B, c, seed=0)
+            rep.x_opt = np.hstack(analysis.eigvecs(c.k_plus, c.k_minus))
         return rep
     sides = [_pair(D_, lam, role) for D_, lam, role in
              ((Dp, analysis.lambda_plus, "lambda+"), (Dm, -analysis.lambda_minus, "-lambda-"))
@@ -108,9 +115,11 @@ def _solve_indefinite(p: Problem, want_optimizer) -> SolveReport:
     rep.value = float(sum(value for value, _, _ in sides))
     rep.pairing = [entry for _, pairing, _ in sides for entry in pairing]
     rep.attained = analysis.diagonalizable
-    if rep.attained and want_optimizer:
-        # the k_plus smallest lambda+ and k_minus largest lambda- pair with D
-        V = [Vs for Vs in analysis.eigvecs(c.k_plus, c.k_minus) if Vs.shape[1]]
+    if want_optimizer and (rep.attained or eps):
+        # D pairs with the k_plus smallest lambda+, k_minus largest lambda-; w_j/(4t^2) <= eps/2
+        w_j = sum(w for _, pairing, _ in sides for w, _, _ in pairing[: analysis.m0])
+        t = float(np.sqrt(max(w_j / (2 * eps), 1.0))) if analysis.m0 else 1.0
+        V = [Vs for Vs in analysis._vectors(c.k_plus, c.k_minus, t) if Vs.shape[1]]
         rep.x_opt = np.hstack([Vs @ q.conj().T for Vs, (_, _, q) in zip(V, sides)])
     return rep
 
@@ -145,8 +154,12 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
     D is the full k x k weight matrix; for signature constraints it must be
     block-diagonal conformally with diag(I_{k+}, -I_{k-}).
     """
-    p = Problem.of(A, B, D, constraint, sense)
-    n = p.A.n
+    return _solve(Problem.of(A, B, D, constraint, sense), want_optimizer)
+
+
+def _solve(p: Problem, want_optimizer, eps=None) -> SolveReport:
+    """`solve` on a validated problem, eps as in `_solve_indefinite`."""
+    n, constraint = p.A.n, p.constraint
     # a Cholesky factor of B or -B certifies a definite B, and the definite
     # route solves from it (on -B for negative definite B); only an
     # indefinite or singular B needs its eigendecomposition, which gives the
@@ -174,7 +187,7 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
         raise Unsupported(
             "maximization under genuinely indefinite B has no analytic solution"
         )
-    return _solve_indefinite(p, want_optimizer)
+    return _solve_indefinite(p, want_optimizer, eps)
 
 
 def _definite_factor(B_):
@@ -186,29 +199,18 @@ def _definite_factor(B_):
         return None
 
 
-def epsilon_suboptimal(A, B, D, constraint: ConstraintSpec, eps: float, seed=0):
+def epsilon_suboptimal(A, B, D, constraint: ConstraintSpec, eps: float):
     """Feasible X whose objective is within eps of the established infimum.
 
-    Returns the attaining optimizer when one exists; otherwise runs the
-    randomized search with an escalating budget and raises BudgetExceeded if
-    the target is out of reach."""
+    Returns the attaining optimizer when one exists, else X_t along the Jordan
+    chains at lambda0, or BudgetExceeded if max|X^H B X - C| > FEASIBILITY_ATOL."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     p = Problem.of(A, B, D, constraint)
-    rep = solve(*p, want_optimizer=True)
+    rep = _solve(p, True, eps)
     if not rep.finite:
         raise Unsupported("infimum is -inf; no eps-suboptimal point exists")
-    if rep.attained and rep.x_opt is not None:
-        return rep.x_opt
-
-    target = rep.value + eps
-    for i, (restarts, iters) in enumerate([(8, 500), (16, 2000), (32, 8000)]):
-        res = local_search(
-            p.A, p.B, p.D, constraint, restarts=restarts, iters=iters,
-            seed=int(seed) + i,
-        )
-        if res.best_value <= target:
-            return res.best_X
-    raise BudgetExceeded(
-        f"search did not reach value + eps = {target:.6g}; eps too small for budget"
-    )
+    residual = max_norm(rep.x_opt.conj().T @ p.B.mat @ rep.x_opt - constraint.matrix())
+    if not rep.attained and residual > FEASIBILITY_ATOL:
+        raise BudgetExceeded(f"X_t misses X^H B X = C by {residual:.3g}; eps is too small")
+    return rep.x_opt

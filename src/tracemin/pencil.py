@@ -19,9 +19,10 @@ Without a strict shift (a coupled block, a degenerate or narrow bracket)
 one nonsymmetric solve of the J-Hermitian J*S gives the eigenvalues, and
 only then is lambda0 certified, by a Cholesky of S - lambda0*J - floor*I or
 else by an eigh of the eigenvalues below the floor, which span the kernel
-K0; the pencil is diagonalizable iff no direction of K0 is J-null. Its
-eigenvectors are then K0 at lambda0 and those of the definite pair at
-lambda0 on K0's J-orthogonal complement, reduced once and kept the same way.
+K0; the pencil is diagonalizable iff no direction z of K0 is J-null. Each
+such z has a Jordan partner w; the columns at lambda0 are K0's other
+directions and t*z +/- w/(2t), and the definite pair on their J-orthogonal
+complement is reduced once and kept (on a coupled pencil, once asked for).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class PsdPencilAnalysis:
     lambda_minus the n_minus smallest, indexed descending so entry 0 is the
     largest of the minus group. Eigenvectors exist only when the pencil is
     diagonalizable: the analysis keeps one reduced definite pair (at the
-    strict shift, or at lambda0 beside the kernel K0), and `eigvecs`
+    strict shift, or at lambda0 beside K0 and its Jordan chains), and `eigvecs`
     computes from it only the columns asked for. They have B-norm +1 / -1
     and align with the eigenvalue lists.
     """
@@ -75,7 +76,7 @@ class PsdPencilAnalysis:
     lambda_minus: np.ndarray
     diagonalizable: bool
     m0: int
-    # (k_plus, k_minus) -> the leading columns of both blocks; None when m0 > 0
+    # (k_plus, k_minus, t) -> the leading columns of both blocks, chains at t
     _vectors: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -86,7 +87,7 @@ class PsdPencilAnalysis:
         """(plus, minus): the eigenvectors of lambda_plus[:k_plus] and of
         lambda_minus[:k_minus], or (None, None) when the pencil is not
         diagonalizable."""
-        return (None, None) if self._vectors is None else self._vectors(k_plus, k_minus)
+        return self._vectors(k_plus, k_minus) if self._vectors and not self.m0 else (None, None)
 
     # the full blocks
     eigvecs_plus = property(lambda self: self.eigvecs(self.inertia_b.n_plus, 0)[0])
@@ -224,29 +225,46 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
         lam = _j_hermitian_eigenvalues(S, J, scale)
         lam0 = _bracket_shift(lam, inb.n_minus)
         M, U0, d0, m0 = _certify(S, J, lam0, scale)
+        at_lam0 = lambda: _kernel_vectors(M, U0, d0, J, E, inb)
+        # a coupled analysis solves for its chains only when columns are asked for
+        vectors = at_lam0() if m0 == 0 else lambda kp, km, t: at_lam0()(kp, km, t)
     else:
         # sigma's Cholesky proves the pencil definite: no kernel at lambda0
         mu, reduction = _definite_pair(np.diag(J), S - np.diag(sigma * J), d, inb)
         lam = np.sort(sigma + 1.0 / mu)
         lam0 = _bracket_shift(lam, inb.n_minus)
+        vectors = lambda kp, km, t=1.0: _paired_vectors(reduction, E, K, d, Q, kp, km)
     if m0:
         # each B-null kernel direction closes a 2x2 Jordan block at lambda0,
         # whose eigenvalue the eigensolver splits by O(sqrt(eps))
         lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
         lam.sort()
-    elif sigma is None:
-        # K0's columns are eigenvectors at lambda0; on its diag(J)-orthogonal
-        # complement Q the pair (diag(J), M) at lambda0 is definite
-        K, d = U0 / np.sqrt(np.abs(d0)), d0
-        Q = np.linalg.qr(J[:, None] * U0, mode="complete")[0][:, U0.shape[1]:]
-        Qh = Q.conj().T
-        reduction = _definite_pair(Qh @ (J[:, None] * Q), Qh @ M @ Q, d, inb)[1]
-    vectors = None if m0 else lambda kp, km: _paired_vectors(reduction, E, K, d, Q, kp, km)
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
         lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,
         m0=m0, _vectors=vectors,
     )
+
+
+def _kernel_vectors(M, U0, d0, J, E, inb):
+    """(k_plus, k_minus, t) -> columns at lambda0, chains x = t*z +/- w/(2t) first
+    (M W = J Z, Z^H J W = I, W^H J W = K^H J W = 0: x^H J x = +/-1, x^H S x =
+    +/-lambda0 + 1/(4t^2)), then the definite pair (J, M) on their J-orthogonal complement."""
+    null = np.abs(d0) <= GRAM_RTOL
+    K, d, Z = U0[:, ~null] / np.sqrt(np.abs(d0[~null])), d0[~null], U0[:, null]
+    W = Z
+    if Z.shape[1]:
+        # M + U0 U0^H > 0, and its solution is orthogonal to K0
+        W = sla.solve(M + U0 @ U0.conj().T, J[:, None] * Z, assume_a="pos")
+        R = np.linalg.inv(np.linalg.cholesky(Z.conj().T @ (J[:, None] * W))).conj().T
+        Z, W = Z @ R, W @ R
+        W = W - K @ (np.sign(d)[:, None] * (K.conj().T @ (J[:, None] * W)))
+        W = W - 0.5 * Z @ (W.conj().T @ (J[:, None] * W))
+    d = np.r_[np.ones(W.shape[1]), -np.ones(W.shape[1]), d]
+    Q = np.linalg.qr(J[:, None] * np.hstack([U0, W]), mode="complete")[0][:, d.size:]
+    reduction = _definite_pair(Q.conj().T @ (J[:, None] * Q), Q.conj().T @ M @ Q, d, inb)[1]
+    return lambda kp, km, t=1.0: _paired_vectors(
+        reduction, E, np.hstack([t * Z + W / (2 * t), t * Z - W / (2 * t), K]), d, Q, kp, km)
 
 
 def _definite_pair(Bp, Mp, d, inb):

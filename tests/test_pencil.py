@@ -351,6 +351,49 @@ def test_eigvecs_of_a_coupled_pencil_are_none():
     assert an.eigvecs_plus is None and an.eigvecs_minus is None
 
 
+# coupled canonical seeds, then psd_pencil seeds with (n_coupled, n_inf,
+# n_common, n_touch)
+COUPLED_CASES = [(seed, None) for seed in range(9, 100, 10)] + [
+    (9500 + i, blocks) for i, blocks in enumerate(
+        [(1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 0), (1, 0, 0, 1), (2, 1, 1, 1)])]
+
+
+@pytest.mark.parametrize("seed, blocks", COUPLED_CASES)
+def test_jordan_chains_give_the_closed_form_excess(seed, blocks):
+    # each block leads with its m0 Jordan columns x(t) = t*z +/- w/(2t): B-norm
+    # +/-1, B-orthogonal to every other column, x^H A x = +/-lambda0 + 1/(4t^2);
+    # so a value off by far less than 1e-4 fails the excess check
+    if blocks is None:
+        A, B = canonical_pencil_instance(seed)[:2]
+    else:
+        n_coupled, n_inf, n_common, n_touch = blocks
+        A, B, _lp, _lm = psd_pencil(np.random.default_rng(seed), 2, 3, n_inf=n_inf,
+                                    n_common=n_common, n_coupled=n_coupled,
+                                    n_touch=n_touch)
+    an = finite_eigenvalues(A, B)
+    assert an.m0 >= 1
+    for t in (3.0, 10.0, 30.0):
+        step = 1.0 / (4.0 * t * t)
+        for kp in range(an.inertia_b.n_plus + 1):
+            for km in range(an.inertia_b.n_minus + 1):
+                X = np.hstack(an._vectors(kp, km, t))
+                sign = np.r_[np.ones(kp), -np.ones(km)]
+                assert np.max(np.abs(X.conj().T @ B @ X - np.diag(sign)),
+                              initial=0.0) <= 1e-9
+                H = X.conj().T @ A @ X
+                chain = np.r_[np.arange(kp) < an.m0, np.arange(km) < an.m0]
+                excess = np.real(np.diag(H)) - sign * np.r_[an.lambda_plus[:kp],
+                                                            an.lambda_minus[:km]]
+                assert np.max(np.abs(excess - chain * step), initial=0.0) <= 1e-6 * step
+                # off the diagonal only the two columns of one chain couple
+                pairs = np.zeros(H.shape, dtype=bool)
+                for i in range(min(an.m0, kp, km)):
+                    pairs[i, kp + i] = pairs[kp + i, i] = True
+                assert np.allclose(H[pairs], -step, rtol=1e-6, atol=0.0)
+                off = H - np.diag(np.diag(H))
+                assert np.max(np.abs(off[~pairs]), initial=0.0) <= 1e-6 * step
+
+
 def test_strict_shift_search_opens_on_the_quotient_bracket(monkeypatch):
     # the quotient bracket hugs [max lambda-, min lambda+], so its midpoint is
     # strict at the first Cholesky on most pencils (a Frobenius bracket,
