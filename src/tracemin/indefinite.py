@@ -21,7 +21,7 @@ from .errors import (
     NotPositiveDefinite,
     Unsupported,
 )
-from .pencil import RANK_RTOL, finite_eigenvalues
+from .pencil import finite_eigenvalues
 from .problem import ConstraintSpec, Problem, identity_problem, signature_problem
 from .spectral import (
     WEIGHT_RTOL,
@@ -32,7 +32,7 @@ from .spectral import (
     max_norm,
 )
 
-# `epsilon_suboptimal` returns X only with max|X^H B X - C| <= FEASIBILITY_ATOL
+# `epsilon_suboptimal`'s bound on max|X^H B X - C| and on -excess / (1 + |value|)
 FEASIBILITY_ATOL = 1e-8
 
 
@@ -94,19 +94,13 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
         finite=True, value=0.0, attained=True, inertia_b=inb,
         analysis=replace(analysis, _vectors=None),
     )
-    # A = lambda0*B: the diagonal first rules out nearly every other A cheaply
-    tol, lam0 = RANK_RTOL * max_norm(p.A.mat), analysis.lambda0
-    if (max_norm(np.diag(p.A.mat) - lam0 * np.diag(p.B.mat)) <= tol
-            and max_norm(p.A.mat - lam0 * p.B.mat) <= tol):
-        # X^H A X = lambda0 * C for every feasible X; + 0.0 turns -0.0 into 0.0
+    # A = lambda0*B: X^H A X = lambda0 * C for every feasible X, so every
+    # pencil eigenvalue is lambda0 and any weight pairs with it
+    if analysis._scalar:
         rep.warnings = ["degenerate_A"]
-        rep.value = float(lam0 * np.real(np.trace(Dp) - np.trace(Dm))) + 0.0
-        if want_optimizer:
-            rep.x_opt = np.hstack(analysis.eigvecs(c.k_plus, c.k_minus))
-        return rep
-    sides = [_pair(D_, lam, role) for D_, lam, role in
-             ((Dp, analysis.lambda_plus, "lambda+"), (Dm, -analysis.lambda_minus, "-lambda-"))
-             if D_.shape[0]]
+    sides = [_pair(D_, lam, role, analysis._scalar) if D_.shape[0] else (0.0, [], D_)
+             for D_, lam, role in ((Dp, analysis.lambda_plus, "lambda+"),
+                                   (Dm, -analysis.lambda_minus, "-lambda-"))]
     if None in sides:
         # a block has a weight below -WEIGHT_RTOL * max|D|: `check_finiteness`
         # fails
@@ -116,21 +110,19 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
     rep.pairing = [entry for _, pairing, _ in sides for entry in pairing]
     rep.attained = analysis.diagonalizable
     if want_optimizer and (rep.attained or eps):
-        # D pairs with the k_plus smallest lambda+, k_minus largest lambda-; w_j/(4t^2) <= eps/2
-        w_j = sum(w for _, pairing, _ in sides for w, _, _ in pairing[: analysis.m0])
-        t = float(np.sqrt(max(w_j / (2 * eps), 1.0))) if analysis.m0 else 1.0
-        V = [Vs for Vs in analysis._vectors(c.k_plus, c.k_minus, t) if Vs.shape[1]]
+        # D pairs with the k_plus smallest lambda+ and the k_minus largest lambda-
+        V = analysis._vectors_within(*([w for w, _, _ in pr] for _, pr, _ in sides), eps)
         rep.x_opt = np.hstack([Vs @ q.conj().T for Vs, (_, _, q) in zip(V, sides)])
     return rep
 
 
-def _pair(D_, eigs, role):
+def _pair(D_, eigs, role, any_sign=False):
     """(value, pairing, Q) of one block of D: its descending eigenvalues pair
     with eigs[:k], and Q holds their eigenvectors; None when the block has a
-    negative weight."""
+    negative weight, unless any_sign."""
     k = D_.shape[0]
     om = _split_omegas(D_)
-    if om.ell < k:
+    if om.ell < k and not any_sign:
         return None
     pairing = [(float(om.omegas[i]), float(eigs[i]), f"{role}[{i + 1}]") for i in range(k)]
     return float(sum(w * lam for w, lam, _ in pairing)), pairing, om.q
@@ -169,8 +161,9 @@ def _solve(p: Problem, want_optimizer, eps=None) -> SolveReport:
         (True, constraint.k_plus, "+1 diagonal entries for negative", "-negated-b",
          Inertia(0, 0, n)),
     ):
-        L = _definite_factor(-p.B.mat if negated else p.B.mat)
-        if L is None:
+        try:
+            L = _certified_cholesky(-p.B.mat if negated else p.B.mat)
+        except NotPositiveDefinite:
             continue
         if wrong:
             raise InfeasibleConstraint(f"X^H B X cannot have {entries} definite B")
@@ -190,27 +183,23 @@ def _solve(p: Problem, want_optimizer, eps=None) -> SolveReport:
     return _solve_indefinite(p, want_optimizer, eps)
 
 
-def _definite_factor(B_):
-    """The certified Cholesky factor of B, or None when B is not positive
-    definite."""
-    try:
-        return _certified_cholesky(B_)
-    except NotPositiveDefinite:
-        return None
-
-
 def epsilon_suboptimal(A, B, D, constraint: ConstraintSpec, eps: float):
     """Feasible X whose objective is within eps of the established infimum.
 
     Returns the attaining optimizer when one exists, else X_t along the Jordan
-    chains at lambda0, or BudgetExceeded if max|X^H B X - C| > FEASIBILITY_ATOL."""
+    chains at lambda0; raises BudgetExceeded when X's measured residual or
+    excess is out of bounds (FEASIBILITY_ATOL)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     p = Problem.of(A, B, D, constraint)
     rep = _solve(p, True, eps)
     if not rep.finite:
         raise Unsupported("infimum is -inf; no eps-suboptimal point exists")
-    residual = max_norm(rep.x_opt.conj().T @ p.B.mat @ rep.x_opt - constraint.matrix())
-    if not rep.attained and residual > FEASIBILITY_ATOL:
-        raise BudgetExceeded(f"X_t misses X^H B X = C by {residual:.3g}; eps is too small")
-    return rep.x_opt
+    X = rep.x_opt
+    residual = max_norm(X.conj().T @ p.B.mat @ X - constraint.matrix())
+    # measured, not taken from the closed form: rounding moves both with t^2
+    excess = float(np.real(np.trace(p.D.mat @ X.conj().T @ p.A.mat @ X))) - rep.value
+    if residual > FEASIBILITY_ATOL or not -FEASIBILITY_ATOL * (1.0 + abs(rep.value)) <= excess <= eps:
+        raise BudgetExceeded(f"X misses X^H B X = C by {residual:.3g} and the infimum by "
+                             f"{excess:.3g}; eps is too small")
+    return X

@@ -78,6 +78,8 @@ class PsdPencilAnalysis:
     m0: int
     # (k_plus, k_minus, t) -> the leading columns of both blocks, chains at t
     _vectors: Callable | None = field(default=None, repr=False, compare=False)
+    # A = lambda0*B: S - lambda0*J has kernel K0 everywhere and A vanishes on N(B)
+    _scalar: bool = field(default=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -88,6 +90,14 @@ class PsdPencilAnalysis:
         lambda_minus[:k_minus], or (None, None) when the pencil is not
         diagonalizable."""
         return self._vectors(k_plus, k_minus) if self._vectors and not self.m0 else (None, None)
+
+    def _vectors_within(self, w_plus, w_minus, eps):
+        """The columns paired with D's descending block weights w_plus, w_minus;
+        on a coupled pencil each block leads with its chains, taken at the
+        t >= 1 that puts their excess sum(w)/(4t^2) at eps/2."""
+        w = sum(w_plus[: self.m0]) + sum(w_minus[: self.m0])
+        t = float(np.sqrt(max(w / (2 * eps), 1.0))) if self.m0 else 1.0
+        return self._vectors(len(w_plus), len(w_minus), t)
 
     # the full blocks
     eigvecs_plus = property(lambda self: self.eigvecs(self.inertia_b.n_plus, 0)[0])
@@ -104,11 +114,11 @@ def find_lambda0(A, B) -> float | None:
 
 
 def _reduce(A, B):
-    """(inertia of B, S, J, E, scale): the pencil S - lambda*diag(J), J the
+    """(inertia of B, S, J, E, scale, n2): the pencil S - lambda*diag(J), J the
     signs of B's nonzero eigenvalues Lambda_B, E mapping its eigenvectors to
-    those of A - lambda*B, and scale = max|A11|. Only here is |Lambda_B|
-    read: E starts as U_r |Lambda_B|^-1/2, so E^H B E = diag(J), and
-    A11 = E^H A E. V2 spans the directions where A*U0 has singular values
+    those of A - lambda*B, scale = max|A11|, n2 = dim V2. Only here is
+    |Lambda_B| read: E starts as U_r |Lambda_B|^-1/2, so E^H B E = diag(J),
+    and A11 = E^H A E. V2 spans the directions where A*U0 has singular values
     above RANK_RTOL * ||A||_F (N(B) beyond N(A) & N(B)); A22 = V2^H A V2 must
     be positive definite, S = A11 - A12 A22^-1 A21, E -= V2 A22^-1 A21."""
     A_ = as_herm(A)
@@ -122,7 +132,7 @@ def _reduce(A, B):
     b = w[nonzero]
     E, U0 = U[:, nonzero] / np.sqrt(np.abs(b)), U[:, inb.n_minus : inb.n_minus + inb.n_zero]
     S = E.conj().T @ A_ @ E
-    scale = max_norm(S)
+    scale, V2 = max_norm(S), U0
     if U0.shape[1]:
         _, sv, Vh = np.linalg.svd(A_ @ U0, full_matrices=False)
         V2 = U0 @ Vh[: int(np.sum(sv > RANK_RTOL * np.linalg.norm(A_)))].conj().T
@@ -132,7 +142,7 @@ def _reduce(A, B):
         Y = sla.solve_triangular(L, V2.conj().T @ A_ @ E, lower=True)
         S = S - Y.conj().T @ Y
         E = E - V2 @ sla.solve_triangular(L, Y, lower=True, trans="C")
-    return inb, 0.5 * (S + S.conj().T), np.sign(b), E, scale
+    return inb, 0.5 * (S + S.conj().T), np.sign(b), E, scale, V2.shape[1]
 
 
 def _j_hermitian_eigenvalues(S, J, scale):
@@ -218,13 +228,14 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     Raises NotPsdPencil when no certifying shift exists. A or B may be a
     HermitianMatrix; B's eigendecomposition is then the one it keeps.
     """
-    inb, S, J, E, scale = _reduce(A, B)
+    inb, S, J, E, scale, n2 = _reduce(A, B)
     sigma = _strict_shift(S, J, scale)
-    K, d, Q, m0 = np.empty((J.size, 0)), np.empty(0), None, 0
+    K, d, Q, m0, scalar = np.empty((J.size, 0)), np.empty(0), None, 0, False
     if sigma is None:
         lam = _j_hermitian_eigenvalues(S, J, scale)
         lam0 = _bracket_shift(lam, inb.n_minus)
         M, U0, d0, m0 = _certify(S, J, lam0, scale)
+        scalar = U0.shape[1] == J.size and n2 == 0
         at_lam0 = lambda: _kernel_vectors(M, U0, d0, J, E, inb)
         # a coupled analysis solves for its chains only when columns are asked for
         vectors = at_lam0() if m0 == 0 else lambda kp, km, t: at_lam0()(kp, km, t)
@@ -242,7 +253,7 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
         lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,
-        m0=m0, _vectors=vectors,
+        m0=m0, _vectors=vectors, _scalar=scalar,
     )
 
 

@@ -293,7 +293,7 @@ def test_diagonal_quotient_bracket_contains_qz_bracket(seed, n_plus, n_minus, n_
     if log_width is not None:
         A = A + 10.0 ** log_width * np.max(np.abs(A)) * np.eye(A.shape[0])
     ref_plus, ref_minus, _lam0, _m0, _inb = qz_analysis(A, B)
-    _inb, S, b, _E, _scale = pencil._reduce(A, B)
+    _inb, S, b, _E, _scale, _n2 = pencil._reduce(A, B)
     q = np.real(np.diag(S)) / b
     tol = 1e-8 * max(1.0, np.max(np.abs(np.r_[ref_plus, ref_minus])))
     assert np.max(q[b < 0]) <= ref_minus[0] + tol
@@ -376,12 +376,14 @@ def test_jordan_chains_give_the_closed_form_excess(seed, blocks):
         step = 1.0 / (4.0 * t * t)
         for kp in range(an.inertia_b.n_plus + 1):
             for km in range(an.inertia_b.n_minus + 1):
-                X = np.hstack(an._vectors(kp, km, t))
+                chain = np.r_[np.arange(kp) < an.m0, np.arange(km) < an.m0]
+                # unit weights: eps = 2 * (chain columns) * step gives this t
+                eps = 2.0 * max(np.sum(chain), 1) * step
+                X = np.hstack(an._vectors_within(np.ones(kp), np.ones(km), eps))
                 sign = np.r_[np.ones(kp), -np.ones(km)]
                 assert np.max(np.abs(X.conj().T @ B @ X - np.diag(sign)),
                               initial=0.0) <= 1e-9
                 H = X.conj().T @ A @ X
-                chain = np.r_[np.arange(kp) < an.m0, np.arange(km) < an.m0]
                 excess = np.real(np.diag(H)) - sign * np.r_[an.lambda_plus[:kp],
                                                             an.lambda_minus[:km]]
                 assert np.max(np.abs(excess - chain * step), initial=0.0) <= 1e-6 * step
@@ -464,7 +466,7 @@ def test_strict_shift_needs_no_certificate_at_lambda0(monkeypatch, kind, seed):
     # m0 = 0, and a solve factors r x r matrices only in the search and once
     # for the definite pair
     A, B = _shift_case(kind, seed)
-    _inb, S, b, _E, scale = pencil._reduce(A, B)
+    _inb, S, b, _E, scale, _n2 = pencil._reduce(A, B)
     shapes = spy_choleskys(monkeypatch)
     sigma = pencil._strict_shift(S, b, scale)
     if sigma is None:
@@ -481,7 +483,7 @@ def test_strict_shift_needs_no_certificate_at_lambda0(monkeypatch, kind, seed):
 
 
 def _takes_strict_shift(A, B):
-    _inb, S, J, _E, scale = pencil._reduce(A, B)
+    _inb, S, J, _E, scale, _n2 = pencil._reduce(A, B)
     return pencil._strict_shift(S, J, scale) is not None
 
 
