@@ -40,12 +40,16 @@ GAP_UPPER = 1e-4    # ... and may exceed it by at most this on attained instance
 
 
 def _parse_entry(e):
-    if isinstance(e, (int, float)):
-        return complex(e)
-    if isinstance(e, list) and len(e) == 2 and all(
-        isinstance(x, (int, float)) for x in e
-    ):
-        return complex(e[0], e[1])
+    try:
+        if isinstance(e, (int, float)):
+            return complex(e)
+        if isinstance(e, list) and len(e) == 2 and all(
+            isinstance(x, (int, float)) for x in e
+        ):
+            return complex(e[0], e[1])
+    except OverflowError:
+        # JSON integers have no size limit; complex() refuses those past a float
+        raise ParseError(f"matrix entry {e!r} is too large for a float") from None
     raise ParseError(f"matrix entry must be a number or [re, im] pair, got {e!r}")
 
 

@@ -24,12 +24,13 @@ from .pencil import PsdPencilAnalysis
 from .problem import identity_problem
 from .spectral import (
     WEIGHT_RTOL,
+    HermitianMatrix,
     Inertia,
-    _certified_cholesky,
     _pair_eigenpairs,
     _reduce_pair,
     _scaled_tol,
     as_herm,
+    cholesky,
     max_norm,
 )
 
@@ -76,10 +77,10 @@ class SolveReport:
 def pencil_eig_definite(A, B) -> DefinitePencilEigen:
     """Simultaneous diagonalization of Hermitian A and positive definite B."""
     A_ = as_herm(A)
-    B_ = as_herm(B)
-    if A_.shape != B_.shape:
+    B_ = HermitianMatrix.of(B)
+    if A_.shape != B_.mat.shape:
         raise ValueError("A and B must have the same shape")
-    lam, U = _pair_eigenpairs(_reduce_pair(A_, _certified_cholesky(B_)), A_.shape[0], 0)
+    lam, U = _pair_eigenpairs(_reduce_pair(A_, cholesky(B_)), A_.shape[0], 0)
     return DefinitePencilEigen(u=U, lambdas=lam)
 
 
@@ -101,7 +102,7 @@ def _split_omegas(D_, tol=None) -> OmegaSplit:
 def solve_definite_min(A, B, D, k=None, want_optimizer=False) -> SolveReport:
     """Minimize tr(D X^H A X) over X^H B X = I_k for positive definite B."""
     p = identity_problem(A, B, D, k, "plus_identity")
-    return _solve_definite(p.A.mat, _certified_cholesky(p.B.mat), p.D.mat, p.sense,
+    return _solve_definite(p.A.mat, cholesky(p.B), p.D.mat, p.sense,
                            want_optimizer)
 
 
@@ -109,7 +110,7 @@ def solve_definite_max(A, B, D, k=None, want_optimizer=False) -> SolveReport:
     """Maximize tr(D X^H A X) over X^H B X = I_k; the minimizer on -A,
     negated."""
     p = identity_problem(A, B, D, k, "plus_identity", "max")
-    return _solve_definite(p.A.mat, _certified_cholesky(p.B.mat), p.D.mat, p.sense,
+    return _solve_definite(p.A.mat, cholesky(p.B), p.D.mat, p.sense,
                            want_optimizer)
 
 

@@ -26,9 +26,9 @@ from .problem import ConstraintSpec, Problem, identity_problem, signature_proble
 from .spectral import (
     WEIGHT_RTOL,
     Inertia,
-    _certified_cholesky,
     _scaled_tol,
     as_herm,
+    cholesky,
     max_norm,
 )
 
@@ -76,15 +76,20 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
     diagonalizable; given eps, an unattained one carries X within eps/2.
     """
     c = p.constraint
-    Dp, Dm = _split_block_d(p.D.mat, c.k_plus)
-    analysis = finite_eigenvalues(p.A, p.B)
-    inb = analysis.inertia_b
+    # B's kept eigh gives its inertia here and, unchanged, the pencil analysis
+    inb = p.B.inertia()
     if inb.n_plus < 1 or inb.n_minus < 1:
         raise Unsupported("B must be genuinely indefinite for this route")
+    if p.sense == "max":
+        raise Unsupported(
+            "maximization under genuinely indefinite B has no analytic solution"
+        )
     for k, count, name in ((c.k_plus, inb.n_plus, "n_plus"),
                            (c.k_minus, inb.n_minus, "n_minus")):
         if k > count:
             raise KTooLarge(f"k={k} exceeds {name}={count}")
+    Dp, Dm = _split_block_d(p.D.mat, c.k_plus)
+    analysis = finite_eigenvalues(p.A, p.B)
     # the report keeps the analysis without its eigenvectors: x_opt holds
     # what the solve takes from them, and a report should not pin the kept
     # reduction
@@ -154,15 +159,15 @@ def _solve(p: Problem, want_optimizer, eps=None) -> SolveReport:
     n, constraint = p.A.n, p.constraint
     # a Cholesky factor of B or -B certifies a definite B, and the definite
     # route solves from it (on -B for negative definite B); only an
-    # indefinite or singular B needs its eigendecomposition, which gives the
-    # inertia here and, kept by p.B, the pencil analysis
+    # indefinite or singular B needs its eigendecomposition, in the
+    # indefinite route
     for negated, wrong, entries, suffix, inb in (
         (False, constraint.k_minus, "-1 diagonal entries for positive", "", Inertia(n, 0, 0)),
         (True, constraint.k_plus, "+1 diagonal entries for negative", "-negated-b",
          Inertia(0, 0, n)),
     ):
         try:
-            L = _certified_cholesky(-p.B.mat if negated else p.B.mat)
+            L = cholesky(-p.B if negated else p.B)
         except NotPositiveDefinite:
             continue
         if wrong:
@@ -171,15 +176,6 @@ def _solve(p: Problem, want_optimizer, eps=None) -> SolveReport:
         rep.route += suffix
         rep.inertia_b = inb
         return rep
-    inb = p.B.inertia()
-    if inb.n_plus == 0 or inb.n_minus == 0:
-        raise Unsupported(
-            "singular semi-definite B is outside the analytic coverage"
-        )
-    if p.sense == "max":
-        raise Unsupported(
-            "maximization under genuinely indefinite B has no analytic solution"
-        )
     return _solve_indefinite(p, want_optimizer, eps)
 
 
@@ -189,7 +185,7 @@ def epsilon_suboptimal(A, B, D, constraint: ConstraintSpec, eps: float):
     Returns the attaining optimizer when one exists, else X_t along the Jordan
     chains at lambda0; raises BudgetExceeded when X's measured residual or
     excess is out of bounds (FEASIBILITY_ATOL)."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     p = Problem.of(A, B, D, constraint)
     rep = _solve(p, True, eps)

@@ -16,13 +16,15 @@ kept for `PsdPencilAnalysis.eigvecs`, which transforms back only the
 eigenvectors asked for; that pencil is definite, so diagonalizable with no
 kernel at lambda0, the midpoint of the bracket [max lambda-, min lambda+].
 Without a strict shift (a coupled block, a degenerate or narrow bracket)
-one nonsymmetric solve of the J-Hermitian J*S gives the eigenvalues, and
-only then is lambda0 certified, by a Cholesky of S - lambda0*J - floor*I or
-else by an eigh of the eigenvalues below the floor, which span the kernel
-K0; the pencil is diagonalizable iff no direction z of K0 is J-null. Each
-such z has a Jordan partner w; the columns at lambda0 are K0's other
-directions and t*z +/- w/(2t), and the definite pair on their J-orthogonal
-complement is reduced once and kept (on a coupled pencil, once asked for).
+one nonsymmetric solve of the J-Hermitian J*S gives the eigenvalues, whose
+real parts place lambda0; only the certificate at lambda0 decides: one eigh
+of the eigenvalues of S - lambda0*J at or below the floor proves it positive
+semi-definite, and they span its kernel K0. The pencil is diagonalizable iff
+no direction z of K0 is J-null. Each such z has a Jordan partner w; the
+columns at lambda0 are K0's other directions and t*z +/- w/(2t), and the
+definite pair on their J-orthogonal complement is reduced once and kept (on
+a coupled pencil, once asked for) by the same helper that reduces the pair
+at a strict shift, where K0 is empty.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy.linalg import lapack
 
 from .errors import NotPsdPencil
 from .spectral import HermitianMatrix, Inertia, as_herm, max_norm
-from .spectral import _pair_eigenpairs, _reduce_pair, _shifted_cholesky_info
+from .spectral import _pair_eigenpairs, _reduce_pair
 
 # singular values below this times the largest (of [A; B] in
 # `eigenvectors_of`, of A*U0 against ||A||_F in the deflation) count as zero
@@ -53,8 +55,6 @@ STEER_RTOL = 0.1
 # definite pair there gives eigenvalues to about eps / SHIFT_RTOL relative (at
 # PSD_RTOL's floor they could lose 1e-8)
 SHIFT_RTOL = 1e-3
-# an eigenvalue of J*S with |imag| > REAL_RTOL * (max|A11| + |lambda|) is not real
-REAL_RTOL = 1e-6
 
 
 @dataclass
@@ -145,16 +145,6 @@ def _reduce(A, B):
     return inb, 0.5 * (S + S.conj().T), np.sign(b), E, scale, V2.shape[1]
 
 
-def _j_hermitian_eigenvalues(S, J, scale):
-    """The eigenvalues of S - lambda*diag(J), sorted ascending."""
-    lam = np.linalg.eigvals(J[:, None] * S)
-    # defective double eigenvalues split as a conjugate pair of width
-    # O(sqrt(eps)), so the reality tolerance must sit well above that
-    if np.any(np.abs(np.imag(lam)) > REAL_RTOL * (scale + np.abs(lam))):
-        raise NotPsdPencil("finite eigenvalues have non-real components")
-    return np.sort(np.real(lam))
-
-
 def _bracket_shift(lam, n_minus) -> float:
     """lambda0 at the midpoint of [max lambda-, min lambda+], or one unit of
     the end's own size beyond the only end that exists."""
@@ -201,16 +191,12 @@ def _strict_shift(S, J, scale) -> float | None:
 
 
 def _certify(S, J, lam0, scale):
-    """(M, U0, d, m0): M = S - lam0*diag(J) certified >= 0, U0 an orthonormal
-    basis of its kernel K0 with U0^H diag(J) U0 = diag(d), and m0 the number
-    of J-null directions. A Cholesky factorization of M - floor*I proves K0
-    empty; only when it fails is M certified, and K0 read, by one eigh."""
-    M = S.copy()
-    M.flat[:: M.shape[0] + 1] -= lam0 * J
+    """(M, U0, d, m0): M = S - lam0*diag(J) certified >= 0 by one eigh of its
+    eigenvalues at or below the floor, which span its kernel K0; U0 an
+    orthonormal basis of K0 with U0^H diag(J) U0 = diag(d), and m0 the number
+    of J-null directions."""
+    M = S - np.diag(lam0 * J)
     floor = PSD_RTOL * (scale + abs(lam0))
-    if _shifted_cholesky_info(M, floor) == 0:
-        return M, np.empty((M.shape[0], 0)), np.empty(0), 0
-    # the eigenvalues at or below the floor certify M and span K0
     w, K0 = sla.eigh(M, subset_by_value=(-np.inf, floor), driver="evr")
     if w.size and w[0] < -floor:
         raise NotPsdPencil(
@@ -230,37 +216,42 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     """
     inb, S, J, E, scale, n2 = _reduce(A, B)
     sigma = _strict_shift(S, J, scale)
-    K, d, Q, m0, scalar = np.empty((J.size, 0)), np.empty(0), None, 0, False
     if sigma is None:
-        lam = _j_hermitian_eigenvalues(S, J, scale)
+        # the real parts only place lambda0; the certificate at lambda0 decides
+        # whether the pencil is positive semi-definite
+        lam = np.sort(np.real(np.linalg.eigvals(J[:, None] * S)))
         lam0 = _bracket_shift(lam, inb.n_minus)
         M, U0, d0, m0 = _certify(S, J, lam0, scale)
-        scalar = U0.shape[1] == J.size and n2 == 0
-        at_lam0 = lambda: _kernel_vectors(M, U0, d0, J, E, inb)
+        # K0 and the Jordan partner of each of its B-null directions hold
+        # dim K0 + m0 eigenvalues at lambda0, which the eigensolver splits
+        # (a 2x2 Jordan block by O(sqrt(eps)))
+        lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
+        lam.sort()
+        at_lam0 = lambda: _pair_beside(M, U0, d0, J, E, inb)[1]
         # a coupled analysis solves for its chains only when columns are asked for
         vectors = at_lam0() if m0 == 0 else lambda kp, km, t: at_lam0()(kp, km, t)
     else:
         # sigma's Cholesky proves the pencil definite: no kernel at lambda0
-        mu, reduction = _definite_pair(np.diag(J), S - np.diag(sigma * J), d, inb)
+        U0, m0 = np.empty((J.size, 0)), 0
+        mu, vectors = _pair_beside(S - np.diag(sigma * J), U0, np.empty(0), J, E, inb)
         lam = np.sort(sigma + 1.0 / mu)
         lam0 = _bracket_shift(lam, inb.n_minus)
-        vectors = lambda kp, km, t=1.0: _paired_vectors(reduction, E, K, d, Q, kp, km)
-    if m0:
-        # each B-null kernel direction closes a 2x2 Jordan block at lambda0,
-        # whose eigenvalue the eigensolver splits by O(sqrt(eps))
-        lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
-        lam.sort()
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
         lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,
-        m0=m0, _vectors=vectors, _scalar=scalar,
+        m0=m0, _vectors=vectors, _scalar=U0.shape[1] == J.size and n2 == 0,
     )
 
 
-def _kernel_vectors(M, U0, d0, J, E, inb):
-    """(k_plus, k_minus, t) -> columns at lambda0, chains x = t*z +/- w/(2t) first
-    (M W = J Z, Z^H J W = I, W^H J W = K^H J W = 0: x^H J x = +/-1, x^H S x =
-    +/-lambda0 + 1/(4t^2)), then the definite pair (J, M) on their J-orthogonal complement."""
+def _pair_beside(M, U0, d0, J, E, inb):
+    """(mu, columns) for M = S - shift*diag(J) >= 0 with kernel span U0 (empty
+    at a strict shift): every mu = 1/(lambda - shift) of the definite pair
+    (J, M) on the J-orthogonal complement of K0 and its Jordan partners, and
+    (k_plus, k_minus, t) -> columns at the shift, chains x = t*z +/- w/(2t)
+    first (M W = J Z, Z^H J W = I, W^H J W = K^H J W = 0: x^H J x = +/-1,
+    x^H S x = +/-shift + 1/(4t^2)), then K0's other directions, then the
+    pair's. The signs of mu and of the kernel's B-norms must match B's
+    inertia."""
     null = np.abs(d0) <= GRAM_RTOL
     K, d, Z = U0[:, ~null] / np.sqrt(np.abs(d0[~null])), d0[~null], U0[:, null]
     W = Z
@@ -272,16 +263,10 @@ def _kernel_vectors(M, U0, d0, J, E, inb):
         W = W - K @ (np.sign(d)[:, None] * (K.conj().T @ (J[:, None] * W)))
         W = W - 0.5 * Z @ (W.conj().T @ (J[:, None] * W))
     d = np.r_[np.ones(W.shape[1]), -np.ones(W.shape[1]), d]
-    Q = np.linalg.qr(J[:, None] * np.hstack([U0, W]), mode="complete")[0][:, d.size:]
-    reduction = _definite_pair(Q.conj().T @ (J[:, None] * Q), Q.conj().T @ M @ Q, d, inb)[1]
-    return lambda kp, km, t=1.0: _paired_vectors(
-        reduction, E, np.hstack([t * Z + W / (2 * t), t * Z - W / (2 * t), K]), d, Q, kp, km)
-
-
-def _definite_pair(Bp, Mp, d, inb):
-    """(mu, reduction): every mu = 1/(lambda - shift) of the definite pair
-    (Bp, Mp = S - shift*Bp > 0) and its tridiagonal reduction (None if empty).
-    The signs of mu and of the kernel's B-norms d must match B's inertia."""
+    Q, Bp, Mp = None, np.diag(J), M
+    if U0.shape[1]:
+        Q = np.linalg.qr(J[:, None] * np.hstack([U0, W]), mode="complete")[0][:, d.size:]
+        Bp, Mp = Q.conj().T @ (J[:, None] * Q), Q.conj().T @ M @ Q
     L, info = lapack.zpotrf(Mp, lower=1)
     if info:
         raise NotPsdPencil("A - lambda*B is not positive definite off its kernel")
@@ -290,7 +275,8 @@ def _definite_pair(Bp, Mp, d, inb):
           sla.eigh_tridiagonal(*reduction[:2], eigvals_only=True, lapack_driver="sterf"))
     if (np.sum(np.r_[d, mu] > 0), np.sum(np.r_[d, mu] < 0)) != (inb.n_plus, inb.n_minus):
         raise NotPsdPencil("eigenvalue signs disagree with the inertia of B")
-    return mu, reduction
+    return mu, lambda kp, km, t=1.0: _paired_vectors(
+        reduction, E, np.hstack([t * Z + W / (2 * t), t * Z - W / (2 * t), K]), d, Q, kp, km)
 
 
 def _paired_vectors(reduction, E, K, d, Q, k_plus, k_minus):

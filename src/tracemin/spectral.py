@@ -161,17 +161,15 @@ def cholesky(B) -> np.ndarray:
     eigenvalue as zero. Its success proves that the smallest eigenvalue of B
     exceeds tau without computing the spectrum. Otherwise raises
     NotPositiveDefinite, signalling the caller to route to the indefinite
-    path.
+    path. A HermitianMatrix B is not validated again.
     """
-    return _certified_cholesky(as_herm(B))
-
-
-def _certified_cholesky(M) -> np.ndarray:
-    """`cholesky` of an already validated Hermitian array."""
+    M = as_herm(B)
     if M.size == 0:
         raise NotPositiveDefinite("empty matrix is not positive definite")
     tau = _scaled_tol(M, ZERO_RTOL)
-    info = _shifted_cholesky_info(M, tau)
+    shifted = np.array(M, order="F")
+    shifted.flat[:: M.shape[0] + 1] -= tau
+    info = lapack.zpotrf(shifted, lower=1, overwrite_a=1)[1]
     if info == 0:
         L, info = lapack.zpotrf(M, lower=1)
     if info != 0:
@@ -180,15 +178,6 @@ def _certified_cholesky(M) -> np.ndarray:
             f"has no Cholesky factor (leading minor {info})"
         )
     return L
-
-
-def _shifted_cholesky_info(M, tau) -> int:
-    """LAPACK's info for a Cholesky factorization of M - tau*I: 0 proves that
-    the smallest eigenvalue of M exceeds tau, otherwise the order of the
-    first leading minor that is not positive definite."""
-    shifted = np.array(M, dtype=complex, order="F")
-    shifted.flat[:: M.shape[0] + 1] -= tau
-    return int(lapack.zpotrf(shifted, lower=1, overwrite_a=1)[1])
 
 
 def _reduce_pair(A_, L):

@@ -373,6 +373,22 @@ class TestParseMatrix:
             tracemin.cli._parse_matrix(obj, "a")
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("obj", [[[10**400, 1]], [[[1, -(10**400)]]]])
+    def test_entry_past_a_float_is_a_parse_error(self, obj):
+        with pytest.raises(tracemin.ParseError, match="is too large for a float"):
+            tracemin.cli._parse_matrix(obj, "a")
+
+    @pytest.mark.parametrize("field", ["a", "d"])
+    def test_entry_past_a_float_exits_1(self, capsys, tmp_path, field):
+        # json reads a 400-digit integer exactly; no float holds it
+        doc = json.loads((FIXTURES / "kyfan.json").read_text())
+        doc[field][0][0] = 10**400
+        path = tmp_path / "huge_entry.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["code"] == "PARSE_ERROR"
+
     def test_fallback_exit_code(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "kyfan.json").read_text())
         doc["a"][0][0] = None

@@ -113,6 +113,20 @@ class TestDispatch:
             solve(np.eye(2), np.diag([1.0, 0.0]), np.eye(1),
                   ConstraintSpec.plus_identity(1))
 
+    @pytest.mark.parametrize("entry", ["solve", "solve_indefinite_plus"])
+    def test_semidefinite_b_is_unsupported_before_any_analysis(self, monkeypatch, entry):
+        # A - lambda*B is not positive semi-definite here, but B's inertia is
+        # decided first, once, and the same way on both entry points
+        def no_analysis(*args):
+            raise AssertionError("the pencil was analyzed")
+        monkeypatch.setattr(indefinite, "finite_eigenvalues", no_analysis)
+        A, B, D = np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.eye(1)
+        with pytest.raises(Unsupported, match="genuinely indefinite"):
+            if entry == "solve":
+                solve(A, B, D, ConstraintSpec.plus_identity(1))
+            else:
+                solve_indefinite_plus(A, B, D, 1)
+
     def test_coupled_d_rejected(self):
         D = np.array([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(BlockStructureViolated):
@@ -181,6 +195,12 @@ def test_epsilon_suboptimal_rejects_unbounded():
     with pytest.raises(Unsupported):
         epsilon_suboptimal(A3, B3, np.diag([-1.0]), ConstraintSpec.plus_identity(1),
                            eps=1e-3)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+def test_epsilon_suboptimal_rejects_eps_that_is_not_positive(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        epsilon_suboptimal(A3, B3, np.eye(1), ConstraintSpec.plus_identity(1), eps)
 
 
 def _excess_and_residual(A, B, D, constraint, X, value):

@@ -499,9 +499,10 @@ _CONGRUENCE_CASES = {
     # (psd_pencil keywords or None for a canonical seed, coupled, log10 s span).
     # A touching pair lies on the boundary of positive semi-definite pencils,
     # and rounding T^H B T moves it by about eps*cond(B), past the
-    # certificate's floor once cond(B) nears 1e8; a coupled block splits by
-    # about sqrt(eps*cond(B)), past the reality check near 1e6. Their spans
-    # stay below those limits.
+    # certificate's floor once cond(B) nears 1e8; its spans stay below that.
+    # A coupled block splits by about sqrt(eps*cond(B)); its spans predate
+    # the certificate deciding alone, and the wider 10^[-2, 2] is covered by
+    # test_coupled_pencils_survive_spread_b_eigenvalues.
     "canonical": (None, False, 2.0),
     "plain": ({}, False, 2.0),
     "singular": ({"n_inf": 2, "n_common": 1}, False, 2.0),
@@ -556,9 +557,58 @@ def test_spread_b_eigenvalues_keep_the_minimum_attained(seed):
     assert rep.value == pytest.approx(lp[0], rel=1e-6)
 
 
+def _coupled_case(kind, seed):
+    if kind == "canonical":
+        A, B, _np, _nm, lp, lm, _c = canonical_pencil_instance(seed)
+        return A, B, lp, lm
+    return psd_pencil(np.random.default_rng(seed), 3, 3, n_coupled=1)
+
+
+@pytest.mark.parametrize("kind, seed", [("canonical", s) for s in range(9, 100, 10)]
+                         + [("psd_pencil", s) for s in range(20)])
+def test_coupled_pencils_survive_spread_b_eigenvalues(kind, seed):
+    # these congruences split the Jordan block at lambda0 by about
+    # sqrt(eps*cond(B)) into a complex pair; its real parts still place
+    # lambda0, and the certificate there finds the B-null kernel direction
+    A, B, lp, lm = _coupled_case(kind, seed)
+    s = 10.0 ** np.random.default_rng(seed + 777).uniform(-2.0, 2.0, A.shape[0])
+    an = finite_eigenvalues(*b_congruence(A, B, s))
+    assert an.m0 == 1 and not an.diagonalizable
+    scale = np.max(np.abs(np.r_[lp, lm]))
+    assert np.max(np.abs(an.lambda_plus - lp)) <= 1e-6 * scale
+    assert np.max(np.abs(an.lambda_minus - lm)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("seed", range(9, 100, 10))
+def test_coupled_analysis_factors_only_in_the_shift_search(monkeypatch, seed):
+    # the certificate at lambda0 is one eigh, and the chains at lambda0 are
+    # solved only when columns are asked for
+    A, B, *_rest = canonical_pencil_instance(seed)
+    _inb, S, J, _E, scale, _n2 = pencil._reduce(A, B)
+    shapes = spy_choleskys(monkeypatch)
+    assert pencil._strict_shift(S, J, scale) is None
+    steps = len(shapes)
+    shapes.clear()
+    assert finite_eigenvalues(A, B).m0 == 1
+    assert len(shapes) == steps
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("n_inf", [0, 1])
+def test_touching_pair_sits_exactly_at_lambda0(seed, n_inf):
+    # a +1 and a -1 eigenvector at lambda0 leave no strict shift; the
+    # certified kernel places both eigenvalues at lambda0 itself
+    A, B, lp, lm = psd_pencil(np.random.default_rng(seed), 3, 3, n_inf=n_inf, n_touch=1)
+    an = finite_eigenvalues(A, B)
+    assert an.m0 == 0 and an.diagonalizable
+    assert an.lambda_plus[0] == an.lambda0 == an.lambda_minus[0]
+    assert an.lambda0 == pytest.approx(lp[0], abs=1e-8 * np.max(np.abs(np.r_[lp, lm])))
+
+
 @pytest.mark.parametrize("c", 10.0 ** np.arange(-12, 9))
-def test_reality_check_is_scale_free(c):
-    # J*S has eigenvalues +-i*c: imaginary parts are measured against the
-    # scale of S, so the check rejects the pencil at every c
-    with pytest.raises(NotPsdPencil, match="non-real"):
+def test_certificate_rejects_a_non_psd_pencil_at_every_scale(c):
+    # J*S has eigenvalues +-i*c, whose real parts place lambda0 = 0, where
+    # A - lambda0*B has the eigenvalue -c: measured against the scale of S,
+    # the certificate rejects the pencil at every c
+    with pytest.raises(NotPsdPencil, match=r"A - lambda0\*B has eigenvalue"):
         finite_eigenvalues(c * np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
