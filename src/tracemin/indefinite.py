@@ -160,12 +160,17 @@ def _solve(p: Problem, want_optimizer, eps=None) -> SolveReport:
     # a Cholesky factor of B or -B certifies a definite B, and the definite
     # route solves from it (on -B for negative definite B); only an
     # indefinite or singular B needs its eigendecomposition, in the
-    # indefinite route
+    # indefinite route. Every pivot of B - tau*I (tau > 0) is at most its
+    # diagonal entry, so a diagonal entry of B at or below zero rules out a
+    # factor of B, and one at or above zero a factor of -B, unfactored
+    b = np.real(np.diagonal(p.B.mat))
     for negated, wrong, entries, suffix, inb in (
         (False, constraint.k_minus, "-1 diagonal entries for positive", "", Inertia(n, 0, 0)),
         (True, constraint.k_plus, "+1 diagonal entries for negative", "-negated-b",
          Inertia(0, 0, n)),
     ):
+        if (b.max() >= 0.0) if negated else (b.min() <= 0.0):
+            continue
         try:
             L = cholesky(-p.B if negated else p.B)
         except NotPositiveDefinite:

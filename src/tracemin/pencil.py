@@ -9,22 +9,26 @@ leaves the regular rank(B)-sized pencil S - lambda*J, J = sign(Lambda_B),
 with the same finite spectrum (Liang, Li & Bai, LAA 438, 2013); every
 decision is made in these units. Bisection with one Cholesky per step seeks
 a strict shift, S - sigma*J > 0 (Crawford & Moon, LAA 51, 1983) inside the
-bracket of the quotients S_ii / J_i, and gives up on a nearly J-null
-negative direction. One tridiagonal reduction of the definite pair
-(J, S - sigma*J) gives every eigenvalue, sigma + 1/mu, as values, and is
-kept for `PsdPencilAnalysis.eigvecs`, which transforms back only the
-eigenvectors asked for; that pencil is definite, so diagonalizable with no
-kernel at lambda0, the midpoint of the bracket [max lambda-, min lambda+].
-Without a strict shift (a coupled block, a degenerate or narrow bracket)
-one nonsymmetric solve of the J-Hermitian J*S gives the eigenvalues, whose
-real parts place lambda0; only the certificate at lambda0 decides: one eigh
-of the eigenvalues of S - lambda0*J at or below the floor proves it positive
-semi-definite, and they span its kernel K0. The pencil is diagonalizable iff
-no direction z of K0 is J-null. Each such z has a Jordan partner w; the
-columns at lambda0 are K0's other directions and t*z +/- w/(2t), and the
-definite pair on their J-orthogonal complement is reduced once and kept (on
-a coupled pencil, once asked for) by the same helper that reduces the pair
-at a strict shift, where K0 is empty.
+bracket of the quotients S_ii / J_i. One tridiagonal reduction of the
+definite pair (J, S - sigma*J) gives every eigenvalue, sigma + 1/mu, as
+values, and is kept for `PsdPencilAnalysis.eigvecs`, which transforms back
+only the eigenvectors asked for; that pencil is definite, so diagonalizable
+with no kernel at lambda0, the midpoint of the bracket [max lambda-, min
+lambda+]. The search gives up for one of two reasons. On a nearly J-null
+negative direction, as near a coupled block, it places lambda0 itself:
+Newton's method on the J-norm of the lowest eigenvector of S - sigma*J, each
+step one Cholesky of S - sigma*J + relax*I. On a bracket too narrow for the
+margin, one nonsymmetric solve of the J-Hermitian J*S gives the eigenvalues,
+whose real parts place lambda0. Either way only the certificate at lambda0
+decides: one eigh of the eigenvalues of S - lambda0*J at or below the floor
+proves it positive semi-definite, and they span its kernel K0. The pencil is
+diagonalizable iff no direction z of K0 is J-null. Each such z has a Jordan
+partner w; the columns at lambda0 are K0's other directions and
+t*z +/- w/(2t), and the definite pair on their J-orthogonal complement is
+reduced once and kept by the same helper that reduces the pair at a strict
+shift, where K0 is empty. After a placed lambda0 that pair gives every other
+eigenvalue, lambda0 + 1/mu, and no nonsymmetric solve runs; after a narrow
+bracket the dim K0 + m0 eigenvalues nearest lambda0 are set to it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import NotPsdPencil
 from .spectral import HermitianMatrix, Inertia, as_herm, max_norm
@@ -49,7 +53,8 @@ PSD_RTOL = 1e-9
 # a unit direction x of K0 with |x^H J x| <= GRAM_RTOL is J-null (B-null)
 GRAM_RTOL = 1e-8
 # a negative direction x of S - sigma*J with |x^H J x| <= STEER_RTOL * ||x||^2
-# is nearly J-null and cannot steer the shift search
+# is nearly J-null and cannot steer the search for a strict shift; near
+# lambda0 only such a lowest eigenvector leads Newton's method to a Jordan block
 STEER_RTOL = 0.1
 # a strict shift leaves S - sigma*J >= SHIFT_RTOL * (max|A11| + |sigma|), so the
 # definite pair there gives eigenvalues to about eps / SHIFT_RTOL relative (at
@@ -142,7 +147,11 @@ def _reduce(A, B):
         Y = sla.solve_triangular(L, V2.conj().T @ A_ @ E, lower=True)
         S = S - Y.conj().T @ Y
         E = E - V2 @ sla.solve_triangular(L, Y, lower=True, trans="C")
-    return inb, 0.5 * (S + S.conj().T), np.sign(b), E, scale, V2.shape[1]
+    # column-major, so that the Cholesky of the shifted S can run in place
+    Sh = np.conjugate(S.T, out=np.empty(S.shape, complex, order="F"))
+    Sh += S
+    Sh *= 0.5
+    return inb, Sh, np.sign(b), E, scale, V2.shape[1]
 
 
 def _bracket_shift(lam, n_minus) -> float:
@@ -157,45 +166,111 @@ def _bracket_shift(lam, n_minus) -> float:
     return 0.5 * float(lam[n_minus - 1] + lam[n_minus])
 
 
-def _strict_shift(S, J, scale) -> float | None:
-    """sigma with S - sigma*diag(J) - margin*I positive definite, or None.
-    A Cholesky that fails at pivot j leaves the negative direction
-    x = [-M11^-1 m; 1]: sign(x^H diag(J) x) says which side of the bracket
-    sigma is on, and x^H S x / x^H diag(J) x bounds that side. The search
-    ends on a nearly J-null x or a bracket too narrow for the margin."""
-    # a certifying sigma has S_ii - sigma*J_i >= 0, so the quotients S_ii / J_i
-    # bound it below (J_i < 0) and above (J_i > 0); a side without such J_i
-    # takes 2||S||_F, beyond every quotient and every eigenvalue of J*S
+def _try_shift(S, J, sigma, margin):
+    """One Cholesky of M = S - sigma*diag(J) - margin*I, in place (the upper
+    triangle keeps M): (L, None, 0, nan) on success, else (None, x, g, rho)
+    for the negative direction x = [-M11^-1 m; 1] left at the failing pivot
+    j, with g = x^H J x / ||x||^2 and rho = x^H S x / x^H J x. Every shift
+    sigma' with S - sigma'*diag(J) >= 0 has x^H S x >= sigma' * x^H J x: the
+    sign of g says on which side of rho such a shift lies."""
+    M = np.array(S, order="F")
+    M.flat[:: J.size + 1] -= sigma * J + margin
+    L, info = lapack.zpotrf(M, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        return L, None, 0.0, np.nan
+    j = info - 1
+    x = np.r_[-sla.cho_solve((L[:j, :j], True), L[:j, j]), 1.0]
+    xx, xb = (float(np.real(x.conj() @ (w * x))) for w in (1.0, J[: j + 1]))
+    rho = float(np.real(x.conj() @ S[: j + 1, : j + 1] @ x)) / xb if xb else np.nan
+    return None, x, xb / xx, rho
+
+
+def _shift_search(S, J, scale):
+    """(sigma, strict): a strict shift, S - sigma*diag(J) - margin*I > 0 with
+    margin = SHIFT_RTOL * (scale + |sigma|) (strict True), by bisection with one
+    Cholesky per step in the bracket of the quotients S_ii / J_i: a certifying
+    sigma has S_ii - sigma*J_i >= 0, so they bound it below (J_i < 0) and above
+    (J_i > 0); a side without such J_i takes 2||S||_F, beyond every quotient
+    and every eigenvalue of J*S. A failed step steers by its negative
+    direction x (`_try_shift`): beyond sigma, or beyond the quotient
+    x^H S x / x^H J x, which bounds every positive semi-definite shift too.
+    The search gives up on a bracket too narrow for the margin, (None, False),
+    or on a nearly J-null x, as near a coupled block: then lambda0 comes from
+    `_coupled_shift` on the bracket of those quotients, (lambda0 or None, False)."""
     q = np.real(np.diag(S)) / J
     reach = 2.0 * float(np.linalg.norm(S))
     lo, hi = float(np.max(q[J < 0], initial=-reach)), float(np.min(q[J > 0], initial=reach))
+    psd = [lo, hi]
     while True:
         sigma = 0.5 * (lo + hi)
         margin = SHIFT_RTOL * (scale + abs(sigma))
         if hi - lo <= 2.0 * margin:
-            return None
-        M = S - np.diag(sigma * J + margin)
-        L, info = lapack.zpotrf(M, lower=1)
-        if info == 0:
-            return sigma
-        j = info - 1
-        x = np.r_[-sla.cho_solve((L[:j, :j], True), M[:j, j]), 1.0]
-        xb = float(np.real(x.conj() @ (J[: j + 1] * x)))
-        if abs(xb) <= STEER_RTOL * float(np.real(x.conj() @ x)):
-            return None
-        rho = float(np.real(x.conj() @ S[: j + 1, : j + 1] @ x)) / xb
-        if xb > 0:
-            hi = min(sigma, rho)
+            return None, False
+        L, x, g, rho = _try_shift(S, J, sigma, margin)
+        if L is not None:
+            return sigma, True
+        if abs(g) <= STEER_RTOL:
+            return _coupled_shift(S, J, scale, psd, x), False
+        if g > 0:
+            hi, psd[1] = min(sigma, rho), min(psd[1], rho)
         else:
-            lo = max(sigma, rho)
+            lo, psd[0] = max(sigma, rho), max(psd[0], rho)
 
 
-def _certify(S, J, lam0, scale):
-    """(M, U0, d, m0): M = S - lam0*diag(J) certified >= 0 by one eigh of its
+def _coupled_shift(S, J, scale, bracket, x):
+    """lambda0 in bracket with S - lambda0*diag(J) >= -floor, floor =
+    PSD_RTOL * (scale + |lambda0|), by Newton's method on g(sigma) = z^H J z,
+    z the lowest unit eigenvector of S - sigma*diag(J); or None. Near a Jordan
+    block at lambda0 that eigenvalue is about -c*(sigma - lambda0)^2 and g
+    about 2c*(sigma - lambda0), and when the eigenvalue is negative the sign
+    of g says on which side of sigma lambda0 lies. Each step is one
+    `_try_shift` at the margin -relax: a failure steers as in `_shift_search`;
+    a success gives z by inverse iteration from x (the latest direction) and
+    g' = 2 u^H (S - sigma*J + relax*I)^-1 u, u = Jz - g*z, from its factor.
+    relax starts at SHIFT_RTOL * (scale + |sigma|) and is then four times
+    |z^H (S - sigma*J) z|, but at least floor/2. lambda0 = sigma - g/g' once a sigma factored at
+    floor/2 takes a step within floor/2, so the certificate there passes;
+    None when the bracket closes, or when the lowest eigenvector at floor/2 is
+    not nearly J-null (a cluster at lambda0, as beside a touching pair)."""
+    (lo, hi), rtol, least, guess = bracket, SHIFT_RTOL, 0.5 * PSD_RTOL, np.nan
+    # every step narrows the bracket, a Newton step perhaps only by its own
+    # size: the cap ends a search that creeps without reaching the floor
+    for _ in range(100):
+        sigma = guess if lo < guess < hi else 0.5 * (lo + hi)
+        relax = rtol * (scale + abs(sigma))
+        if hi - lo <= 2.0 * PSD_RTOL * (scale + abs(sigma)):
+            return None
+        L, y, g, rho = _try_shift(S, J, sigma, -relax)
+        guess = np.nan
+        if L is None:
+            if not g:
+                return None
+            x = y
+            lo, hi = (lo, min(sigma, rho)) if g > 0 else (max(sigma, rho), hi)
+            continue
+        x = np.r_[x, np.zeros(J.size - x.size)]
+        for _ in range(3):
+            x = lapack.zpotrs(L, x, lower=1)[0]
+            x /= np.linalg.norm(x)
+        g = float(np.real(x.conj() @ (J * x)))
+        u = J * x - g * x
+        dg = 2.0 * float(np.real(u.conj() @ lapack.zpotrs(L, u, lower=1)[0]))
+        step = g / dg if dg > 0 else np.inf
+        if rtol == least and abs(step) <= relax:
+            return sigma - step
+        if rtol == least and abs(g) > STEER_RTOL:
+            return None
+        lo, hi = (lo, sigma) if g > 0 else (sigma, hi)
+        e = float(np.real(x.conj() @ S @ x)) - sigma * g
+        guess, rtol = sigma - step, max(least, 4.0 * abs(e) / (scale + abs(sigma)))
+    return None
+
+
+def _certify(M, J, lam0, scale):
+    """(U0, d, m0): M = S - lam0*diag(J) certified >= 0 by one eigh of its
     eigenvalues at or below the floor, which span its kernel K0; U0 an
     orthonormal basis of K0 with U0^H diag(J) U0 = diag(d), and m0 the number
     of J-null directions."""
-    M = S - np.diag(lam0 * J)
     floor = PSD_RTOL * (scale + abs(lam0))
     w, K0 = sla.eigh(M, subset_by_value=(-np.inf, floor), driver="evr")
     if w.size and w[0] < -floor:
@@ -205,7 +280,7 @@ def _certify(S, J, lam0, scale):
     G = K0.conj().T @ (J[:, None] * K0)
     d, W = np.linalg.eigh(0.5 * (G + G.conj().T))
     m0 = int(np.sum(np.abs(d) <= GRAM_RTOL))
-    return M, K0 @ W, d, m0
+    return K0 @ W, d, m0
 
 
 def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
@@ -215,27 +290,32 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     HermitianMatrix; B's eigendecomposition is then the one it keeps.
     """
     inb, S, J, E, scale, n2 = _reduce(A, B)
-    sigma = _strict_shift(S, J, scale)
+    sigma, strict = _shift_search(S, J, scale)
+    lam = None
     if sigma is None:
-        # the real parts only place lambda0; the certificate at lambda0 decides
-        # whether the pencil is positive semi-definite
+        # a narrow bracket: the real parts of the spectrum place lambda0
         lam = np.sort(np.real(np.linalg.eigvals(J[:, None] * S)))
-        lam0 = _bracket_shift(lam, inb.n_minus)
-        M, U0, d0, m0 = _certify(S, J, lam0, scale)
-        # K0 and the Jordan partner of each of its B-null directions hold
-        # dim K0 + m0 eigenvalues at lambda0, which the eigensolver splits
-        # (a 2x2 Jordan block by O(sqrt(eps)))
-        lam[np.argsort(np.abs(lam - lam0))[: U0.shape[1] + m0]] = lam0
-        lam.sort()
-        at_lam0 = lambda: _pair_beside(M, U0, d0, J, E, inb)[1]
-        # a coupled analysis solves for its chains only when columns are asked for
-        vectors = at_lam0() if m0 == 0 else lambda kp, km, t: at_lam0()(kp, km, t)
-    else:
+        sigma = _bracket_shift(lam, inb.n_minus)
+    # S is not read again: M = S - sigma*J takes its storage
+    M = S
+    M.flat[:: J.size + 1] -= sigma * J
+    if strict:
         # sigma's Cholesky proves the pencil definite: no kernel at lambda0
-        U0, m0 = np.empty((J.size, 0)), 0
-        mu, vectors = _pair_beside(S - np.diag(sigma * J), U0, np.empty(0), J, E, inb)
-        lam = np.sort(sigma + 1.0 / mu)
-        lam0 = _bracket_shift(lam, inb.n_minus)
+        U0, d0, m0 = np.empty((J.size, 0)), np.empty(0), 0
+    else:
+        # only the certificate at lambda0 decides positive semi-definiteness
+        U0, d0, m0 = _certify(M, J, sigma, scale)
+    mu, vectors = _pair_beside(M, U0, d0, J, E, inb)
+    # K0 and the Jordan partner of each of its J-null directions hold
+    # dim K0 + m0 eigenvalues at lambda0, the pair the others
+    at_lam0 = U0.shape[1] + m0
+    if lam is None:
+        lam = np.sort(np.r_[np.full(at_lam0, sigma), sigma + 1.0 / mu])
+    else:
+        # which the eigensolver splits (a 2x2 Jordan block by O(sqrt(eps)))
+        lam[np.argsort(np.abs(lam - sigma))[:at_lam0]] = sigma
+        lam.sort()
+    lam0 = _bracket_shift(lam, inb.n_minus) if strict else sigma
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
         lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,
@@ -256,8 +336,10 @@ def _pair_beside(M, U0, d0, J, E, inb):
     K, d, Z = U0[:, ~null] / np.sqrt(np.abs(d0[~null])), d0[~null], U0[:, null]
     W = Z
     if Z.shape[1]:
-        # M + U0 U0^H > 0, and its solution is orthogonal to K0
-        W = sla.solve(M + U0 @ U0.conj().T, J[:, None] * Z, assume_a="pos")
+        # M + U0 U0^H > 0 (its upper triangle, by one rank-k update of a
+        # column-major copy of M), and its solution is orthogonal to K0
+        W = sla.solve(blas.zherk(1.0, U0, beta=1.0, c=np.array(M, order="F"), overwrite_c=1),
+                      J[:, None] * Z, assume_a="pos", lower=False, overwrite_a=True)
         R = np.linalg.inv(np.linalg.cholesky(Z.conj().T @ (J[:, None] * W))).conj().T
         Z, W = Z @ R, W @ R
         W = W - K @ (np.sign(d)[:, None] * (K.conj().T @ (J[:, None] * W)))
@@ -265,9 +347,8 @@ def _pair_beside(M, U0, d0, J, E, inb):
     d = np.r_[np.ones(W.shape[1]), -np.ones(W.shape[1]), d]
     Q, Bp, Mp = None, np.diag(J), M
     if U0.shape[1]:
-        Q = np.linalg.qr(J[:, None] * np.hstack([U0, W]), mode="complete")[0][:, d.size:]
-        Bp, Mp = Q.conj().T @ (J[:, None] * Q), Q.conj().T @ M @ Q
-    L, info = lapack.zpotrf(Mp, lower=1)
+        Q, Bp, Mp = _complement(J, M, np.hstack([U0, W]))
+    L, info = lapack.zpotrf(Mp, lower=1, overwrite_a=1)
     if info:
         raise NotPsdPencil("A - lambda*B is not positive definite off its kernel")
     reduction = _reduce_pair(Bp, L) if L.size else None
@@ -277,6 +358,16 @@ def _pair_beside(M, U0, d0, J, E, inb):
         raise NotPsdPencil("eigenvalue signs disagree with the inertia of B")
     return mu, lambda kp, km, t=1.0: _paired_vectors(
         reduction, E, np.hstack([t * Z + W / (2 * t), t * Z - W / (2 * t), K]), d, Q, kp, km)
+
+
+def _complement(J, M, V):
+    """(Q, Q^H J Q, Q^H M Q): Q an orthonormal basis of the J-orthogonal
+    complement of span V, from one complete QR of J*V. The products are BLAS
+    calls on column-major operands, so no conjugate copy is made and
+    Q^H M Q comes out ready to factor in place."""
+    Q = sla.qr(J[:, None] * V)[0][:, V.shape[1]:]
+    Mp = blas.zgemm(1.0, Q, blas.zgemm(1.0, M, Q), trans_a=2)
+    return Q, blas.zgemm(1.0, Q, J[:, None] * Q, trans_a=2), Mp
 
 
 def _paired_vectors(reduction, E, K, d, Q, k_plus, k_minus):

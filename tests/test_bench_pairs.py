@@ -55,3 +55,24 @@ def test_summarize_counts_wins_and_quartiles():
     # equal runs: no wins, no losses, nothing past a bound
     assert (s["ops_per_s"]["change_wins"], s["ops_per_s"]["change_losses"]) == (0, 0)
     assert not any(s[m]["past_bound"] for m in ("ops_per_s", "peak_rss_mb"))
+
+
+@pytest.mark.parametrize("factors, gain", [
+    # every pair 20 % faster: wins 10/10 and the median moves past the IQR
+    ([0.8] * 10, True),
+    # the same move the wrong way: past the IQR too, but no gain
+    ([1.2] * 10, False),
+    # as fast in the median, but the change wins only 8 of 10 pairs
+    ([0.8] * 8 + [1.3] * 2, False),
+])
+def test_summarize_shows_a_gain_only_for_a_win_past_the_parent_iqr(factors, gain):
+    parent = [{"op_s_p50": 0.02 + 0.0002 * i, "ops_per_s": 40.0 + 0.2 * i,
+               "peak_rss_mb": 80.0} for i in range(10)]
+    change = [{"op_s_p50": p["op_s_p50"] * f, "ops_per_s": p["ops_per_s"] / f,
+               "peak_rss_mb": 80.0} for p, f in zip(parent, factors)]
+    s = bench_pairs.summarize(_runs(parent, change), METRICS)
+    for name in ("op_s_p50", "ops_per_s"):
+        assert s[name]["median_gap_exceeds_parent_iqr"]
+        assert s[name]["gain_shown"] is gain
+    # equal runs show no gain
+    assert not s["peak_rss_mb"]["gain_shown"]

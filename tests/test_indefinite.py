@@ -24,6 +24,7 @@ from tracemin import indefinite, oracle, spectral
 from helpers import (
     canonical_pencil_instance,
     check_factorizations,
+    definite_instance,
     psd_pencil,
     random_psd,
     spy_factorizations,
@@ -126,6 +127,54 @@ class TestDispatch:
                 solve(A, B, D, ConstraintSpec.plus_identity(1))
             else:
                 solve_indefinite_plus(A, B, D, 1)
+
+    def test_diagonal_skips_only_probes_it_refutes(self, monkeypatch):
+        # a diagonal entry of B at or below zero rules out a Cholesky factor of
+        # B (at or above zero, of -B), so those probes are skipped and the
+        # route is the one both probes would give; pencil-scale's indefinite B
+        # has diagonal entries of both signs and is probed not at all
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_instances", Path(__file__).resolve().parents[1] / "bench" / "instances.py")
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)
+        spec.loader.exec_module(bench)
+        cases = [(*canonical_pencil_instance(seed)[:2], np.eye(1),
+                  ConstraintSpec.plus_identity(1)) for seed in range(100)]
+        for seed in range(50):
+            A, B, D, k = definite_instance(seed)
+            cases += [(A, B, D, ConstraintSpec.plus_identity(k)),
+                      (A, -B, D, ConstraintSpec.minus_identity(k))]
+        for inst in bench.pencil_scale(1):
+            kind, kp, km = inst.constraint
+            cases.append((inst.a, inst.b, inst.d, ConstraintSpec.signature(kp, km)
+                          if kind == "signature" else ConstraintSpec(kind, kp + km)))
+        probes, real = [], indefinite.cholesky
+        monkeypatch.setattr(indefinite, "cholesky",
+                            lambda H: probes.append(float(np.real(H.mat[0, 0]))) or real(H))
+        for i, (A, B, D, constraint) in enumerate(cases):
+            H = spectral.HermitianMatrix(B)
+            routes = []
+            for M in (H, -H):
+                try:
+                    real(M)
+                    routes.append(True)
+                except spectral.NotPositiveDefinite:
+                    routes.append(False)
+            expected = ("definite-min" if routes[0] else
+                        "definite-min-negated-b" if routes[1] else "indefinite")
+            b = np.real(np.diag(B))
+            probes.clear()
+            rep = solve(A, B, D, constraint)
+            assert rep.route.startswith(expected), i
+            # the probes made are those the diagonal does not refute, B first
+            assert probes == [sign * b[0] for sign, live in ((1.0, b.min() > 0),
+                                                              (-1.0, b.max() < 0)) if live], i
+            if i >= 200:
+                assert probes == []
 
     def test_coupled_d_rejected(self):
         D = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -462,8 +511,9 @@ def test_indefinite_solve_takes_eigvals_only_without_strict_shift(
     monkeypatch, kind, singular, coupled
 ):
     # a diagonalizable pencil has a strict shift, and the definite pair there
-    # gives its whole spectrum; only a coupled block leaves the nonsymmetric
-    # eigenvalue solve, once
+    # gives its whole spectrum; on a coupled block the search places lambda0
+    # and the pair beside the Jordan chains gives the rest: no nonsymmetric
+    # eigenvalue solve either way (only a narrow bracket takes one)
     rng = np.random.default_rng(22)
     A, B, _lp, _lm = psd_pencil(rng, 6, 5, n_inf=2 * singular, n_common=int(singular),
                                 n_coupled=coupled)
@@ -481,7 +531,7 @@ def test_indefinite_solve_takes_eigvals_only_without_strict_shift(
     rep = solve(A, B, np.diag([2.0, 1.0]), constraint, want_optimizer=True)
     assert rep.finite and rep.attained == (not coupled)
     assert rep.analysis.m0 == coupled
-    assert len(calls) == coupled
+    assert calls == []
 
 
 def _spy_back_transforms(monkeypatch):

@@ -246,16 +246,23 @@ def test_narrow_bracket_matches_qz_reference(seed, width):
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_strict_shift_search_is_scale_free(monkeypatch, seed, side):
     # the search's stop and give-up rules are relative: (c*A, B) and (A, B/c)
-    # take the strict path whenever (A, B) does, and their eigenvalues are c
-    # times those of (A, B)
-    calls = []
-    real = np.linalg.eigvals
+    # take the strict path whenever (A, B) does, the coupled one gives up on a
+    # nearly J-null direction and places lambda0 itself at every scale (no
+    # eigvals), and their eigenvalues are c times those of (A, B)
+    calls, strict = [], []
+    real, real_search = np.linalg.eigvals, pencil._shift_search
 
     def counted(M, *args, **kwargs):
         calls.append(np.shape(M))
         return real(M, *args, **kwargs)
 
+    def search(*args):
+        sigma, found = real_search(*args)
+        strict.append((sigma is not None, found))
+        return sigma, found
+
     monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(pencil, "_shift_search", search)
     rng = np.random.default_rng(seed + 9100)
     coupled = seed == 3
     A, B, _lp, _lm = psd_pencil(rng, 4, 3, n_inf=seed % 2, n_common=seed % 2,
@@ -263,9 +270,9 @@ def test_strict_shift_search_is_scale_free(monkeypatch, seed, side):
     base = finite_eigenvalues(A, B)
     for j in range(-8, 9):
         c = 10.0 ** j
-        calls.clear()
+        strict.clear()
         an = finite_eigenvalues(c * A, B) if side == "A" else finite_eigenvalues(A, B / c)
-        assert len(calls) == int(coupled)
+        assert calls == [] and strict == [(True, not coupled)]
         assert an.m0 == base.m0
         scale = c * np.max(np.abs(np.r_[base.lambda_plus, base.lambda_minus]))
         assert np.max(np.abs(an.lambda_plus - c * base.lambda_plus)) <= 1e-9 * scale
@@ -402,7 +409,7 @@ def test_strict_shift_search_opens_on_the_quotient_bracket(monkeypatch):
     # up to sqrt(rank B) wider, took 2.2 on average here)
     from scipy.linalg import lapack
 
-    real_shift, real_potrf, steps = pencil._strict_shift, lapack.zpotrf, []
+    real_shift, real_potrf, steps = pencil._shift_search, lapack.zpotrf, []
 
     def shift(S, b, scale):
         count = [0]
@@ -412,13 +419,13 @@ def test_strict_shift_search_opens_on_the_quotient_bracket(monkeypatch):
             return real_potrf(*args, **kwargs)
 
         monkeypatch.setattr(lapack, "zpotrf", potrf)
-        sigma = real_shift(S, b, scale)
+        sigma, strict = real_shift(S, b, scale)
         monkeypatch.setattr(lapack, "zpotrf", real_potrf)
         steps.append(count[0])
-        assert sigma is not None
-        return sigma
+        assert strict
+        return sigma, strict
 
-    monkeypatch.setattr(pencil, "_strict_shift", shift)
+    monkeypatch.setattr(pencil, "_shift_search", shift)
     for seed in range(60):
         rng = np.random.default_rng(seed + 9700)
         A, B, _lp, _lm = psd_pencil(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)),
@@ -468,8 +475,8 @@ def test_strict_shift_needs_no_certificate_at_lambda0(monkeypatch, kind, seed):
     A, B = _shift_case(kind, seed)
     _inb, S, b, _E, scale, _n2 = pencil._reduce(A, B)
     shapes = spy_choleskys(monkeypatch)
-    sigma = pencil._strict_shift(S, b, scale)
-    if sigma is None:
+    sigma, strict = pencil._shift_search(S, b, scale)
+    if not strict:
         return
     steps = len(shapes)
     an = finite_eigenvalues(A, B)
@@ -484,7 +491,7 @@ def test_strict_shift_needs_no_certificate_at_lambda0(monkeypatch, kind, seed):
 
 def _takes_strict_shift(A, B):
     _inb, S, J, _E, scale, _n2 = pencil._reduce(A, B)
-    return pencil._strict_shift(S, J, scale) is not None
+    return pencil._shift_search(S, J, scale)[1]
 
 
 def test_canonical_pencils_take_the_strict_path_unless_coupled():
@@ -581,16 +588,99 @@ def test_coupled_pencils_survive_spread_b_eigenvalues(kind, seed):
 
 @pytest.mark.parametrize("seed", range(9, 100, 10))
 def test_coupled_analysis_factors_only_in_the_shift_search(monkeypatch, seed):
-    # the certificate at lambda0 is one eigh, and the chains at lambda0 are
-    # solved only when columns are asked for
+    # the search places lambda0 itself; the certificate there is one eigh, and
+    # the pair beside the kernel and its Jordan partner, (r-2) x (r-2), is
+    # factored once for its eigenvalues
     A, B, *_rest = canonical_pencil_instance(seed)
     _inb, S, J, _E, scale, _n2 = pencil._reduce(A, B)
     shapes = spy_choleskys(monkeypatch)
-    assert pencil._strict_shift(S, J, scale) is None
+    assert pencil._shift_search(S, J, scale)[1] is False
     steps = len(shapes)
     shapes.clear()
     assert finite_eigenvalues(A, B).m0 == 1
-    assert len(shapes) == steps
+    r = J.size
+    assert shapes == [(r, r)] * steps + [(r - 2, r - 2)]
+
+
+def _spy_eigvals(monkeypatch):
+    calls, real = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(np.shape(M)) or real(M))
+    return calls
+
+
+# coupled canonical seeds, then psd_pencil seeds with (n_coupled, n_inf, n_common)
+J_NULL_CASES = [(seed, None) for seed in range(9, 100, 10)] + [
+    (9600 + 3 * m + i, (m, *extra)) for m in (1, 2)
+    for i, extra in enumerate([(0, 0), (1, 0), (0, 1)])]
+
+
+@pytest.mark.parametrize("seed, blocks", J_NULL_CASES)
+def test_j_null_give_up_places_lambda0_without_eigvals(monkeypatch, seed, blocks):
+    # the strict search gives up on a nearly J-null direction; the search then
+    # places lambda0 itself and the pair beside the kernel and its Jordan
+    # partners gives every other eigenvalue: no nonsymmetric eigenvalue solve,
+    # and the same m0, lambda0 and spectrum as the eigvals path
+    if blocks is None:
+        A, B = canonical_pencil_instance(seed)[:2]
+    else:
+        A, B, _lp, _lm = psd_pencil(np.random.default_rng(seed), 3, 3, n_coupled=blocks[0],
+                                    n_inf=blocks[1], n_common=blocks[2])
+    _inb, S, J, _E, scale, _n2 = pencil._reduce(A, B)
+    placed, strict = pencil._shift_search(S, J, scale)
+    assert placed is not None and not strict
+    calls = _spy_eigvals(monkeypatch)
+    an = finite_eigenvalues(A, B)
+    assert calls == []
+    # the eigvals path: the search gives up without placing lambda0
+    monkeypatch.setattr(pencil, "_shift_search", lambda *args: (None, False))
+    ref = finite_eigenvalues(A, B)
+    assert calls == [(J.size, J.size)]
+    assert an.m0 == ref.m0 == (1 if blocks is None else blocks[0])
+    tol = 1e-8 * max(1.0, np.max(np.abs(np.r_[ref.lambda_plus, ref.lambda_minus])))
+    assert abs(an.lambda0 - ref.lambda0) <= tol
+    assert np.max(np.abs(an.lambda_plus - ref.lambda_plus)) <= tol
+    assert np.max(np.abs(an.lambda_minus - ref.lambda_minus)) <= tol
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("width", [0.0, 1e-9, 1e-6])
+def test_narrow_bracket_give_up_makes_one_eigvals_call(monkeypatch, seed, width):
+    # a bracket too narrow for the strict margin keeps the eigvals path: the
+    # pair at lambda0 would lose accuracy where mu reaches 1 / width
+    rng = np.random.default_rng(seed + 9000)
+    A, B, _lp, _lm = psd_pencil(rng, 3, 2, n_inf=seed % 2, n_common=int(seed % 3 == 2),
+                                n_touch=1 + seed % 2)
+    A = A + width * np.max(np.abs(A)) * np.eye(A.shape[0])
+    _inb, S, J, _E, scale, _n2 = pencil._reduce(A, B)
+    assert pencil._shift_search(S, J, scale) == (None, False)
+    calls = _spy_eigvals(monkeypatch)
+    assert finite_eigenvalues(A, B).diagonalizable
+    assert calls == [(J.size, J.size)]
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-3])
+@pytest.mark.parametrize("seed", range(3))
+def test_j_null_give_up_on_a_non_psd_pencil_fails_the_certificate(monkeypatch, seed, gap):
+    # a Jordan block opened into the complex pair lambda0 +/- i*sqrt(gap):
+    # A - sigma*B is indefinite for every sigma, the strict search still gives
+    # up on a nearly J-null direction, and the certificate rejects the pencil
+    rng = np.random.default_rng(seed + 9900)
+    lam0 = float(rng.normal())
+    Lam = np.zeros((6, 6))
+    Jb = np.zeros((6, 6))
+    Lam[:4, :4] = np.diag(np.r_[lam0 + rng.uniform(0.1, 3.0, 2),
+                                -(lam0 - rng.uniform(0.1, 3.0, 2))])
+    Jb[:4, :4] = np.diag([1.0, 1.0, -1.0, -1.0])
+    Lam[4:, 4:] = [[-gap, lam0], [lam0, 1.0]]
+    Jb[4:, 4:] = [[0.0, 1.0], [1.0, 0.0]]
+    W = (random_unitary(rng, 6) * rng.uniform(1.0, 2.0, 6)) @ random_unitary(rng, 6)
+    A, B = W.conj().T @ Lam @ W, W.conj().T @ Jb @ W
+    A, B = 0.5 * (A + A.conj().T), 0.5 * (B + B.conj().T)
+    coupled, real = [], pencil._coupled_shift
+    monkeypatch.setattr(pencil, "_coupled_shift", lambda *a: coupled.append(1) or real(*a))
+    with pytest.raises(NotPsdPencil, match=r"A - lambda0\*B has eigenvalue"):
+        finite_eigenvalues(A, B)
+    assert coupled == [1]
 
 
 @pytest.mark.parametrize("seed", range(10))

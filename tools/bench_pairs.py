@@ -9,8 +9,10 @@ each run is read. For every end-to-end metric in CHANGE_DIR's
 ``BENCHMARK.json`` the summary gives both sides' median and quartiles and the
 number of pairs the change wins (ties count for neither side), whether the
 change's median is past the metric's bound (worse than the parent's median by
-more than ``bound`` times it, in the direction ``better`` gives), plus the
-``failed`` count of each side. ``--workload`` may be repeated. ``--out``
+more than ``bound`` times it, in the direction ``better`` gives), whether it
+shows a gain (``gain_shown``: the change wins at least 9 of 10 pairs and its
+median is better than the parent's by more than the parent's interquartile
+range), plus the ``failed`` count of each side. ``--workload`` may be repeated. ``--out``
 writes the summaries, the machine and every run's metrics as JSON.
 """
 
@@ -51,8 +53,11 @@ def quartiles(xs):
 
 def summarize(runs, metrics):
     """Per metric: both sides' (q1, median, q3), the change's wins and losses,
-    whether the medians differ by more than the parent's IQR, and whether the
-    change's median is worse than the parent's by more than the bound."""
+    whether the medians differ by more than the parent's IQR in either
+    direction, whether the change shows a gain (wins at least 9/10 of the
+    pairs and its median is better by more than the parent's IQR), and
+    whether the change's median is worse than the parent's by more than the
+    bound."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -61,13 +66,13 @@ def summarize(runs, metrics):
         losses = sum((c > p) if lower else (c < p) for p, c in pairs)
         q = {side: quartiles([pair[i] for pair in pairs]) for i, side in enumerate(SIDES)}
         p_med, c_med = q["parent"][1], q["change"][1]
-        worse = c_med - p_med if lower else p_med - c_med
+        worse, iqr = c_med - p_med if lower else p_med - c_med, q["parent"][2] - q["parent"][0]
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             **{side: dict(zip(("q1", "median", "q3"), q[side])) for side in SIDES},
             "change_wins": wins, "change_losses": losses, "pairs": len(pairs),
-            "median_gap_exceeds_parent_iqr":
-                abs(c_med - p_med) > q["parent"][2] - q["parent"][0],
+            "median_gap_exceeds_parent_iqr": abs(c_med - p_med) > iqr,
+            "gain_shown": wins >= 0.9 * len(pairs) and -worse > iqr,
             "past_bound": worse > m["bound"] * abs(p_med),
         }
     return out
@@ -84,12 +89,13 @@ def run_pairs(trees, workload, seeds, metrics):
         print(f"{workload} seed {seed}: " + "  ".join(
             f"{side} failed={run[side]['failed']}" for side in SIDES), flush=True)
     summary = summarize(runs, metrics)
-    print(f"{'metric':<14}{'parent q1/med/q3':>34}{'change q1/med/q3':>34}  {'wins':>5}  past_bound")
+    print(f"{'metric':<14}{'parent q1/med/q3':>34}{'change q1/med/q3':>34}  {'wins':>5}  "
+          "gain_shown  past_bound")
     for name, s in summary.items():
         cols = ["/".join(f"{s[side][k]:.4g}" for k in ("q1", "median", "q3")) for side in SIDES]
         wins = f"{s['change_wins']}/{s['pairs']}"
         print(f"{name:<14}{cols[0]:>34}{cols[1]:>34}  {wins:>5}  "
-              f"{'yes' if s['past_bound'] else 'no'}")
+              f"{'yes' if s['gain_shown'] else 'no':>10}  {'yes' if s['past_bound'] else 'no'}")
     failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
     print("failed: " + ", ".join(f"{side} {n}" for side, n in failed.items()))
     return {"failed": failed, "summary": summary, "runs": runs}
