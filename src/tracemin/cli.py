@@ -344,14 +344,6 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("TRACEMIN_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
-
 def _positive_int(text: str) -> int:
     """argparse type of the oracle budgets: an integer of at least 1."""
     try:
@@ -378,12 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse converts a string default with `type`, so a malformed
+    # TRACEMIN_SEED is a usage error like a malformed --seed
+    seed = os.environ.get("TRACEMIN_SEED", "0")
 
     sp = sub.add_parser("solve", help="solve a problem file")
     sp.add_argument("path")
     sp.add_argument("--optimizer", action="store_true",
                     help="include an attaining X in the report when one exists")
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=seed)
     _add_mode_flags(sp)
     sp.set_defaults(func=cmd_solve)
 
@@ -396,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("path")
     sp.add_argument("--restarts", type=_positive_int, default=20)
     sp.add_argument("--iters", type=_positive_int, default=500)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=seed)
     _add_mode_flags(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -408,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("selftest", help="run built-in smoke checks")
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=seed)
     _add_mode_flags(sp)
     sp.set_defaults(func=cmd_selftest)
     return parser

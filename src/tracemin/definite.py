@@ -84,19 +84,26 @@ def pencil_eig_definite(A, B) -> DefinitePencilEigen:
     return DefinitePencilEigen(u=U, lambdas=lam)
 
 
-def split_omegas(D, tol: float | None = None) -> OmegaSplit:
-    """Eigen-decompose D with values descending; zeros group with the
-    nonnegative block. The default tolerance is WEIGHT_RTOL * max|D|."""
-    return _split_omegas(as_herm(D), tol)
+def split_omegas(D) -> OmegaSplit:
+    """Eigen-decompose D with values descending; weights within
+    WEIGHT_RTOL * max|D| of zero group with the nonnegative ones. D is one
+    block: a signature route splits each of its blocks apart."""
+    return _split_omegas(as_herm(D))
 
 
-def _split_omegas(D_, tol=None) -> OmegaSplit:
-    if tol is None:
-        tol = _scaled_tol(D_, WEIGHT_RTOL)
-    w, Q = np.linalg.eigh(D_)
+def _split_omegas(D_) -> OmegaSplit:
+    # an empty signature block is split without an eigh
+    w, Q = np.linalg.eigh(D_) if D_.size else (np.empty(0), D_)
     w = w[::-1].copy()
-    Q = Q[:, ::-1].copy()
-    return OmegaSplit(omegas=w, ell=int(np.sum(w >= -tol)), q=Q)
+    return OmegaSplit(omegas=w, ell=int(np.sum(w >= -_scaled_tol(D_, WEIGHT_RTOL))),
+                      q=Q[:, ::-1].copy())
+
+
+def _pair(om: OmegaSplit, eigs, roles):
+    """(value, pairing): D's descending weights om.omegas take eigs in order,
+    the i-th under the name roles[i]."""
+    pairing = [(float(w), float(lam), role) for w, lam, role in zip(om.omegas, eigs, roles)]
+    return float(sum(w * lam for w, lam, _ in pairing)), pairing
 
 
 def solve_definite_min(A, B, D, k=None, want_optimizer=False) -> SolveReport:
@@ -122,26 +129,14 @@ def _solve_definite(A_, L, D_, sense, want_optimizer) -> SolveReport:
         rep.value = -rep.value
         rep.pairing = [(w, -lam, role) for (w, lam, role) in rep.pairing]
         return rep
-    n, k = A_.shape[0], D_.shape[0]
-    om = _split_omegas(D_)
-    ell = om.ell
+    n, k, om = A_.shape[0], D_.shape[0], _split_omegas(D_)
     # nonnegative weights take the ell smallest pencil eigenvalues, negative
     # weights the k-ell largest
-    lams, U = _pair_eigenpairs(_reduce_pair(A_, L), ell, k - ell, want_optimizer)
-    sel = list(range(ell)) + list(range(n - k + ell, n))
-    pairing = [
-        (float(om.omegas[i]), float(lams[i]), f"lambda[{sel[i] + 1}]")
-        for i in range(k)
-    ]
-    value = float(sum(w * lam for w, lam, _ in pairing))
-    return SolveReport(
-        route="definite-min",
-        finite=True,
-        value=value,
-        attained=True,
-        x_opt=U @ om.q.conj().T if want_optimizer else None,
-        pairing=pairing,
-    )
+    lams, U = _pair_eigenpairs(_reduce_pair(A_, L), om.ell, k - om.ell, want_optimizer)
+    value, pairing = _pair(om, lams, [f"lambda[{j + 1}]" for j in
+                                      [*range(om.ell), *range(n - k + om.ell, n)]])
+    return SolveReport(route="definite-min", finite=True, value=value, attained=True,
+                       x_opt=U @ om.q.conj().T if want_optimizer else None, pairing=pairing)
 
 
 @dataclass
@@ -165,10 +160,8 @@ def characterize_minimizer(report: SolveReport, A, B, D) -> MinimizerCheck:
     D_ = as_herm(D)
     om = _split_omegas(D_)
     tol = _scaled_tol(D_, WEIGHT_RTOL)
-    ell_p = int(np.sum(om.omegas > tol))
-    ell_m = int(np.sum(om.omegas < -tol))
-    k = D_.shape[0]
-    qhat = np.hstack([om.q[:, :ell_p], om.q[:, k - ell_m:]])
+    # the positive weights lead, the negative ones follow om.ell
+    qhat = np.hstack([om.q[:, :int(np.sum(om.omegas > tol))], om.q[:, om.ell:]])
     Z = report.x_opt @ qhat
     M = Z.conj().T @ A_ @ Z
     off = M - np.diag(np.diag(M))

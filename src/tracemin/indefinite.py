@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .definite import SolveReport, _solve_definite, _split_omegas
+from .definite import SolveReport, _pair, _solve_definite, _split_omegas
 from .errors import (
     BlockStructureViolated,
     BudgetExceeded,
@@ -37,7 +37,10 @@ FEASIBILITY_ATOL = 1e-8
 
 
 def check_finiteness(D) -> bool:
-    """True iff D is positive semi-definite within WEIGHT_RTOL * max|D|."""
+    """True iff D is positive semi-definite within WEIGHT_RTOL * max|D|.
+
+    D is judged as one block. A signature route eigendecomposes D's two
+    blocks apart and judges each against its own largest weight."""
     D_ = as_herm(D)
     return _split_omegas(D_).ell == D_.shape[0]
 
@@ -88,61 +91,39 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
                            (c.k_minus, inb.n_minus, "n_minus")):
         if k > count:
             raise KTooLarge(f"k={k} exceeds {name}={count}")
-    Dp, Dm = _split_block_d(p.D.mat, c.k_plus)
+    D_, kp = p.D.mat, c.k_plus
+    if max_norm(D_[:kp, kp:]) > _scaled_tol(D_, WEIGHT_RTOL):
+        raise BlockStructureViolated(
+            "D couples the +1 and -1 column groups; no eigenvalue-product "
+            "formula exists for coupled D (see `tracemin counterexample`)"
+        )
     analysis = finite_eigenvalues(p.A, p.B)
+    # each block is eigendecomposed apart, so each is judged against its own
+    # largest weight. A negative weight sends the infimum to -inf, unless
+    # A = lambda0*B: X^H A X = lambda0 * C for every feasible X, so every
+    # pencil eigenvalue is lambda0 and any weight pairs with it
+    oms = (_split_omegas(D_[:kp, :kp]), _split_omegas(D_[kp:, kp:]))
+    finite = analysis._scalar or all(om.ell == om.omegas.size for om in oms)
+    sides = [_pair(om, eigs, [f"{role}[{i + 1}]" for i in range(om.omegas.size)])
+             for om, eigs, role in zip(oms, (analysis.lambda_plus, -analysis.lambda_minus),
+                                       ("lambda+", "-lambda-"))] if finite else []
     # the report keeps the analysis without its eigenvectors: x_opt holds
     # what the solve takes from them, and a report should not pin the kept
     # reduction
     rep = SolveReport(
         route="indefinite-" + ("signature" if c.k_plus and c.k_minus
                                else "plus" if c.k_plus else "minus"),
-        finite=True, value=0.0, attained=True, inertia_b=inb,
-        analysis=replace(analysis, _vectors=None),
+        finite=finite, value=float(sum(v for v, _ in sides)) if finite else None,
+        attained=finite and analysis.diagonalizable,
+        pairing=[entry for _, pairing in sides for entry in pairing],
+        warnings=["degenerate_A"] if analysis._scalar else [],
+        analysis=replace(analysis, _vectors=None), inertia_b=inb,
     )
-    # A = lambda0*B: X^H A X = lambda0 * C for every feasible X, so every
-    # pencil eigenvalue is lambda0 and any weight pairs with it
-    if analysis._scalar:
-        rep.warnings = ["degenerate_A"]
-    sides = [_pair(D_, lam, role, analysis._scalar) if D_.shape[0] else (0.0, [], D_)
-             for D_, lam, role in ((Dp, analysis.lambda_plus, "lambda+"),
-                                   (Dm, -analysis.lambda_minus, "-lambda-"))]
-    if None in sides:
-        # a block has a weight below -WEIGHT_RTOL * max|D|: `check_finiteness`
-        # fails
-        rep.finite, rep.value, rep.attained = False, None, False
-        return rep
-    rep.value = float(sum(value for value, _, _ in sides))
-    rep.pairing = [entry for _, pairing, _ in sides for entry in pairing]
-    rep.attained = analysis.diagonalizable
-    if want_optimizer and (rep.attained or eps):
+    if want_optimizer and finite and (rep.attained or eps):
         # D pairs with the k_plus smallest lambda+ and the k_minus largest lambda-
-        V = analysis._vectors_within(*([w for w, _, _ in pr] for _, pr, _ in sides), eps)
-        rep.x_opt = np.hstack([Vs @ q.conj().T for Vs, (_, _, q) in zip(V, sides)])
+        V = analysis._vectors_within(*(om.omegas for om in oms), eps)
+        rep.x_opt = np.hstack([Vs @ om.q.conj().T for Vs, om in zip(V, oms)])
     return rep
-
-
-def _pair(D_, eigs, role, any_sign=False):
-    """(value, pairing, Q) of one block of D: its descending eigenvalues pair
-    with eigs[:k], and Q holds their eigenvectors; None when the block has a
-    negative weight, unless any_sign."""
-    k = D_.shape[0]
-    om = _split_omegas(D_)
-    if om.ell < k and not any_sign:
-        return None
-    pairing = [(float(om.omegas[i]), float(eigs[i]), f"{role}[{i + 1}]") for i in range(k)]
-    return float(sum(w * lam for w, lam, _ in pairing)), pairing, om.q
-
-
-def _split_block_d(D_, k_plus):
-    """Split a full k x k D into its diagonal blocks at k_plus, rejecting
-    coupling between the +1 and -1 index groups."""
-    off = D_[:k_plus, k_plus:]
-    if max_norm(off) > _scaled_tol(D_, WEIGHT_RTOL):
-        raise BlockStructureViolated(
-            "D couples the +1 and -1 column groups; no eigenvalue-product "
-            "formula exists for coupled D (see `tracemin counterexample`)"
-        )
-    return D_[:k_plus, :k_plus], D_[k_plus:, k_plus:]
 
 
 def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False):

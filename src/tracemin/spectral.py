@@ -33,10 +33,10 @@ def max_norm(M) -> float:
     return 0.0 if M.size == 0 else float(np.max(np.abs(M)))
 
 
-def _scaled_tol(M, rel: float, floor: float = 1e-12) -> float:
+def _scaled_tol(M, rel: float) -> float:
     # zero matrices fall back to an absolute tolerance to avoid 0*rel
     s = max_norm(M)
-    return rel * s if s > 0.0 else floor
+    return rel * s if s > 0.0 else 1e-12
 
 
 class HermitianMatrix:
@@ -102,9 +102,7 @@ class HermitianMatrix:
 
 def as_herm(H) -> np.ndarray:
     """Coerce an array-like or HermitianMatrix to a validated Hermitian array."""
-    if isinstance(H, HermitianMatrix):
-        return H.mat
-    return HermitianMatrix(H).mat
+    return HermitianMatrix.of(H).mat
 
 
 @dataclass
@@ -139,16 +137,12 @@ class Inertia:
         return self.n_plus + self.n_minus
 
 
-def inertia(H, tol: float | None = None) -> Inertia:
-    """Inertia of a Hermitian matrix; eigenvalues within ``tol`` of zero count
-    as zero. Default tolerance is ZERO_RTOL * max|entry| (absolute 1e-12 for
-    the zero matrix)."""
+def inertia(H) -> Inertia:
+    """Inertia of a Hermitian matrix; eigenvalues within ZERO_RTOL *
+    max|entry| of zero (absolute 1e-12 for the zero matrix) count as zero."""
     M = as_herm(H)
-    if tol is None:
-        tol = _scaled_tol(M, ZERO_RTOL)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return _count_inertia(np.linalg.eigvalsh(M) if M.size else np.empty(0), tol)
+    return _count_inertia(np.linalg.eigvalsh(M) if M.size else np.empty(0),
+                          _scaled_tol(M, ZERO_RTOL))
 
 
 def _count_inertia(w, tol) -> Inertia:

@@ -76,3 +76,24 @@ def test_summarize_shows_a_gain_only_for_a_win_past_the_parent_iqr(factors, gain
         assert s[name]["gain_shown"] is gain
     # equal runs show no gain
     assert not s["peak_rss_mb"]["gain_shown"]
+
+
+@pytest.mark.parametrize("spread, change_factor, unresolved", [
+    # parent runs within 1 % of each other: every bound decides
+    (0.002, 1.0, False),
+    # parent IQR of about 55 % of its median, wider than the 25 % and 5 % bounds
+    (0.5, 1.0, True),
+    # as wide, but every change run beats every parent run
+    (0.5, 0.3, False),
+])
+def test_summarize_flags_a_spread_wider_than_the_bound_as_unresolved(
+        spread, change_factor, unresolved):
+    offsets = [(i - 4.5) * spread / 4.5 for i in range(10)]
+    parent = [{"op_s_p50": 0.02 * (1 + o), "ops_per_s": 40.0 * (1 + o),
+               "peak_rss_mb": 80.0 * (1 + o)} for o in offsets]
+    # the change reverses the order, so no pair is tied by construction
+    change = [{"op_s_p50": p["op_s_p50"] * change_factor,
+               "ops_per_s": p["ops_per_s"] / change_factor,
+               "peak_rss_mb": p["peak_rss_mb"] * change_factor} for p in parent[::-1]]
+    s = bench_pairs.summarize(_runs(parent, change), METRICS)
+    assert {name: v["unresolved"] for name, v in s.items()} == dict.fromkeys(s, unresolved)

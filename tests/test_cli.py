@@ -276,6 +276,20 @@ def test_seed_env_variable(capsys, monkeypatch):
     assert rep["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("argv", [["selftest"], ["verify", "kyfan.json"],
+                                  ["solve", "kyfan.json"]])
+def test_malformed_seed_env_variable_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("TRACEMIN_SEED", "abc")
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    # an explicit --seed is parsed in its place
+    code, rep = run_json(capsys, "solve", str(FIXTURES / "kyfan.json"), "--seed", "5")
+    assert code == 0 and rep["finite"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracemin import (
     BlockStructureViolated,
@@ -21,12 +23,14 @@ from tracemin import (
     solve_signature,
 )
 from tracemin import indefinite, oracle, spectral
+from tracemin.spectral import WEIGHT_RTOL
 from helpers import (
     canonical_pencil_instance,
     check_factorizations,
     definite_instance,
     psd_pencil,
     random_psd,
+    random_unitary,
     spy_factorizations,
 )
 
@@ -56,6 +60,52 @@ class TestConstraintSpec:
 def test_check_finiteness():
     assert check_finiteness(np.diag([1.0, 0.0]))
     assert not check_finiteness(np.diag([1.0, -0.5]))
+
+
+# a strict pencil with lambda+ = 1, 2, 4 and lambda- = -3, -5, -6
+A6 = np.diag([1.0, 2.0, 4.0, 5.0, 3.0, 6.0])
+B6 = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+# lambda+ = 1, 2 and lambda- = -3, -5
+A4 = np.diag([1.0, 2.0, 5.0, 3.0])
+B4 = np.diag([1.0, 1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-9])
+def test_each_signature_block_is_judged_against_its_own_largest_weight(c):
+    # the -1 block of diag(1, -c) is [-c]: its weight is negative against its
+    # own scale at every c. Judged as one block, -c is zero within
+    # WEIGHT_RTOL * 1 at c = 1e-12 and negative at c = 1e-9
+    D = np.diag([1.0, -c])
+    assert not solve(A4, B4, D, ConstraintSpec.signature(1, 1)).finite
+    plus = solve(A4, B4, D, ConstraintSpec.plus_identity(2))
+    assert plus.finite is check_finiteness(D) is (c < WEIGHT_RTOL)
+    if plus.finite:
+        assert plus.value == pytest.approx(1.0 - 2.0 * c, rel=1e-15)
+
+
+@pytest.mark.parametrize("s", range(-8, 9))
+def test_scaling_the_plus_block_leaves_the_minus_blocks_decision(s):
+    for d_minus, finite in ((-1e-12, False), (1e-12, True)):
+        rep = solve(A4, B4, np.diag([10.0 ** s, d_minus]), ConstraintSpec.signature(1, 1))
+        assert rep.finite is finite
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), ratio=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]),
+       log_scale=st.floats(-6.0, 6.0), rotate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_check_finiteness_is_the_plus_routes_decision(k, ratio, sign, log_scale, rotate, seed):
+    # one weight at ratio * WEIGHT_RTOL * max|D| beside a largest weight of
+    # either sign, the rest in [0, max|D|]
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    w = np.r_[sign * scale, ratio * WEIGHT_RTOL * scale, rng.uniform(0, scale, 1)][:k]
+    Q = random_unitary(rng, k) if rotate else np.eye(k)
+    D = (Q * w) @ Q.conj().T
+    D = 0.5 * (D + D.conj().T)
+    finite = check_finiteness(D)
+    assert solve(A6, B6, D, ConstraintSpec.plus_identity(k)).finite is finite
+    if not rotate and k > 1 and sign > 0:
+        assert finite is (ratio >= -1.0)
 
 
 class TestWorkedExamples:

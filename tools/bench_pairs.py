@@ -12,8 +12,10 @@ change's median is past the metric's bound (worse than the parent's median by
 more than ``bound`` times it, in the direction ``better`` gives), whether it
 shows a gain (``gain_shown``: the change wins at least 9 of 10 pairs and its
 median is better than the parent's by more than the parent's interquartile
-range), plus the ``failed`` count of each side. ``--workload`` may be repeated. ``--out``
-writes the summaries, the machine and every run's metrics as JSON.
+range), whether it is ``unresolved`` (the parent's interquartile range is wider
+than ``bound`` times its median and not every change run beats every parent
+run), plus the ``failed`` count of each side. ``--workload`` may be repeated.
+``--out`` writes the summaries, the machine and every run's metrics as JSON.
 """
 
 from __future__ import annotations
@@ -55,18 +57,22 @@ def summarize(runs, metrics):
     """Per metric: both sides' (q1, median, q3), the change's wins and losses,
     whether the medians differ by more than the parent's IQR in either
     direction, whether the change shows a gain (wins at least 9/10 of the
-    pairs and its median is better by more than the parent's IQR), and
-    whether the change's median is worse than the parent's by more than the
-    bound."""
+    pairs and its median is better by more than the parent's IQR), whether
+    the change's median is worse than the parent's by more than the bound,
+    and whether the parent's spread is too wide for the bound to decide
+    (its IQR exceeds the bound, and not every change run beats every parent
+    run)."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pairs = [tuple(r[side]["metrics"][name]["value"] for side in SIDES) for r in runs]
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
         losses = sum((c > p) if lower else (c < p) for p, c in pairs)
-        q = {side: quartiles([pair[i] for pair in pairs]) for i, side in enumerate(SIDES)}
+        ps, cs = ([pair[i] for pair in pairs] for i in range(2))
+        q = {"parent": quartiles(ps), "change": quartiles(cs)}
         p_med, c_med = q["parent"][1], q["change"][1]
         worse, iqr = c_med - p_med if lower else p_med - c_med, q["parent"][2] - q["parent"][0]
+        dominates = max(cs) < min(ps) if lower else min(cs) > max(ps)
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             **{side: dict(zip(("q1", "median", "q3"), q[side])) for side in SIDES},
@@ -74,6 +80,7 @@ def summarize(runs, metrics):
             "median_gap_exceeds_parent_iqr": abs(c_med - p_med) > iqr,
             "gain_shown": wins >= 0.9 * len(pairs) and -worse > iqr,
             "past_bound": worse > m["bound"] * abs(p_med),
+            "unresolved": iqr > m["bound"] * abs(p_med) and not dominates,
         }
     return out
 
@@ -90,12 +97,13 @@ def run_pairs(trees, workload, seeds, metrics):
             f"{side} failed={run[side]['failed']}" for side in SIDES), flush=True)
     summary = summarize(runs, metrics)
     print(f"{'metric':<14}{'parent q1/med/q3':>34}{'change q1/med/q3':>34}  {'wins':>5}  "
-          "gain_shown  past_bound")
+          "gain_shown  past_bound  unresolved")
     for name, s in summary.items():
         cols = ["/".join(f"{s[side][k]:.4g}" for k in ("q1", "median", "q3")) for side in SIDES]
         wins = f"{s['change_wins']}/{s['pairs']}"
         print(f"{name:<14}{cols[0]:>34}{cols[1]:>34}  {wins:>5}  "
-              f"{'yes' if s['gain_shown'] else 'no':>10}  {'yes' if s['past_bound'] else 'no'}")
+              + "  ".join(f"{'yes' if s[k] else 'no':>{len(k)}}"
+                          for k in ("gain_shown", "past_bound", "unresolved")))
     failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
     print("failed: " + ", ".join(f"{side} {n}" for side, n in failed.items()))
     return {"failed": failed, "summary": summary, "runs": runs}
