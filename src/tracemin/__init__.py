@@ -54,7 +54,6 @@ from .oracle import (
 )
 from .pencil import (
     PsdPencilAnalysis,
-    diagonalizability,
     eigenvectors_of,
     find_lambda0,
     finite_eigenvalues,
@@ -106,7 +105,6 @@ __all__ = [
     "counterexample_matrices",
     "counterexample_stationary",
     "counterexample_y",
-    "diagonalizability",
     "eig_herm",
     "eigenvectors_of",
     "epsilon_suboptimal",

@@ -7,28 +7,26 @@ the rest of N(B) A is positive definite for a positive semi-definite pencil,
 and its Schur complement S, in B's eigenvectors scaled by |Lambda_B|^-1/2,
 leaves the regular rank(B)-sized pencil S - lambda*J, J = sign(Lambda_B),
 with the same finite spectrum (Liang, Li & Bai, LAA 438, 2013); every
-decision is made in these units. Bisection with one Cholesky per step seeks
-a strict shift, S - sigma*J > 0 (Crawford & Moon, LAA 51, 1983) inside the
-bracket of the quotients S_ii / J_i. One tridiagonal reduction of the
-definite pair (J, S - sigma*J) gives every eigenvalue, sigma + 1/mu, as
-values, and is kept for `PsdPencilAnalysis.eigvecs`, which transforms back
-only the eigenvectors asked for; that pencil is definite, so diagonalizable
-with no kernel at lambda0, the midpoint of the bracket [max lambda-, min
-lambda+]. The search gives up for one of two reasons. On a nearly J-null
-negative direction, as near a coupled block, it places lambda0 itself:
-Newton's method on the J-norm of the lowest eigenvector of S - sigma*J, each
-step one Cholesky of S - sigma*J + relax*I. On a bracket too narrow for the
-margin, one nonsymmetric solve of the J-Hermitian J*S gives the eigenvalues,
-whose real parts place lambda0. Either way only the certificate at lambda0
-decides: one eigh of the eigenvalues of S - lambda0*J at or below the floor
-proves it positive semi-definite, and they span its kernel K0. The pencil is
-diagonalizable iff no direction z of K0 is J-null. Each such z has a Jordan
-partner w; the columns at lambda0 are K0's other directions and
-t*z +/- w/(2t), and the definite pair on their J-orthogonal complement is
-reduced once and kept by the same helper that reduces the pair at a strict
-shift, where K0 is empty. After a placed lambda0 that pair gives every other
-eigenvalue, lambda0 + 1/mu, and no nonsymmetric solve runs; after a narrow
-bracket the dim K0 + m0 eigenvalues nearest lambda0 are set to it.
+decision is made in these units. One bracket search, one Cholesky per step,
+places the shift. It bisects for a strict shift, S - sigma*J > 0 (Crawford &
+Moon, LAA 51, 1983), inside the bracket of the quotients S_ii / J_i; one
+tridiagonal reduction of the definite pair (J, S - sigma*J) gives every
+eigenvalue, sigma + 1/mu, and is kept for `PsdPencilAnalysis.eigvecs`, which
+transforms back only the eigenvectors asked for. Where no strict shift fits,
+on a narrow bracket or near a coupled block, the search relaxes each
+Cholesky and steps to the quotient of the lowest eigenvector of
+S - sigma*J, or by Newton's method on its J-norm when it is nearly J-null,
+until it places lambda0 or the bracket closes. Only the certificate at
+lambda0 then decides: one eigh of the eigenvalues of S - lambda0*J at or
+below the floor proves it positive semi-definite, and they span its kernel
+K0. The pencil is diagonalizable iff no direction z of K0 is J-null. Each
+such z has a Jordan partner w; the columns at lambda0 are K0's other
+directions and t*z +/- w/(2t), and the definite pair on their J-orthogonal
+complement gives every other eigenvalue, lambda0 + 1/mu. Its eigenvectors
+with mu past the strict margin join those columns, and the pair is reduced
+again without them. No nonsymmetric solve runs; lambda0 is the midpoint of
+the computed bracket [max lambda-, min lambda+], or the shift itself when
+one side is empty.
 """
 
 from __future__ import annotations
@@ -52,13 +50,13 @@ RANK_RTOL = 1e-9
 PSD_RTOL = 1e-9
 # a unit direction x of K0 with |x^H J x| <= GRAM_RTOL is J-null (B-null)
 GRAM_RTOL = 1e-8
-# a negative direction x of S - sigma*J with |x^H J x| <= STEER_RTOL * ||x||^2
-# is nearly J-null and cannot steer the search for a strict shift; near
-# lambda0 only such a lowest eigenvector leads Newton's method to a Jordan block
+# a direction x of S - sigma*J with |x^H J x| <= STEER_RTOL * ||x||^2 is nearly
+# J-null: it cannot steer the search by its quotient, and near lambda0 only
+# such a lowest eigenvector leads Newton's method to a Jordan block
 STEER_RTOL = 0.1
 # a strict shift leaves S - sigma*J >= SHIFT_RTOL * (max|A11| + |sigma|), so the
-# definite pair there gives eigenvalues to about eps / SHIFT_RTOL relative (at
-# PSD_RTOL's floor they could lose 1e-8)
+# definite pair there gives eigenvalues to about eps / SHIFT_RTOL relative; at
+# any other shift the pair's eigenvalues within this margin are deflated
 SHIFT_RTOL = 1e-3
 
 
@@ -70,9 +68,10 @@ class PsdPencilAnalysis:
     lambda_minus the n_minus smallest, indexed descending so entry 0 is the
     largest of the minus group. Eigenvectors exist only when the pencil is
     diagonalizable: the analysis keeps one reduced definite pair (at the
-    strict shift, or at lambda0 beside K0 and its Jordan chains), and `eigvecs`
-    computes from it only the columns asked for. They have B-norm +1 / -1
-    and align with the eigenvalue lists.
+    strict shift, or at the placed shift beside K0, its Jordan chains and the
+    pair's eigenvectors within the margin), and `eigvecs` computes from it
+    only the columns asked for. They have B-norm +1 / -1 and align with the
+    eigenvalue lists.
     """
 
     lambda0: float
@@ -154,18 +153,6 @@ def _reduce(A, B):
     return inb, Sh, np.sign(b), E, scale, V2.shape[1]
 
 
-def _bracket_shift(lam, n_minus) -> float:
-    """lambda0 at the midpoint of [max lambda-, min lambda+], or one unit of
-    the end's own size beyond the only end that exists."""
-    if lam.size == 0:
-        return 0.0
-    if n_minus == 0:
-        return float(lam[0] - (1.0 + abs(lam[0])))
-    if n_minus == lam.size:
-        return float(lam[-1] + (1.0 + abs(lam[-1])))
-    return 0.5 * float(lam[n_minus - 1] + lam[n_minus])
-
-
 def _try_shift(S, J, sigma, margin):
     """One Cholesky of M = S - sigma*diag(J) - margin*I, in place (the upper
     triangle keeps M): (L, None, 0, nan) on success, else (None, x, g, rho)
@@ -186,65 +173,64 @@ def _try_shift(S, J, sigma, margin):
 
 
 def _shift_search(S, J, scale):
-    """(sigma, strict): a strict shift, S - sigma*diag(J) - margin*I > 0 with
-    margin = SHIFT_RTOL * (scale + |sigma|) (strict True), by bisection with one
-    Cholesky per step in the bracket of the quotients S_ii / J_i: a certifying
-    sigma has S_ii - sigma*J_i >= 0, so they bound it below (J_i < 0) and above
-    (J_i > 0); a side without such J_i takes 2||S||_F, beyond every quotient
-    and every eigenvalue of J*S. A failed step steers by its negative
-    direction x (`_try_shift`): beyond sigma, or beyond the quotient
-    x^H S x / x^H J x, which bounds every positive semi-definite shift too.
-    The search gives up on a bracket too narrow for the margin, (None, False),
-    or on a nearly J-null x, as near a coupled block: then lambda0 comes from
-    `_coupled_shift` on the bracket of those quotients, (lambda0 or None, False)."""
+    """(sigma, strict) from one search in the bracket of the quotients
+    S_ii / J_i: a positive semi-definite shift sigma has S_ii - sigma*J_i >= 0,
+    so they bound it below (J_i < 0) and above (J_i > 0); a side without such
+    J_i takes 2||S||_F. Bisection, one Cholesky per step, seeks a strict shift,
+    S - sigma*diag(J) - margin*I > 0 with margin = SHIFT_RTOL * (scale +
+    |sigma|) (strict True). A failed step steers by its negative direction x
+    (`_try_shift`): beyond sigma, or beyond the quotient rho of x, which bounds
+    every positive semi-definite shift too. On a bracket too narrow for the
+    margin or a nearly J-null x the search relaxes (strict False). Each step
+    factors S - sigma*J + r*I; a failure cuts the bracket of the quotients by
+    sigma and rho, a success takes the lowest unit eigenvector z of
+    S - sigma*J by three inverse iterations from x. With g = z^H J z beyond
+    STEER_RTOL it steps to z's quotient, which cuts the bracket too and for
+    z near the kernel of S - lambda0*J is lambda0 to second order (as beside a
+    touching pair). A nearly J-null z, as near a coupled block, takes a Newton
+    step on g(sigma) instead: there the lowest eigenvalue is about
+    -c*(sigma - lambda0)^2, g about 2c*(sigma - lambda0), and g' =
+    2 u^H (S - sigma*J + r*I)^-1 u, u = Jz - g*z, comes from the factor; it
+    cuts at sigma when e = z^H (S - sigma*J) z < 0. r starts at SHIFT_RTOL *
+    (scale + |sigma|), then is about 4|e|, but at least floor/2, floor =
+    PSD_RTOL * (scale + |sigma|). At floor/2 a step within r and inside the
+    bracket is lambda0; else, after a quotient step with e >= 0, sigma is. A
+    bracket closed below the floor takes one last such step at its midpoint,
+    and `_certify` judges the midpoint if that step places nothing."""
+    if not J.size:
+        return 0.0, True
     q = np.real(np.diag(S)) / J
     reach = 2.0 * float(np.linalg.norm(S))
     lo, hi = float(np.max(q[J < 0], initial=-reach)), float(np.min(q[J > 0], initial=reach))
-    psd = [lo, hi]
+    psd, x = [lo, hi], np.ones(J.size)
     while True:
         sigma = 0.5 * (lo + hi)
         margin = SHIFT_RTOL * (scale + abs(sigma))
         if hi - lo <= 2.0 * margin:
-            return None, False
+            break
         L, x, g, rho = _try_shift(S, J, sigma, margin)
         if L is not None:
             return sigma, True
         if abs(g) <= STEER_RTOL:
-            return _coupled_shift(S, J, scale, psd, x), False
+            break
         if g > 0:
             hi, psd[1] = min(sigma, rho), min(psd[1], rho)
         else:
             lo, psd[0] = max(sigma, rho), max(psd[0], rho)
-
-
-def _coupled_shift(S, J, scale, bracket, x):
-    """lambda0 in bracket with S - lambda0*diag(J) >= -floor, floor =
-    PSD_RTOL * (scale + |lambda0|), by Newton's method on g(sigma) = z^H J z,
-    z the lowest unit eigenvector of S - sigma*diag(J); or None. Near a Jordan
-    block at lambda0 that eigenvalue is about -c*(sigma - lambda0)^2 and g
-    about 2c*(sigma - lambda0), and when the eigenvalue is negative the sign
-    of g says on which side of sigma lambda0 lies. Each step is one
-    `_try_shift` at the margin -relax: a failure steers as in `_shift_search`;
-    a success gives z by inverse iteration from x (the latest direction) and
-    g' = 2 u^H (S - sigma*J + relax*I)^-1 u, u = Jz - g*z, from its factor.
-    relax starts at SHIFT_RTOL * (scale + |sigma|) and is then four times
-    |z^H (S - sigma*J) z|, but at least floor/2. lambda0 = sigma - g/g' once a sigma factored at
-    floor/2 takes a step within floor/2, so the certificate there passes;
-    None when the bracket closes, or when the lowest eigenvector at floor/2 is
-    not nearly J-null (a cluster at lambda0, as beside a touching pair)."""
-    (lo, hi), rtol, least, guess = bracket, SHIFT_RTOL, 0.5 * PSD_RTOL, np.nan
+    (lo, hi), rtol, least, guess = psd, SHIFT_RTOL, 0.5 * PSD_RTOL, np.nan
     # every step narrows the bracket, a Newton step perhaps only by its own
     # size: the cap ends a search that creeps without reaching the floor
     for _ in range(100):
-        sigma = guess if lo < guess < hi else 0.5 * (lo + hi)
+        sigma = guess if lo <= guess <= hi else 0.5 * (lo + hi)
+        closed = hi - lo <= 2.0 * PSD_RTOL * (scale + abs(sigma))
+        if closed:
+            sigma, rtol = 0.5 * (lo + hi), least
         relax = rtol * (scale + abs(sigma))
-        if hi - lo <= 2.0 * PSD_RTOL * (scale + abs(sigma)):
-            return None
         L, y, g, rho = _try_shift(S, J, sigma, -relax)
         guess = np.nan
         if L is None:
-            if not g:
-                return None
+            if closed or not g:
+                return sigma, False
             x = y
             lo, hi = (lo, min(sigma, rho)) if g > 0 else (max(sigma, rho), hi)
             continue
@@ -253,17 +239,23 @@ def _coupled_shift(S, J, scale, bracket, x):
             x = lapack.zpotrs(L, x, lower=1)[0]
             x /= np.linalg.norm(x)
         g = float(np.real(x.conj() @ (J * x)))
-        u = J * x - g * x
-        dg = 2.0 * float(np.real(u.conj() @ lapack.zpotrs(L, u, lower=1)[0]))
-        step = g / dg if dg > 0 else np.inf
-        if rtol == least and abs(step) <= relax:
-            return sigma - step
-        if rtol == least and abs(g) > STEER_RTOL:
-            return None
-        lo, hi = (lo, sigma) if g > 0 else (sigma, hi)
         e = float(np.real(x.conj() @ S @ x)) - sigma * g
-        guess, rtol = sigma - step, max(least, 4.0 * abs(e) / (scale + abs(sigma)))
-    return None
+        steer = abs(g) > STEER_RTOL
+        if steer:
+            guess = sigma + e / g
+        else:
+            u = J * x - g * x
+            dg = 2.0 * float(np.real(u.conj() @ lapack.zpotrs(L, u, lower=1)[0]))
+            guess = sigma - g / dg if dg > 0 else np.inf
+        if rtol == least and abs(guess - sigma) <= relax and lo <= guess <= hi:
+            return guess, False
+        if rtol == least and (closed or steer and e >= 0):
+            return sigma, False
+        if steer or e < 0:
+            cut = guess if steer else sigma
+            lo, hi = (lo, min(hi, cut)) if g > 0 else (max(lo, cut), hi)
+        rtol = max(least, 4.0 * abs(e) / (scale + abs(sigma)))
+    return 0.5 * (lo + hi), False
 
 
 def _certify(M, J, lam0, scale):
@@ -272,7 +264,12 @@ def _certify(M, J, lam0, scale):
     orthonormal basis of K0 with U0^H diag(J) U0 = diag(d), and m0 the number
     of J-null directions."""
     floor = PSD_RTOL * (scale + abs(lam0))
-    w, K0 = sla.eigh(M, subset_by_value=(-np.inf, floor), driver="evr")
+    try:
+        w, K0 = sla.eigh(M, subset_by_value=(-np.inf, floor), driver="evr")
+    except np.linalg.LinAlgError:
+        # evr (and evx) can fail to converge where the full eigh does not
+        w, K0 = np.linalg.eigh(M)
+        w, K0 = w[w <= floor], K0[:, w <= floor]
     if w.size and w[0] < -floor:
         raise NotPsdPencil(
             f"A - lambda0*B has eigenvalue {w[0]:.3e} at lambda0 = {lam0:.6g}"
@@ -291,46 +288,42 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     """
     inb, S, J, E, scale, n2 = _reduce(A, B)
     sigma, strict = _shift_search(S, J, scale)
-    lam = None
-    if sigma is None:
-        # a narrow bracket: the real parts of the spectrum place lambda0
-        lam = np.sort(np.real(np.linalg.eigvals(J[:, None] * S)))
-        sigma = _bracket_shift(lam, inb.n_minus)
     # S is not read again: M = S - sigma*J takes its storage
     M = S
     M.flat[:: J.size + 1] -= sigma * J
     if strict:
-        # sigma's Cholesky proves the pencil definite: no kernel at lambda0
-        U0, d0, m0 = np.empty((J.size, 0)), np.empty(0), 0
+        # sigma's Cholesky proves the pencil definite: no kernel at lambda0,
+        # and no eigenvalue of the pair within the margin to deflate
+        U0, d0, m0, margin = np.empty((J.size, 0)), np.empty(0), 0, 0.0
     else:
         # only the certificate at lambda0 decides positive semi-definiteness
         U0, d0, m0 = _certify(M, J, sigma, scale)
-    mu, vectors = _pair_beside(M, U0, d0, J, E, inb)
-    # K0 and the Jordan partner of each of its J-null directions hold
-    # dim K0 + m0 eigenvalues at lambda0, the pair the others
-    at_lam0 = U0.shape[1] + m0
-    if lam is None:
-        lam = np.sort(np.r_[np.full(at_lam0, sigma), sigma + 1.0 / mu])
-    else:
-        # which the eigensolver splits (a 2x2 Jordan block by O(sqrt(eps)))
-        lam[np.argsort(np.abs(lam - sigma))[:at_lam0]] = sigma
-        lam.sort()
-    lam0 = _bracket_shift(lam, inb.n_minus) if strict else sigma
+        margin = SHIFT_RTOL * (scale + abs(sigma))
+    mu, vectors = _pair_beside(M, U0, d0, J, E, inb, margin)
+    # K0 and the Jordan partner of each of its J-null directions hold dim K0 +
+    # m0 eigenvalues at the shift, the pair the others; lambda0 is the
+    # bracket's midpoint, or the shift when one side is empty
+    lam = np.sort(np.r_[np.full(U0.shape[1] + m0, sigma), sigma + 1.0 / mu])
+    n_minus = inb.n_minus
+    lam0 = 0.5 * float(lam[n_minus - 1] + lam[n_minus]) if 0 < n_minus < lam.size else sigma
     return PsdPencilAnalysis(
-        lambda0=lam0, inertia_b=inb, lambda_plus=lam[inb.n_minus:].copy(),
-        lambda_minus=lam[: inb.n_minus][::-1].copy(), diagonalizable=m0 == 0,
+        lambda0=lam0, inertia_b=inb, lambda_plus=lam[n_minus:].copy(),
+        lambda_minus=lam[:n_minus][::-1].copy(), diagonalizable=m0 == 0,
         m0=m0, _vectors=vectors, _scalar=U0.shape[1] == J.size and n2 == 0,
     )
 
 
-def _pair_beside(M, U0, d0, J, E, inb):
+def _pair_beside(M, U0, d0, J, E, inb, margin):
     """(mu, columns) for M = S - shift*diag(J) >= 0 with kernel span U0 (empty
     at a strict shift): every mu = 1/(lambda - shift) of the definite pair
     (J, M) on the J-orthogonal complement of K0 and its Jordan partners, and
     (k_plus, k_minus, t) -> columns at the shift, chains x = t*z +/- w/(2t)
     first (M W = J Z, Z^H J W = I, W^H J W = K^H J W = 0: x^H J x = +/-1,
     x^H S x = +/-shift + 1/(4t^2)), then K0's other directions, then the
-    pair's. The signs of mu and of the kernel's B-norms must match B's
+    pair's. The pair's eigenvectors within the margin, |mu| > 1/margin, join
+    K0's directions, and the pair is reduced again without them: a mu near
+    1/width of a narrow bracket would cost the far eigenpairs about eps*|mu|
+    relative. The signs of mu and of the kernel's B-norms must match B's
     inertia."""
     null = np.abs(d0) <= GRAM_RTOL
     K, d, Z = U0[:, ~null] / np.sqrt(np.abs(d0[~null])), d0[~null], U0[:, null]
@@ -345,19 +338,35 @@ def _pair_beside(M, U0, d0, J, E, inb):
         W = W - K @ (np.sign(d)[:, None] * (K.conj().T @ (J[:, None] * W)))
         W = W - 0.5 * Z @ (W.conj().T @ (J[:, None] * W))
     d = np.r_[np.ones(W.shape[1]), -np.ones(W.shape[1]), d]
+    Q, reduction, mu = _pair_on(J, M, np.hstack([U0, W]))
+    if (np.sum(np.r_[d, mu] > 0), np.sum(np.r_[d, mu] < 0)) != (inb.n_plus, inb.n_minus):
+        raise NotPsdPencil("eigenvalue signs disagree with the inertia of B")
+    n_low, n_high = int(np.sum(margin * mu < -1.0)), int(np.sum(margin * mu > 1.0))
+    if n_low + n_high:
+        nu, X = _pair_eigenpairs(reduction, n_low, n_high)
+        X = (X if Q is None else Q @ X) / np.sqrt(np.abs(nu))
+        # lambda- descending and lambda+ ascending: the high end reversed
+        K, d = np.hstack([K, X[:, :n_low], X[:, n_low:][:, ::-1]]), np.r_[d, np.sign(nu)]
+        Q, reduction, mu = _pair_on(J, M, np.hstack([U0, W, X]))
+        mu = np.r_[nu, mu]
+    return mu, lambda kp, km, t=1.0: _paired_vectors(
+        reduction, E, np.hstack([t * Z + W / (2 * t), t * Z - W / (2 * t), K]), d, Q, kp, km)
+
+
+def _pair_on(J, M, V):
+    """(Q, reduction, mu): the definite pair (J, M) on the J-orthogonal
+    complement Q of span V (None if V is empty), reduced once, and its values."""
     Q, Bp, Mp = None, np.diag(J), M
-    if U0.shape[1]:
-        Q, Bp, Mp = _complement(J, M, np.hstack([U0, W]))
-    L, info = lapack.zpotrf(Mp, lower=1, overwrite_a=1)
+    if V.shape[1]:
+        Q, Bp, Mp = _complement(J, M, V)
+    # M itself is kept for a second pair beside the eigenvectors within the margin
+    L, info = lapack.zpotrf(Mp, lower=1, overwrite_a=Mp is not M)
     if info:
         raise NotPsdPencil("A - lambda*B is not positive definite off its kernel")
     reduction = _reduce_pair(Bp, L) if L.size else None
     mu = (np.empty(0) if reduction is None else
           sla.eigh_tridiagonal(*reduction[:2], eigvals_only=True, lapack_driver="sterf"))
-    if (np.sum(np.r_[d, mu] > 0), np.sum(np.r_[d, mu] < 0)) != (inb.n_plus, inb.n_minus):
-        raise NotPsdPencil("eigenvalue signs disagree with the inertia of B")
-    return mu, lambda kp, km, t=1.0: _paired_vectors(
-        reduction, E, np.hstack([t * Z + W / (2 * t), t * Z - W / (2 * t), K]), d, Q, kp, km)
+    return Q, reduction, mu
 
 
 def _complement(J, M, V):
@@ -405,12 +414,3 @@ def eigenvectors_of(A, B, mu: float) -> np.ndarray:
     q, rr = np.linalg.qr(null)
     keep = np.abs(np.diag(rr)) > RANK_RTOL * max(1.0, np.abs(np.diag(rr)).max())
     return q[:, keep]
-
-
-def diagonalizability(A, B, analysis: PsdPencilAnalysis) -> tuple[bool, int]:
-    """The diagonalizability certificate of a completed analysis:
-    diagonalizable iff no direction of the kernel of A - lambda0*B is B-null,
-    with m0 such directions (coupled blocks) otherwise. The analysis of A and
-    B made that certificate; running it again is the same code on the same
-    input and cannot disagree, so the analysis's own answer is returned."""
-    return analysis.diagonalizable, analysis.m0

@@ -14,7 +14,19 @@ import numpy as np
 import scipy.linalg as sla
 
 from tracemin import NotPsdPencil, as_herm, inertia
-from tracemin.pencil import GRAM_RTOL, PSD_RTOL, RANK_RTOL, _bracket_shift
+from tracemin.pencil import GRAM_RTOL, PSD_RTOL, RANK_RTOL
+
+
+def _bracket_shift(lam, n_minus) -> float:
+    """lambda0 at the midpoint of [max lambda-, min lambda+], or one unit of
+    the end's own size beyond the only end that exists."""
+    if lam.size == 0:
+        return 0.0
+    if n_minus == 0:
+        return float(lam[0] - (1.0 + abs(lam[0])))
+    if n_minus == lam.size:
+        return float(lam[-1] + (1.0 + abs(lam[-1])))
+    return 0.5 * float(lam[n_minus - 1] + lam[n_minus])
 
 
 def _deflate(A_, B_):

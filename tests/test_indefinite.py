@@ -563,7 +563,7 @@ def test_indefinite_solve_takes_eigvals_only_without_strict_shift(
     # a diagonalizable pencil has a strict shift, and the definite pair there
     # gives its whole spectrum; on a coupled block the search places lambda0
     # and the pair beside the Jordan chains gives the rest: no nonsymmetric
-    # eigenvalue solve either way (only a narrow bracket takes one)
+    # eigenvalue solve either way
     rng = np.random.default_rng(22)
     A, B, _lp, _lm = psd_pencil(rng, 6, 5, n_inf=2 * singular, n_common=int(singular),
                                 n_coupled=coupled)
@@ -659,15 +659,22 @@ def test_characterize_minimizer_of_a_signature_report():
 @pytest.mark.parametrize("width, kernel, tol", [(0.0, 2, 1e-10), (1e-6, 0, 1e-8)])
 def test_non_strict_path_transforms_back_only_needed_columns(monkeypatch, width, kernel,
                                                              tol):
-    # a touching bracket (K0 holds one eigenvector of each sign at lambda0) and
-    # one opened by 1e-6 (too narrow for a strict shift, K0 empty): the
-    # analysis keeps one reduced definite pair, and an optimizer transforms
-    # back only the columns K0 does not supply, with no generalized eigh; the
-    # pair at lambda0 then has mu up to 1 / width, which bounds the accuracy
+    # a touching bracket (kernel: one eigenvalue of each sign at lambda0) and
+    # one opened by 1e-6 (too narrow for a strict shift, none at lambda0, the
+    # split pair within the strict margin of the searched shift): the analysis
+    # transforms back at once only the pair's eigenvectors near the shift,
+    # which it deflates, and an optimizer only the columns that the kernel K0
+    # at the shift and those do not supply, with no generalized eigh and no
+    # nonsymmetric solve
     import scipy.linalg as sla
+
+    from tracemin import pencil
 
     A, B, _lp, _lm = psd_pencil(np.random.default_rng(9402), 3, 3, n_touch=1)
     A = A + width * np.max(np.abs(A)) * np.eye(A.shape[0])
+    certified, real_certify = [], pencil._certify
+    monkeypatch.setattr(pencil, "_certify",
+                        lambda *a: certified.append(real_certify(*a)) or certified[-1])
     generalized, eigvals = [], []
     real_eigh, real_eigvals = sla.eigh, np.linalg.eigvals
 
@@ -679,17 +686,40 @@ def test_non_strict_path_transforms_back_only_needed_columns(monkeypatch, width,
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: eigvals.append(1) or real_eigvals(M))
     cols, tridiagonal = _spy_back_transforms(monkeypatch)
     an = finite_eigenvalues(A, B)
-    assert eigvals == [1] and an.diagonalizable
-    assert cols == [] and tridiagonal == [False]
+    assert eigvals == [] and an.diagonalizable
+    lam = np.r_[an.lambda_plus, an.lambda_minus]
+    assert np.sum(lam == an.lambda0) == kernel
+    # the touching pair, one column of each sign, lies in K0 or near the shift
+    near = 2 - certified[0][0].shape[1]
+    # one reduction, and with near columns their eigenvectors (one tridiagonal
+    # solve per sign) and a second reduction without them
+    eager, analysis = list(cols), [False] + [True] * near + [False] * bool(near)
+    assert {name for name, _c in eager} == ({"zunmqr", "solve_triangular"} if near else set())
+    assert all(c == near for _name, c in eager) and tridiagonal == analysis
+    cols.clear()
     constraint = ConstraintSpec.signature(2, 2)
     rep = solve(A, B, np.diag([2.0, 1.0, 2.0, 1.0]), constraint, want_optimizer=True)
     assert rep.attained
-    assert {name for name, _c in cols} == {"zunmqr", "solve_triangular"}
-    assert all(c == 4 - kernel for _name, c in cols)
-    assert tridiagonal == [False, False, True, True]
-    assert not any(generalized)
+    assert cols[: len(eager)] == eager
+    assert {name for name, _c in cols[len(eager):]} == {"zunmqr", "solve_triangular"}
+    assert all(c == 4 - 2 for _name, c in cols[len(eager):])
+    assert tridiagonal == analysis * 2 + [True, True]
+    assert not any(generalized) and eigvals == []
     J = np.diag([1.0, 1.0, -1.0, -1.0])
     assert np.max(np.abs(rep.x_opt.conj().T @ B @ rep.x_opt - J)) <= tol
     assert rep.value == pytest.approx(
         2 * rep.analysis.lambda_plus[0] + rep.analysis.lambda_plus[1]
         - 2 * rep.analysis.lambda_minus[0] - rep.analysis.lambda_minus[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-9, 1e-8, 1e-6])
+def test_narrow_bracket_optimizer_keeps_its_constraint(width):
+    # the pair at a barely positive semi-definite shift has mu up to 1 / width,
+    # which would cost its far eigenpairs about eps / width; with the pair's
+    # eigenvectors near lambda0 deflated they keep full accuracy
+    A, B, _lp, _lm = psd_pencil(np.random.default_rng(9402), 3, 3, n_touch=1)
+    A = A + width * np.max(np.abs(A)) * np.eye(A.shape[0])
+    rep = solve(A, B, np.diag([2.0, 1.0, 2.0, 1.0]), ConstraintSpec.signature(2, 2),
+                want_optimizer=True)
+    J = np.diag([1.0, 1.0, -1.0, -1.0])
+    assert np.max(np.abs(rep.x_opt.conj().T @ B @ rep.x_opt - J)) <= 1e-11

@@ -1,5 +1,6 @@
 """The oracle certifies the analytic solvers, so the two sides share no code
-beyond the common building blocks (spectral, problem, errors)."""
+beyond the common building blocks (spectral, problem, errors); and no module
+solves a nonsymmetric eigenproblem."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tracemin"
 ANALYTIC = ("definite", "indefinite", "pencil")
+# nonsymmetric eigensolvers and QZ: every spectrum comes from a Hermitian or
+# definite problem
+NONSYMMETRIC = {"eig", "eigvals", "qz", "ordqz"}
 
 
 def _imported_modules(name):
@@ -42,3 +46,20 @@ def test_the_scan_sees_relative_imports():
     # the scan itself: the solver's own imports are found
     assert {"definite", "pencil", "problem", "spectral", "errors"} <= _imported_modules(
         "indefinite")
+
+
+def _called_names(path):
+    """The names called in a Python file: f(...) and m.f(...) both give f."""
+    calls = [node.func for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    return {f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "") for f in calls}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_calls_a_nonsymmetric_eigensolver(path):
+    assert _called_names(path).isdisjoint(NONSYMMETRIC)
+
+
+def test_the_call_scan_sees_the_qz_reference():
+    # the scan itself: the QZ reference kept for the tests calls sla.eig
+    assert "eig" in _called_names(Path(__file__).resolve().parent / "qz_pencil.py")
