@@ -3,20 +3,14 @@
 Computes inf/sup of tr(D X^H A X) subject to X^H B X being I_k, -I_k or a
 signature matrix, for Hermitian A, D and definite or indefinite B, together
 with attaining optimizers when they exist and an independent randomized
-oracle for verification.
+oracle for verification. `solve(A, B, D, constraint, sense, want_optimizer)`,
+or `solve(*problem)` on a `Problem`, is the one way into the solver; the
+route it took is `SolveReport.route`.
 """
 
 __version__ = "0.1.0"
 
-from .definite import (
-    MinimizerCheck,
-    SolveReport,
-    characterize_minimizer,
-    pencil_eig_definite,
-    solve_definite_max,
-    solve_definite_min,
-    split_omegas,
-)
+from .definite import MinimizerCheck, SolveReport, characterize_minimizer
 from .errors import (
     BlockStructureViolated,
     BudgetExceeded,
@@ -30,14 +24,7 @@ from .errors import (
     TraceminError,
     Unsupported,
 )
-from .indefinite import (
-    check_finiteness,
-    epsilon_suboptimal,
-    solve,
-    solve_indefinite_minus,
-    solve_indefinite_plus,
-    solve_signature,
-)
+from .indefinite import epsilon_suboptimal, solve
 from .oracle import (
     CounterexampleParams,
     HyperbolicFactorization,
@@ -52,21 +39,13 @@ from .oracle import (
     local_search,
     objective,
 )
-from .pencil import (
-    PsdPencilAnalysis,
-    eigenvectors_of,
-    find_lambda0,
-    finite_eigenvalues,
-)
+from .pencil import PsdPencilAnalysis, finite_eigenvalues
 from .problem import ConstraintSpec, Problem
 from .spectral import (
-    EigenDecomposition,
     HermitianMatrix,
     Inertia,
     as_herm,
     cholesky,
-    eig_herm,
-    inertia,
     majorizes,
     weighted_sum_bounds,
 )
@@ -77,7 +56,6 @@ __all__ = [
     "ConstraintSpec",
     "CounterexampleParams",
     "DegenerateDraw",
-    "EigenDecomposition",
     "HermitianMatrix",
     "HyperbolicFactorization",
     "Inertia",
@@ -97,7 +75,6 @@ __all__ = [
     "__version__",
     "as_herm",
     "characterize_minimizer",
-    "check_finiteness",
     "cholesky",
     "compose_hyperbolic",
     "counterexample_f",
@@ -105,23 +82,12 @@ __all__ = [
     "counterexample_matrices",
     "counterexample_stationary",
     "counterexample_y",
-    "eig_herm",
-    "eigenvectors_of",
     "epsilon_suboptimal",
     "feasible_sample",
-    "find_lambda0",
     "finite_eigenvalues",
-    "inertia",
     "local_search",
     "majorizes",
     "objective",
-    "pencil_eig_definite",
     "solve",
-    "solve_definite_max",
-    "solve_definite_min",
-    "solve_indefinite_minus",
-    "solve_indefinite_plus",
-    "solve_signature",
-    "split_omegas",
     "weighted_sum_bounds",
 ]

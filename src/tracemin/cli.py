@@ -234,24 +234,25 @@ def cmd_verify(args) -> int:
         -p.A if p.sense == "max" else p.A, p.B, p.D, p.constraint,
         restarts=args.restarts, iters=args.iters, seed=args.seed,
     )
-    if p.sense == "max":
-        oracle_best = -oracle.best_value
-        gap = rep.value - oracle_best if rep.finite else None
+    # a diverged search has no best value, so no gap either
+    oracle_best = None if oracle.unbounded_flag else (
+        -oracle.best_value if p.sense == "max" else oracle.best_value)
+    gap = None
+    if not rep.finite:
+        verdict = bool(oracle.unbounded_flag)
+    elif oracle_best is None:
+        verdict = False
     else:
-        oracle_best = oracle.best_value
-        gap = oracle_best - rep.value if rep.finite else None
-    if rep.finite:
+        gap = rep.value - oracle_best if p.sense == "max" else oracle_best - rep.value
         if rep.attained:
             verdict = GAP_LOWER <= gap <= GAP_UPPER
         else:
             # infimum not attained: oracle must stay above it, close is a bonus
             verdict = gap >= GAP_LOWER
-    else:
-        verdict = bool(oracle.unbounded_flag)
     report = {
         "analytic": {"route": rep.route, "finite": rep.finite,
                      "value": rep.value, "attained": rep.attained},
-        "oracle": {"best_value": oracle_best if not oracle.unbounded_flag else None,
+        "oracle": {"best_value": oracle_best,
                    "unbounded_flag": oracle.unbounded_flag,
                    "iterations": oracle.iterations,
                    "feasibility_residual": oracle.feasibility_residual,

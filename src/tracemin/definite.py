@@ -1,5 +1,6 @@
-"""Exact solvers for min/max of tr(D X^H A X) subject to X^H B X = I_k
-with positive definite B.
+"""The definite route of `solve`: min/max of tr(D X^H A X) subject to
+X^H B X = I_k with positive definite B (a negative definite B under -I_k is
+the same route on -B).
 
 The optimal value pairs the descending eigenvalues of D against extreme
 eigenvalues of the pencil A - lambda*B: the ell nonnegative weights take the
@@ -21,26 +22,15 @@ import numpy as np
 
 from .errors import MissingOptimizer
 from .pencil import PsdPencilAnalysis
-from .problem import identity_problem
 from .spectral import (
     WEIGHT_RTOL,
-    HermitianMatrix,
     Inertia,
     _pair_eigenpairs,
     _reduce_pair,
     _scaled_tol,
     as_herm,
-    cholesky,
     max_norm,
 )
-
-
-@dataclass
-class DefinitePencilEigen:
-    """B-unitary eigen-decomposition: U^H B U = I, U^H A U = diag(lambdas)."""
-
-    u: np.ndarray
-    lambdas: np.ndarray  # ascending
 
 
 @dataclass
@@ -74,24 +64,10 @@ class SolveReport:
     inertia_b: Inertia | None = None
 
 
-def pencil_eig_definite(A, B) -> DefinitePencilEigen:
-    """Simultaneous diagonalization of Hermitian A and positive definite B."""
-    A_ = as_herm(A)
-    B_ = HermitianMatrix.of(B)
-    if A_.shape != B_.mat.shape:
-        raise ValueError("A and B must have the same shape")
-    lam, U = _pair_eigenpairs(_reduce_pair(A_, cholesky(B_)), A_.shape[0], 0)
-    return DefinitePencilEigen(u=U, lambdas=lam)
-
-
-def split_omegas(D) -> OmegaSplit:
-    """Eigen-decompose D with values descending; weights within
+def _split_omegas(D_) -> OmegaSplit:
+    """Eigen-decompose a validated D with values descending; weights within
     WEIGHT_RTOL * max|D| of zero group with the nonnegative ones. D is one
     block: a signature route splits each of its blocks apart."""
-    return _split_omegas(as_herm(D))
-
-
-def _split_omegas(D_) -> OmegaSplit:
     # an empty signature block is split without an eigh
     w, Q = np.linalg.eigh(D_) if D_.size else (np.empty(0), D_)
     w = w[::-1].copy()
@@ -104,21 +80,6 @@ def _pair(om: OmegaSplit, eigs, roles):
     the i-th under the name roles[i]."""
     pairing = [(float(w), float(lam), role) for w, lam, role in zip(om.omegas, eigs, roles)]
     return float(sum(w * lam for w, lam, _ in pairing)), pairing
-
-
-def solve_definite_min(A, B, D, k=None, want_optimizer=False) -> SolveReport:
-    """Minimize tr(D X^H A X) over X^H B X = I_k for positive definite B."""
-    p = identity_problem(A, B, D, k, "plus_identity")
-    return _solve_definite(p.A.mat, cholesky(p.B), p.D.mat, p.sense,
-                           want_optimizer)
-
-
-def solve_definite_max(A, B, D, k=None, want_optimizer=False) -> SolveReport:
-    """Maximize tr(D X^H A X) over X^H B X = I_k; the minimizer on -A,
-    negated."""
-    p = identity_problem(A, B, D, k, "plus_identity", "max")
-    return _solve_definite(p.A.mat, cholesky(p.B), p.D.mat, p.sense,
-                           want_optimizer)
 
 
 def _solve_definite(A_, L, D_, sense, want_optimizer) -> SolveReport:

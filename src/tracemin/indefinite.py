@@ -1,4 +1,9 @@
-"""Top-level dispatch and the indefinite-B solvers.
+"""`solve`, the one way into the solver, and the indefinite-B route.
+
+`solve` validates a problem once (`problem.Problem`) and splits on B's
+inertia: a Cholesky factor of B or -B sends it to the definite route, any
+other B to the indefinite route here, which reports its route name on
+`SolveReport.route`.
 
 For genuinely indefinite B and a positive semi-definite pencil the infimum
 of tr(D X^H A X) is finite exactly when D >= 0 or A = lambda0*B; the value
@@ -22,51 +27,11 @@ from .errors import (
     Unsupported,
 )
 from .pencil import finite_eigenvalues
-from .problem import ConstraintSpec, Problem, identity_problem, signature_problem
-from .spectral import (
-    WEIGHT_RTOL,
-    Inertia,
-    _scaled_tol,
-    as_herm,
-    cholesky,
-    max_norm,
-)
+from .problem import ConstraintSpec, Problem
+from .spectral import WEIGHT_RTOL, Inertia, _scaled_tol, cholesky, max_norm
 
 # `epsilon_suboptimal`'s bound on max|X^H B X - C| and on -excess / (1 + |value|)
 FEASIBILITY_ATOL = 1e-8
-
-
-def check_finiteness(D) -> bool:
-    """True iff D is positive semi-definite within WEIGHT_RTOL * max|D|.
-
-    D is judged as one block. A signature route eigendecomposes D's two
-    blocks apart and judges each against its own largest weight."""
-    D_ = as_herm(D)
-    return _split_omegas(D_).ell == D_.shape[0]
-
-
-def solve_indefinite_plus(A, B, D, k=None, want_optimizer=False):
-    """inf tr(D X^H A X) over X^H B X = I_k for genuinely indefinite B."""
-    p = identity_problem(A, B, D, k, "plus_identity")
-    return _solve_indefinite(p, want_optimizer)
-
-
-def solve_indefinite_minus(A, B, D, k=None, want_optimizer=False):
-    """inf tr(D X^H A X) over X^H B X = -I_k for genuinely indefinite B.
-
-    The constraint is X^H (-B) X = I_k, so this is the plus route on (A, -B),
-    whose pencil eigenvalues are those of (A, B) negated.
-    """
-    p = identity_problem(A, B, D, k, "minus_identity")
-    return _solve_indefinite(p, want_optimizer)
-
-
-def solve_signature(
-    A, B, D_plus, D_minus, k_plus=None, k_minus=None, want_optimizer=False,
-):
-    """inf tr(diag(D+, D-) X^H A X) over X^H B X = diag(I, -I)."""
-    p = signature_problem(A, B, D_plus, D_minus, k_plus, k_minus)
-    return _solve_indefinite(p, want_optimizer)
 
 
 def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:

@@ -42,8 +42,8 @@ from .errors import NotPsdPencil
 from .spectral import HermitianMatrix, Inertia, as_herm, max_norm
 from .spectral import _pair_eigenpairs, _reduce_pair
 
-# singular values below this times the largest (of [A; B] in
-# `eigenvectors_of`, of A*U0 against ||A||_F in the deflation) count as zero
+# singular values of A*U0 below this times ||A||_F count as zero in the
+# deflation of N(A) & N(B)
 RANK_RTOL = 1e-9
 # eigenvalues of S - lambda0*J below -PSD_RTOL * (max|A11| + |lambda0|)
 # refute the certificate; those at or below +PSD_RTOL * (...) span its kernel K0
@@ -102,19 +102,6 @@ class PsdPencilAnalysis:
         w = sum(w_plus[: self.m0]) + sum(w_minus[: self.m0])
         t = float(np.sqrt(max(w / (2 * eps), 1.0))) if self.m0 else 1.0
         return self._vectors(len(w_plus), len(w_minus), t)
-
-    # the full blocks
-    eigvecs_plus = property(lambda self: self.eigvecs(self.inertia_b.n_plus, 0)[0])
-    eigvecs_minus = property(lambda self: self.eigvecs(0, self.inertia_b.n_minus)[1])
-
-
-def find_lambda0(A, B) -> float | None:
-    """A real shift making A - lambda*B positive semi-definite, or None when
-    the pencil admits none."""
-    try:
-        return finite_eigenvalues(A, B).lambda0
-    except NotPsdPencil:
-        return None
 
 
 def _reduce(A, B):
@@ -393,24 +380,3 @@ def _paired_vectors(reduction, E, K, d, Q, k_plus, k_minus):
     V = E @ np.hstack([Km, Y, Kp[:, ::-1]])
     return V[:, k_minus:][:, ::-1], V[:, :k_minus]
 
-
-def eigenvectors_of(A, B, mu: float) -> np.ndarray:
-    """Basis for the eigenvectors of A - lambda*B at the finite eigenvalue
-    mu: the nullspace of A - mu*B with components in N(A) & N(B) projected
-    out. May be empty when the eigenspace is entirely degenerate."""
-    A_ = as_herm(A)
-    B_ = as_herm(B)
-    _, sv, Vh = np.linalg.svd(A_ - mu * B_)
-    null = Vh.conj().T[:, sv <= RANK_RTOL * sv.max(initial=0.0)]
-    # N(A) & N(B) from one SVD of the stacked [A; B], as a reference that
-    # shares nothing with the analysis
-    _, sv, Vh = np.linalg.svd(np.vstack([A_, B_]))
-    K = Vh[int(np.sum(sv > RANK_RTOL * sv.max(initial=0.0))):].conj().T
-    if K.shape[1]:
-        null = null - K @ (K.conj().T @ null)
-    if null.shape[1] == 0:
-        return null
-    # re-orthonormalize and drop directions that collapsed into the kernel
-    q, rr = np.linalg.qr(null)
-    keep = np.abs(np.diag(rr)) > RANK_RTOL * max(1.0, np.abs(np.diag(rr)).max())
-    return q[:, keep]

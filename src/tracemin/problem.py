@@ -94,13 +94,6 @@ class Problem(NamedTuple):
         return cls(Ah, Bh, Dh, constraint, sense)
 
 
-def identity_problem(A, B, D, k, kind, sense="min") -> Problem:
-    """The problem of a route function's (A, B, D, k) arguments under the
-    constraint X^H B X = +-I_k of ``kind``; k defaults to the order of D."""
-    Dh = HermitianMatrix.of(D)
-    return Problem.of(A, B, Dh, ConstraintSpec(kind, Dh.n if k is None else k), sense)
-
-
 def signature_problem(A, B, D_plus, D_minus, k_plus=None, k_minus=None,
                       sense="min") -> Problem:
     """The problem of separate weight blocks under X^H B X = diag(I_{k+},

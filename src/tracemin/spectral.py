@@ -83,8 +83,12 @@ class HermitianMatrix:
         return self._eigh
 
     def inertia(self) -> Inertia:
-        """`inertia` of the matrix, counted from the kept eigenvalues."""
-        return _count_inertia(self.eigh()[0], _scaled_tol(self.mat, ZERO_RTOL))
+        """Inertia counted from the kept eigenvalues; those within ZERO_RTOL *
+        max|entry| of zero (absolute 1e-12 for the zero matrix) count as
+        zero."""
+        w, tol = self.eigh()[0], _scaled_tol(self.mat, ZERO_RTOL)
+        return Inertia(n_plus=int(np.sum(w > tol)), n_zero=int(np.sum(np.abs(w) <= tol)),
+                       n_minus=int(np.sum(w < -tol)))
 
     def __neg__(self) -> HermitianMatrix:
         """The exact negation, without validating it again."""
@@ -105,21 +109,6 @@ def as_herm(H) -> np.ndarray:
     return HermitianMatrix.of(H).mat
 
 
-@dataclass
-class EigenDecomposition:
-    """Eigenvalues in descending order with aligned unitary eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_herm(H) -> EigenDecomposition:
-    """Full eigen-decomposition of a Hermitian matrix, values descending."""
-    M = as_herm(H)
-    w, V = np.linalg.eigh(M)
-    return EigenDecomposition(values=w[::-1].copy(), vectors=V[:, ::-1].copy())
-
-
 @dataclass(frozen=True)
 class Inertia:
     """Counts of positive / zero / negative eigenvalues."""
@@ -137,20 +126,6 @@ class Inertia:
         return self.n_plus + self.n_minus
 
 
-def inertia(H) -> Inertia:
-    """Inertia of a Hermitian matrix; eigenvalues within ZERO_RTOL *
-    max|entry| of zero (absolute 1e-12 for the zero matrix) count as zero."""
-    M = as_herm(H)
-    return _count_inertia(np.linalg.eigvalsh(M) if M.size else np.empty(0),
-                          _scaled_tol(M, ZERO_RTOL))
-
-
-def _count_inertia(w, tol) -> Inertia:
-    return Inertia(
-        n_plus=int(np.sum(w > tol)),
-        n_zero=int(np.sum(np.abs(w) <= tol)),
-        n_minus=int(np.sum(w < -tol)),
-    )
 
 
 def cholesky(B) -> np.ndarray:
@@ -158,8 +133,8 @@ def cholesky(B) -> np.ndarray:
 
     Positive definiteness is certified, not assumed: a Cholesky factorization
     of B - tau*I must succeed, with tau = ZERO_RTOL * max|entry| (1e-12 for
-    the zero matrix), the threshold below which `inertia` counts an
-    eigenvalue as zero. Its success proves that the smallest eigenvalue of B
+    the zero matrix), the threshold below which `HermitianMatrix.inertia`
+    counts an eigenvalue as zero. Its success proves that the smallest eigenvalue of B
     exceeds tau without computing the spectrum. Otherwise raises
     NotPositiveDefinite, signalling the caller to route to the indefinite
     path. A HermitianMatrix B is not validated again.

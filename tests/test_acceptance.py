@@ -26,8 +26,7 @@ from tracemin import (
     finite_eigenvalues,
     local_search,
     majorizes,
-    solve_definite_min,
-    solve_indefinite_plus,
+    solve,
     weighted_sum_bounds,
 )
 from tracemin.cli import main as cli_main
@@ -59,7 +58,7 @@ def test_criterion_1_definite_values_match_oracle(capsys):
         worst = -np.inf
         for seed in range(200):
             A, B, D, k = definite_instance(seed)
-            rep = solve_definite_min(A, B, D, k)
+            rep = solve(A, B, D, ConstraintSpec.plus_identity(k))
             res = local_search(
                 A, B, D, ConstraintSpec.plus_identity(k),
                 restarts=50, iters=300, seed=seed,
@@ -82,7 +81,7 @@ def test_criterion_2_optimizers_are_valid(capsys):
     try:
         for seed in range(50):
             A, B, D, k = definite_instance(seed)
-            rep = solve_definite_min(A, B, D, k, want_optimizer=True)
+            rep = solve(A, B, D, ConstraintSpec.plus_identity(k), want_optimizer=True)
             X = rep.x_opt
             assert np.max(np.abs(X.conj().T @ B @ X - np.eye(k))) <= 1e-8, seed
             obj = float(np.real(np.trace(D @ X.conj().T @ A @ X)))
@@ -97,7 +96,7 @@ def test_criterion_2_optimizers_are_valid(capsys):
             w = np.sort(rng.uniform(0.3, 3.0, k) * np.sign(rng.standard_normal(k)))[::-1]
             Q = random_unitary(rng, k)
             D = Q @ np.diag(w) @ Q.conj().T
-            rep = solve_definite_min(A, B, D, k, want_optimizer=True)
+            rep = solve(A, B, D, ConstraintSpec.plus_identity(k), want_optimizer=True)
             chk = characterize_minimizer(rep, A, B, D)
             assert chk.offdiag_max <= 1e-7 * np.max(np.abs(A)), seed
         ok = True
@@ -120,7 +119,7 @@ def test_criterion_3_indefinite_dichotomy(capsys):
 
         for seed, A, B, D, k in instances:
             an = finite_eigenvalues(A, B)
-            rep = solve_indefinite_plus(A, B, D, k)
+            rep = solve(A, B, D, ConstraintSpec.plus_identity(k))
             assert rep.finite, seed
             res = local_search(
                 A, B, D, ConstraintSpec.plus_identity(k),
@@ -143,7 +142,7 @@ def test_criterion_3_indefinite_dichotomy(capsys):
         for seed, A, B, D, k in instances:
             shift = float(np.linalg.eigvalsh(D)[-1]) + 0.15
             D_neg = D - shift * np.eye(k)
-            rep = solve_indefinite_plus(A, B, D_neg, k)
+            rep = solve(A, B, D_neg, ConstraintSpec.plus_identity(k))
             assert not rep.finite, seed
             res = local_search(
                 A, B, D_neg, ConstraintSpec.plus_identity(k),
@@ -302,8 +301,8 @@ def test_criterion_6_matrix_analysis_properties(capsys):
         for trial in range(100):
             A, B, D, k = definite_instance(trial + 30_000)
             s = float(rng.uniform(-2.0, 2.0))
-            v0 = solve_definite_min(A, B, D, k).value
-            v1 = solve_definite_min(A + s * B, B, D, k).value
+            v0 = solve(A, B, D, ConstraintSpec.plus_identity(k)).value
+            v1 = solve(A + s * B, B, D, ConstraintSpec.plus_identity(k)).value
             assert abs(v1 - (v0 + s * float(np.real(np.trace(D))))) <= 1e-8 * (
                 1 + abs(v0)
             )

@@ -190,6 +190,21 @@ class TestVerify:
         assert rep["oracle"]["unbounded_flag"] is True
         assert rep["gap"] is None
 
+    def test_no_gap_from_a_diverged_oracle(self, capsys, tmp_path):
+        # A = 2B: every feasible X gives the value 0, yet every restart
+        # leaves the constraint in its first iteration and is flagged
+        # unbounded; a gap needs the oracle's best value, so there is none
+        path = _write_problem(tmp_path, {
+            "a": [[2, 0, 0], [0, 4, 0], [0, 0, -2]], "b": [[1, 0, 0], [0, 2, 0], [0, 0, -1]],
+            "d": [[1, 0], [0, -1]], "constraint": "plus_identity", "k": 2})
+        code, rep = run_json(capsys, "verify", path)
+        assert code == 3
+        assert rep["verdict"] == "FAIL"
+        assert rep["analytic"]["finite"] is True
+        assert rep["oracle"]["unbounded_flag"] is True
+        assert rep["oracle"]["best_value"] is None
+        assert rep["gap"] is None
+
     def test_unsupported_instance_exits_2(self, capsys):
         code, rep = run_json(capsys, "verify", str(FIXTURES / "nonpsd.json"))
         assert code == 2

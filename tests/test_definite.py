@@ -6,56 +6,53 @@ from hypothesis import strategies as st
 
 from tracemin import (
     ConstraintSpec,
-    NotPositiveDefinite,
     characterize_minimizer,
-    pencil_eig_definite,
     solve,
-    solve_definite_max,
-    solve_definite_min,
     spectral,
-    split_omegas,
 )
+from tracemin.definite import _split_omegas
 from helpers import definite_instance, random_hermitian, random_unitary, spy_choleskys
 
 
 def test_ky_fan_minimum():
-    rep = solve_definite_min(np.diag([1.0, 2.0, 3.0]), np.eye(3), np.eye(2))
+    rep = solve(np.diag([1.0, 2.0, 3.0]), np.eye(3), np.eye(2), ConstraintSpec.plus_identity(2))
     assert rep.value == pytest.approx(3.0, abs=1e-12)
     assert rep.finite and rep.attained
 
 
 def test_ky_fan_maximum():
-    rep = solve_definite_max(np.diag([1.0, 2.0, 3.0]), np.eye(3), np.eye(2))
+    rep = solve(np.diag([1.0, 2.0, 3.0]), np.eye(3), np.eye(2), ConstraintSpec.plus_identity(2),
+                sense="max")
     assert rep.value == pytest.approx(5.0, abs=1e-12)
 
 
 def test_negative_weight_takes_largest_eigenvalue():
     # D = diag(1, -1): best pairing is omega=1 with lambda_1, omega=-1 with lambda_n
-    rep = solve_definite_min(
-        np.diag([1.0, 2.0, 3.0]), np.eye(3), np.diag([1.0, -1.0])
+    rep = solve(
+        np.diag([1.0, 2.0, 3.0]), np.eye(3), np.diag([1.0, -1.0]), ConstraintSpec.plus_identity(2)
     )
     assert rep.value == pytest.approx(1.0 - 3.0, abs=1e-12)
-
-
-def test_rejects_indefinite_b():
-    with pytest.raises(NotPositiveDefinite):
-        solve_definite_min(np.eye(2), np.diag([1.0, -1.0]), np.eye(1))
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_pencil_eig_b_orthonormal(seed):
     A, B, _D, _k = definite_instance(seed)
-    pe = pencil_eig_definite(A, B)
+    # every pencil eigenpair: D = diag(n, ..., 1) pairs its descending
+    # weights with the ascending eigenvalues, so X's columns are the ascending
+    # eigenvectors
     n = A.shape[0]
-    assert np.all(np.diff(pe.lambdas) >= -1e-12)
-    assert np.allclose(pe.u.conj().T @ B @ pe.u, np.eye(n), atol=1e-9)
+    rep = solve(A, B, np.diag(np.arange(n, 0, -1.0)), ConstraintSpec.plus_identity(n),
+                want_optimizer=True)
+    lambdas, U = np.array([lam for _, lam, _ in rep.pairing]), rep.x_opt
+    assert np.all(np.diff(lambdas) >= -1e-12)
+    assert np.allclose(U.conj().T @ B @ U, np.eye(n), atol=1e-9)
     assert np.allclose(
-        pe.u.conj().T @ A @ pe.u, np.diag(pe.lambdas), atol=1e-8 * (1 + np.max(np.abs(A)))
+        U.conj().T @ A @ U, np.diag(lambdas), atol=1e-8 * (1 + np.max(np.abs(A)))
     )
 
 
 def test_split_omegas_counts_nonnegative():
-    om = split_omegas(np.diag([2.0, 0.0, -1.0]))
+    om = _split_omegas(np.diag([2.0, 0.0, -1.0]))
     assert om.ell == 2
     assert np.all(np.diff(om.omegas) <= 0)
 
@@ -63,7 +60,7 @@ def test_split_omegas_counts_nonnegative():
 @pytest.mark.parametrize("seed", range(30))
 def test_optimizer_feasible_and_matches_value(seed):
     A, B, D, k = definite_instance(seed)
-    rep = solve_definite_min(A, B, D, k, want_optimizer=True)
+    rep = solve(A, B, D, ConstraintSpec.plus_identity(k), want_optimizer=True)
     X = rep.x_opt
     assert np.max(np.abs(X.conj().T @ B @ X - np.eye(k))) <= 1e-8
     obj = float(np.real(np.trace(D @ X.conj().T @ A @ X)))
@@ -73,15 +70,16 @@ def test_optimizer_feasible_and_matches_value(seed):
 @pytest.mark.parametrize("seed", range(30))
 def test_min_max_duality(seed):
     A, B, D, k = definite_instance(seed)
-    lo = solve_definite_min(A, B, D, k).value
-    hi = solve_definite_max(-np.asarray(A, dtype=complex), B, D, k).value
+    lo = solve(A, B, D, ConstraintSpec.plus_identity(k)).value
+    hi = solve(-np.asarray(A, dtype=complex), B, D, ConstraintSpec.plus_identity(k),
+               sense="max").value
     assert lo == pytest.approx(-hi, abs=1e-9 * (1 + abs(lo)))
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_value_lower_bounds_random_feasible_points(seed):
     A, B, D, k = definite_instance(seed)
-    rep = solve_definite_min(A, B, D, k)
+    rep = solve(A, B, D, ConstraintSpec.plus_identity(k))
     rng = np.random.default_rng(seed + 500)
     L = np.linalg.cholesky(B)
     for _ in range(20):
@@ -108,7 +106,7 @@ def test_characterize_minimizer_diagonalizes(seed):
     w = np.sort(w)[::-1]
     Q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     D = Q @ np.diag(w) @ Q.conj().T
-    rep = solve_definite_min(A, B, D, k, want_optimizer=True)
+    rep = solve(A, B, D, ConstraintSpec.plus_identity(k), want_optimizer=True)
     chk = characterize_minimizer(rep, A, B, D)
     assert chk.offdiag_max <= 1e-7 * np.max(np.abs(A))
     assert np.allclose(np.sort(chk.diagonal), np.sort(chk.expected_diagonal), atol=1e-7)
@@ -119,10 +117,11 @@ def test_characterize_minimizer_reads_the_pairing(monkeypatch, seed):
     # the expected diagonal is the report's paired eigenvalues, for a max
     # report too, and no Cholesky or reduction of the pencil is run again
     A, B, D, k = definite_instance(seed)
-    rep = solve_definite_max(A, B, D, k, want_optimizer=True)
+    rep = solve(A, B, D, ConstraintSpec.plus_identity(k), sense="max",
+                want_optimizer=True)
     chk = characterize_minimizer(rep, A, B, D)
     assert np.allclose(chk.diagonal, chk.expected_diagonal, atol=1e-7)
-    rep = solve_definite_min(A, B, D, k, want_optimizer=True)
+    rep = solve(A, B, D, ConstraintSpec.plus_identity(k), want_optimizer=True)
     potrf, hegst = spy_choleskys(monkeypatch), []
     real = spectral.lapack.zhegst
     monkeypatch.setattr(spectral.lapack, "zhegst",
@@ -137,8 +136,8 @@ def test_shift_rule():
     rng = np.random.default_rng(3)
     A, B, D, k = definite_instance(3)
     s = 0.7
-    v0 = solve_definite_min(A, B, D, k).value
-    v1 = solve_definite_min(A + s * B, B, D, k).value
+    v0 = solve(A, B, D, ConstraintSpec.plus_identity(k)).value
+    v1 = solve(A + s * B, B, D, ConstraintSpec.plus_identity(k)).value
     assert v1 == pytest.approx(v0 + s * float(np.real(np.trace(D))), abs=1e-8)
 
 
@@ -326,13 +325,13 @@ def test_value_scales_with_d(seed):
     w = _weights(rng, k, "mixed")
     Q = random_unitary(rng, k)
     D = (Q * w) @ Q.conj().T
-    base = solve_definite_min(A, B, D).value
+    constraint = ConstraintSpec.plus_identity(k)
+    base = solve(A, B, D, constraint).value
     for j in range(-12, 9):
         c = 10.0 ** j
-        for fn, ref in ((solve_definite_min, base),
-                        (solve_definite_max, solve_definite_max(A, B, D).value)):
-            assert fn(A, B, c * D).value == pytest.approx(c * ref, rel=1e-9)
-        assert split_omegas(c * D).ell == split_omegas(D).ell
+        for sense, ref in (("min", base), ("max", solve(A, B, D, constraint, "max").value)):
+            assert solve(A, B, c * D, constraint, sense).value == pytest.approx(c * ref, rel=1e-9)
+        assert _split_omegas(c * D).ell == _split_omegas(D).ell
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -14,15 +14,12 @@ from tracemin import (
     KTooLarge,
     Unsupported,
     characterize_minimizer,
-    check_finiteness,
     epsilon_suboptimal,
     finite_eigenvalues,
     solve,
-    solve_indefinite_minus,
-    solve_indefinite_plus,
-    solve_signature,
 )
 from tracemin import indefinite, oracle, spectral
+from tracemin.definite import _split_omegas
 from tracemin.spectral import WEIGHT_RTOL
 from helpers import (
     canonical_pencil_instance,
@@ -58,8 +55,8 @@ class TestConstraintSpec:
 
 
 def test_check_finiteness():
-    assert check_finiteness(np.diag([1.0, 0.0]))
-    assert not check_finiteness(np.diag([1.0, -0.5]))
+    assert solve(A3, B3, np.diag([1.0, 0.0]), ConstraintSpec.plus_identity(2)).finite
+    assert not solve(A3, B3, np.diag([1.0, -0.5]), ConstraintSpec.plus_identity(2)).finite
 
 
 # a strict pencil with lambda+ = 1, 2, 4 and lambda- = -3, -5, -6
@@ -78,7 +75,7 @@ def test_each_signature_block_is_judged_against_its_own_largest_weight(c):
     D = np.diag([1.0, -c])
     assert not solve(A4, B4, D, ConstraintSpec.signature(1, 1)).finite
     plus = solve(A4, B4, D, ConstraintSpec.plus_identity(2))
-    assert plus.finite is check_finiteness(D) is (c < WEIGHT_RTOL)
+    assert plus.finite is (_split_omegas(D).ell == 2) is (c < WEIGHT_RTOL)
     if plus.finite:
         assert plus.value == pytest.approx(1.0 - 2.0 * c, rel=1e-15)
 
@@ -102,7 +99,7 @@ def test_check_finiteness_is_the_plus_routes_decision(k, ratio, sign, log_scale,
     Q = random_unitary(rng, k) if rotate else np.eye(k)
     D = (Q * w) @ Q.conj().T
     D = 0.5 * (D + D.conj().T)
-    finite = check_finiteness(D)
+    finite = _split_omegas(D).ell == k
     assert solve(A6, B6, D, ConstraintSpec.plus_identity(k)).finite is finite
     if not rotate and k > 1 and sign > 0:
         assert finite is (ratio >= -1.0)
@@ -110,31 +107,31 @@ def test_check_finiteness_is_the_plus_routes_decision(k, ratio, sign, log_scale,
 
 class TestWorkedExamples:
     def test_plus_smallest_positive_eigenvalue(self):
-        rep = solve_indefinite_plus(A3, B3, np.eye(1))
+        rep = solve(A3, B3, np.eye(1), ConstraintSpec.plus_identity(1))
         assert rep.value == pytest.approx(1.0, abs=1e-9)
         assert rep.attained
 
     def test_minus_negated_largest_negative(self):
-        rep = solve_indefinite_minus(A3, B3, np.eye(1))
+        rep = solve(A3, B3, np.eye(1), ConstraintSpec.minus_identity(1))
         assert rep.value == pytest.approx(5.0, abs=1e-9)
 
     def test_signature_sum_rule(self):
-        rp = solve_indefinite_plus(A3, B3, np.diag([2.0, 1.0]), 2)
-        rm = solve_indefinite_minus(A3, B3, np.eye(1), 1)
-        rs = solve_signature(A3, B3, np.diag([2.0, 1.0]), np.eye(1))
+        rp = solve(A3, B3, np.diag([2.0, 1.0]), ConstraintSpec.plus_identity(2))
+        rm = solve(A3, B3, np.eye(1), ConstraintSpec.minus_identity(1))
+        rs = solve(A3, B3, np.diag([2.0, 1.0, 1.0]), ConstraintSpec.signature(2, 1))
         assert rs.value == pytest.approx(rp.value + rm.value, abs=1e-9)
         assert rs.value == pytest.approx(2 * 1 + 1 * 2 + 5, abs=1e-9)
 
     def test_not_finite_with_negative_weight(self):
-        rep = solve_indefinite_plus(A3, B3, np.diag([-1.0]))
+        rep = solve(A3, B3, np.diag([-1.0]), ConstraintSpec.plus_identity(1))
         assert not rep.finite
         assert rep.value is None
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
-            solve_indefinite_plus(A3, B3, np.eye(3))
+            solve(A3, B3, np.eye(3), ConstraintSpec.plus_identity(3))
         with pytest.raises(KTooLarge):
-            solve_indefinite_minus(A3, B3, np.eye(2))
+            solve(A3, B3, np.eye(2), ConstraintSpec.minus_identity(2))
 
 
 class TestDispatch:
@@ -164,7 +161,7 @@ class TestDispatch:
             solve(np.eye(2), np.diag([1.0, 0.0]), np.eye(1),
                   ConstraintSpec.plus_identity(1))
 
-    @pytest.mark.parametrize("entry", ["solve", "solve_indefinite_plus"])
+    @pytest.mark.parametrize("entry", ["solve", "epsilon_suboptimal"])
     def test_semidefinite_b_is_unsupported_before_any_analysis(self, monkeypatch, entry):
         # A - lambda*B is not positive semi-definite here, but B's inertia is
         # decided first, once, and the same way on both entry points
@@ -176,7 +173,7 @@ class TestDispatch:
             if entry == "solve":
                 solve(A, B, D, ConstraintSpec.plus_identity(1))
             else:
-                solve_indefinite_plus(A, B, D, 1)
+                epsilon_suboptimal(A, B, D, ConstraintSpec.plus_identity(1), 1e-6)
 
     def test_diagonal_skips_only_probes_it_refutes(self, monkeypatch):
         # a diagonal entry of B at or below zero rules out a Cholesky factor of
@@ -246,7 +243,7 @@ def test_attainment_matches_diagonalizability(seed):
     rng = np.random.default_rng(seed + 2000)
     k = int(rng.integers(1, n_plus + 1))
     D = random_psd(rng, k)
-    rep = solve_indefinite_plus(A, B, D)
+    rep = solve(A, B, D, ConstraintSpec.plus_identity(k))
     assert rep.finite
     assert rep.attained == an.diagonalizable
     w = np.sort(np.linalg.eigvalsh(D))[::-1]
@@ -263,13 +260,13 @@ def test_optimizer_residuals_indefinite(seed):
     k_minus = int(rng.integers(1, n_minus + 1))
     Dp = random_psd(rng, k_plus)
     Dm = random_psd(rng, k_minus)
-    rep = solve_signature(A, B, Dp, Dm, want_optimizer=True)
-    X = rep.x_opt
-    J = np.diag(np.concatenate([np.ones(k_plus), -np.ones(k_minus)]))
-    assert np.max(np.abs(X.conj().T @ B @ X - J)) <= 1e-8
     D = np.zeros((k_plus + k_minus, k_plus + k_minus), dtype=complex)
     D[:k_plus, :k_plus] = Dp
     D[k_plus:, k_plus:] = Dm
+    rep = solve(A, B, D, ConstraintSpec.signature(k_plus, k_minus), want_optimizer=True)
+    X = rep.x_opt
+    J = np.diag(np.concatenate([np.ones(k_plus), -np.ones(k_minus)]))
+    assert np.max(np.abs(X.conj().T @ B @ X - J)) <= 1e-8
     obj = float(np.real(np.trace(D @ X.conj().T @ A @ X)))
     assert obj == pytest.approx(rep.value, abs=1e-7 * (1 + abs(rep.value)))
 
@@ -374,7 +371,7 @@ def test_epsilon_suboptimal_measures_the_excess(monkeypatch, shift):
 
 
 def test_zero_a_degenerate_warning():
-    rep = solve_indefinite_plus(np.zeros((3, 3)), B3, np.eye(1))
+    rep = solve(np.zeros((3, 3)), B3, np.eye(1), ConstraintSpec.plus_identity(1))
     assert rep.value == 0.0
     assert "degenerate_A" in rep.warnings
 
@@ -385,8 +382,8 @@ def test_minus_route_is_plus_route_on_negated_b(seed):
     rng = np.random.default_rng(seed + 4000)
     k = int(rng.integers(1, n_minus + 1))
     D = random_psd(rng, k)
-    rm = solve_indefinite_minus(A, B, D, want_optimizer=True)
-    rp = solve_indefinite_plus(A, -B, D, want_optimizer=True)
+    rm = solve(A, B, D, ConstraintSpec.minus_identity(k), want_optimizer=True)
+    rp = solve(A, -B, D, ConstraintSpec.plus_identity(k), want_optimizer=True)
     assert rm.value == pytest.approx(rp.value, rel=1e-9, abs=1e-9)
     assert rm.attained == rp.attained == (not coupled)
     for rep in (rm, rp):
@@ -411,9 +408,9 @@ def test_finiteness_dichotomy_scales_with_d(seed):
     base = solve(A, B, D_psd, spec).value
     for j in range(-12, 9):
         c = 10.0 ** j
-        assert not check_finiteness(c * D_bad)
+        assert _split_omegas(c * D_bad).ell < k
         assert not solve(A, B, c * D_bad, spec).finite
-        assert check_finiteness(c * D_psd)
+        assert _split_omegas(c * D_psd).ell == k
         assert solve(A, B, c * D_psd, spec).value == pytest.approx(c * base, rel=1e-9)
 
 

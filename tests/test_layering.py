@@ -3,6 +3,7 @@ beyond the common building blocks (spectral, problem, errors); and no module
 solves a nonsymmetric eigenproblem."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,46 @@ def test_no_module_calls_a_nonsymmetric_eigensolver(path):
 def test_the_call_scan_sees_the_qz_reference():
     # the scan itself: the QZ reference kept for the tests calls sla.eig
     assert "eig" in _called_names(Path(__file__).resolve().parent / "qz_pencil.py")
+
+
+QZ_REFERENCE = Path(__file__).resolve().parent / "qz_pencil.py"
+
+
+def test_the_qz_reference_imports_only_the_error_and_tolerances():
+    # a reference that shared the package's code would agree with its faults
+    nodes = list(ast.walk(ast.parse(QZ_REFERENCE.read_text())))
+    assert not any(isinstance(node, ast.Import) and any(
+        alias.name.startswith("tracemin") for alias in node.names) for node in nodes)
+    imported = [alias.name for node in nodes
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tracemin")
+                for alias in node.names]
+    assert imported
+    assert all(name == "NotPsdPencil" or name.endswith("_RTOL") for name in imported), imported
+
+
+def _library_api_section():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    return readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_every_public_name_is_bound_and_documented():
+    import tracemin
+
+    section = _library_api_section()
+    for name in tracemin.__all__:
+        assert hasattr(tracemin, name), name
+        assert re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", section), name
+
+
+# names the package no longer exports: `solve` on a `Problem` replaces the
+# route functions, and each of the others had a public or private twin
+REMOVED = ("solve_definite_min", "solve_definite_max", "solve_indefinite_plus",
+           "solve_indefinite_minus", "solve_signature", "identity_problem",
+           "pencil_eig_definite", "DefinitePencilEigen", "split_omegas", "check_finiteness",
+           "find_lambda0", "inertia", "eig_herm", "EigenDecomposition", "eigenvectors_of")
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_not_importable(name):
+    with pytest.raises(ImportError):
+        exec(f"from tracemin import {name}", {})

@@ -20,7 +20,7 @@ from tracemin import (
     feasible_sample,
     local_search,
     objective,
-    solve_definite_min,
+    solve,
 )
 from tracemin.cli import load_problem
 from tracemin.oracle import _cayley_trials
@@ -143,7 +143,7 @@ class TestLocalSearch:
         A = 0.5 * (M + M.conj().T)
         Mk = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         D = 0.5 * (Mk + Mk.conj().T)
-        rep = solve_definite_min(A, B, D, k)
+        rep = solve(A, B, D, ConstraintSpec.plus_identity(k))
         res = local_search(
             A, B, D, ConstraintSpec.plus_identity(k),
             restarts=10, iters=300, seed=seed,

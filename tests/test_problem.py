@@ -7,12 +7,8 @@ import pytest
 from tracemin import (
     ConstraintSpec,
     Problem,
+    epsilon_suboptimal,
     solve,
-    solve_definite_max,
-    solve_definite_min,
-    solve_indefinite_minus,
-    solve_indefinite_plus,
-    solve_signature,
     spectral,
 )
 
@@ -62,11 +58,8 @@ def test_of_reports_the_first_fault(a, b, d, constraint, sense, message):
 
 ROUTES = {
     "solve": lambda A, B, D: solve(A, B, D, ConstraintSpec.plus_identity(len(D))),
-    "definite_min": solve_definite_min,
-    "definite_max": solve_definite_max,
-    "indefinite_plus": solve_indefinite_plus,
-    "indefinite_minus": solve_indefinite_minus,
-    "signature": lambda A, B, D: solve_signature(A, B, D, np.eye(1)),
+    "epsilon_suboptimal": lambda A, B, D: epsilon_suboptimal(
+        A, B, D, ConstraintSpec.plus_identity(len(D)), 1e-6),
 }
 
 
