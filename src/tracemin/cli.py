@@ -14,6 +14,7 @@ import os
 import sys
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import __version__
 from .errors import ParseError, TraceminError
@@ -28,7 +29,8 @@ from .oracle import (
     objective,
 )
 from .pencil import finite_eigenvalues
-from .problem import ConstraintSpec, Problem, signature_problem
+from .problem import ConstraintSpec, Problem
+from .spectral import as_herm
 
 GAP_LOWER = -1e-8   # oracle may undershoot the analytic value by at most this
 GAP_UPPER = 1e-4    # ... and may exceed it by at most this on attained instances
@@ -105,20 +107,26 @@ def parse_problem(doc: dict) -> Problem:
                 raise ParseError(f"constraint {kind!r} needs field 'd'")
             D = _parse_matrix(doc["d"], "d")
             k = _parse_count(doc, "k")
-            return Problem.of(A, B, D, ConstraintSpec(kind, D.shape[0] if k is None else k),
-                              sense)
-        if "d" in doc:
+            constraint = ConstraintSpec(kind, D.shape[0] if k is None else k)
+        elif "d" in doc:
             D = _parse_matrix(doc["d"], "d")
             k_plus, k_minus = _parse_count(doc, "k_plus"), _parse_count(doc, "k_minus")
             if k_plus is None or k_minus is None:
                 raise ParseError("signature with full d needs k_plus and k_minus")
-            return Problem.of(A, B, D, ConstraintSpec.signature(k_plus, k_minus), sense)
-        if "d_plus" not in doc or "d_minus" not in doc:
+            constraint = ConstraintSpec.signature(k_plus, k_minus)
+        elif "d_plus" not in doc or "d_minus" not in doc:
             raise ParseError("signature needs d, or d_plus and d_minus")
-        return signature_problem(
-            A, B, _parse_matrix(doc["d_plus"], "d_plus"), _parse_matrix(doc["d_minus"], "d_minus"),
-            _parse_count(doc, "k_plus"), _parse_count(doc, "k_minus"), sense,
-        )
+        else:
+            # D = diag(D+, D-), each block judged Hermitian against its own
+            # scale; the counts default to the orders of the blocks
+            blocks = [_parse_matrix(doc[name], name) for name in ("d_plus", "d_minus")]
+            counts = [_parse_count(doc, name) for name in ("k_plus", "k_minus")]
+            blocks = [as_herm(M) for M in blocks]
+            split = [M.shape[0] for M in blocks]
+            if any(k is not None and k != size for k, size in zip(counts, split)):
+                raise ParseError("block sizes must match (k_plus, k_minus)")
+            D, constraint = sla.block_diag(*blocks), ConstraintSpec.signature(*split)
+        return Problem.of(A, B, D, constraint, sense)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -129,7 +137,7 @@ def load_problem(path: str) -> Problem:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also undecodable or nested too deep
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return parse_problem(doc)
 
@@ -144,8 +152,7 @@ def _enc_matrix(M):
     return [[[float(np.real(e)), float(np.imag(e))] for e in row] for row in M]
 
 
-def _emit(report: dict, mode: str, out=None):
-    out = out or sys.stdout
+def _emit(report: dict, mode: str, out):
     if mode == "text":
         for line in _text_lines(report, ""):
             print(line, file=out)
@@ -170,13 +177,6 @@ def _text_lines(obj, prefix):
             yield f"{name} = {obj}"
 
 
-def _error_report(exc: TraceminError) -> dict:
-    return {
-        "error": {"code": exc.code, "message": str(exc)},
-        "tool_version": __version__,
-    }
-
-
 def _pencil_fields(inb, analysis) -> dict:
     """B's inertia and, given a pencil analysis, its lambda0, eigenvalue lists
     and m0."""
@@ -193,7 +193,7 @@ def _pencil_fields(inb, analysis) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     p = load_problem(args.path)
     rep = solve(*p, want_optimizer=args.optimizer)
     diagnostics = _pencil_fields(rep.inertia_b, rep.analysis)
@@ -205,7 +205,6 @@ def cmd_solve(args) -> int:
         "pairing": [[w, lam, role] for (w, lam, role) in rep.pairing],
         "warnings": list(rep.warnings),
         "diagnostics": diagnostics,
-        "tool_version": __version__,
     }
     if rep.x_opt is not None:
         report["x_opt"] = _enc_matrix(rep.x_opt)
@@ -213,20 +212,18 @@ def cmd_solve(args) -> int:
             p.B, rep.x_opt, p.constraint.matrix()
         )
         diagnostics["objective_at_x_opt"] = objective(p.A, p.D, rep.x_opt)
-    _emit(report, args.mode)
-    return 0
+    return report, 0
 
 
-def cmd_pencil(args) -> int:
+def cmd_pencil(args):
     p = load_problem(args.path)
     analysis = finite_eigenvalues(p.A, p.B)
     report = _pencil_fields(analysis.inertia_b, analysis)
-    report.update(diagonalizable=analysis.diagonalizable, tool_version=__version__)
-    _emit(report, args.mode)
-    return 0
+    report["diagonalizable"] = analysis.diagonalizable
+    return report, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     p = load_problem(args.path)
     rep = solve(*p, want_optimizer=False)
     # a sup is checked by running the oracle on -A, so its min matches it
@@ -260,13 +257,11 @@ def cmd_verify(args) -> int:
                                     for reason in STOP_REASONS}},
         "gap": gap,
         "verdict": "PASS" if verdict else "FAIL",
-        "tool_version": __version__,
     }
-    _emit(report, args.mode)
-    return 0 if verdict else 3
+    return report, 0 if verdict else 3
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args):
     try:
         p = CounterexampleParams(mu=args.mu, delta=args.delta)
     except ValueError as exc:
@@ -284,13 +279,11 @@ def cmd_counterexample(args) -> int:
         "f_min": f_min,
         "bound": bound,
         "margin": margin,
-        "tool_version": __version__,
     }
-    _emit(report, args.mode)
-    return 0
+    return report, 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     """Built-in smoke checks covering each solver route and the oracle."""
     checks = []
 
@@ -335,9 +328,7 @@ def cmd_selftest(args) -> int:
     check("counterexample_margin", counterexample)
 
     ok = all(c["status"] == "PASS" for c in checks)
-    _emit({"checks": checks, "verdict": "PASS" if ok else "FAIL",
-           "tool_version": __version__}, args.mode)
-    return 0 if ok else 3
+    return {"checks": checks, "verdict": "PASS" if ok else "FAIL"}, 0 if ok else 3
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +347,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_mode_flags(sp):
-    grp = sp.add_mutually_exclusive_group()
-    grp.add_argument("--json", dest="mode", action="store_const", const="json")
-    grp.add_argument("--text", dest="mode", action="store_const", const="text")
-    sp.set_defaults(mode="json")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracemin",
@@ -371,54 +355,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    mode = argparse.ArgumentParser(add_help=False)
+    grp = mode.add_mutually_exclusive_group()
+    grp.add_argument("--json", dest="mode", action="store_const", const="json")
+    grp.add_argument("--text", dest="mode", action="store_const", const="text")
+    mode.set_defaults(mode="json")
+    seeded = argparse.ArgumentParser(add_help=False)
     # argparse converts a string default with `type`, so a malformed
-    # TRACEMIN_SEED is a usage error like a malformed --seed
-    seed = os.environ.get("TRACEMIN_SEED", "0")
+    # TRACEMIN_SEED is a usage error, as a malformed flag value is
+    seeded.add_argument("--seed", type=int, default=os.environ.get("TRACEMIN_SEED", "0"))
 
-    sp = sub.add_parser("solve", help="solve a problem file")
+    sp = sub.add_parser("solve", parents=[mode, seeded], help="solve a problem file")
     sp.add_argument("path")
     sp.add_argument("--optimizer", action="store_true",
                     help="include an attaining X in the report when one exists")
-    sp.add_argument("--seed", type=int, default=seed)
-    _add_mode_flags(sp)
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("pencil", help="analyze the pencil A - lambda*B")
+    sp = sub.add_parser("pencil", parents=[mode], help="analyze the pencil A - lambda*B")
     sp.add_argument("path")
-    _add_mode_flags(sp)
     sp.set_defaults(func=cmd_pencil)
 
-    sp = sub.add_parser("verify", help="cross-check analytic value vs oracle")
+    sp = sub.add_parser("verify", parents=[mode, seeded],
+                        help="cross-check analytic value vs oracle")
     sp.add_argument("path")
     sp.add_argument("--restarts", type=_positive_int, default=20)
     sp.add_argument("--iters", type=_positive_int, default=500)
-    sp.add_argument("--seed", type=int, default=seed)
-    _add_mode_flags(sp)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("counterexample",
+    sp = sub.add_parser("counterexample", parents=[mode],
                         help="closed forms of the coupled-weight counterexample")
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
-    _add_mode_flags(sp)
     sp.set_defaults(func=cmd_counterexample)
 
-    sp = sub.add_parser("selftest", help="run built-in smoke checks")
-    sp.add_argument("--seed", type=int, default=seed)
-    _add_mode_flags(sp)
+    sp = sub.add_parser("selftest", parents=[mode, seeded], help="run built-in smoke checks")
     sp.set_defaults(func=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. A `TraceminError` is reported as JSON (or text)
-    on stderr: exit 1 for a `ParseError`, 2 for any other."""
+    """Run one subcommand and emit the report it returns with its exit code,
+    stamped with `tool_version`, on stdout; a `TraceminError` is reported as
+    {"error": {"code", "message"}} on stderr, exit 1 for a `ParseError` and 2
+    for any other."""
     args = build_parser().parse_args(argv)
+    out = sys.stdout
     try:
-        return args.func(args)
+        report, code = args.func(args)
     except TraceminError as exc:
-        _emit(_error_report(exc), args.mode, sys.stderr)
-        return 1 if isinstance(exc, ParseError) else 2
+        report, code, out = ({"error": {"code": exc.code, "message": str(exc)}},
+                             1 if isinstance(exc, ParseError) else 2, sys.stderr)
+    report["tool_version"] = __version__
+    _emit(report, args.mode, out)
+    return code
 
 
 if __name__ == "__main__":

@@ -117,22 +117,19 @@ def characterize_minimizer(report: SolveReport, A, B, D) -> MinimizerCheck:
     pencil eigenvalues the report's pairing gives those weights."""
     if not report.attained or report.x_opt is None:
         raise MissingOptimizer("report carries no optimizer")
-    A_ = as_herm(A)
-    D_ = as_herm(D)
-    om = _split_omegas(D_)
-    tol = _scaled_tol(D_, WEIGHT_RTOL)
-    # the positive weights lead, the negative ones follow om.ell
-    qhat = np.hstack([om.q[:, :int(np.sum(om.omegas > tol))], om.q[:, om.ell:]])
-    Z = report.x_opt @ qhat
-    M = Z.conj().T @ A_ @ Z
-    off = M - np.diag(np.diag(M))
+    A_, D_ = as_herm(A), as_herm(D)
     as_herm(B)  # validated only: the report's pairing holds the eigenvalues
-    # a signature report pairs each block in turn; Q orders all weights descending
-    expected = np.array([lam for w, lam, _ in sorted(report.pairing, key=lambda e: -e[0])
-                         if abs(w) > tol])
-    return MinimizerCheck(
-        compressed=M,
-        offdiag_max=max_norm(off),
-        diagonal=np.real(np.diag(M)),
-        expected_diagonal=expected,
-    )
+    # D splits as the route paired it, a signature report's lambda+ roles
+    # first; each block drops the weights within its own tolerance of zero
+    kp = sum(role.startswith("lambda+") for _, _, role in report.pairing)
+    Zs, expected = [], []
+    for lo, hi in ((0, kp), (kp, D_.shape[0])):
+        block = D_[lo:hi, lo:hi]
+        om = _split_omegas(block)
+        keep = np.flatnonzero(np.abs(om.omegas) > _scaled_tol(block, WEIGHT_RTOL))
+        Zs.append(report.x_opt[:, lo:hi] @ om.q[:, keep])
+        expected += [report.pairing[lo + i][1] for i in keep]
+    Z = np.hstack(Zs)
+    M = Z.conj().T @ A_ @ Z
+    return MinimizerCheck(compressed=M, offdiag_max=max_norm(M - np.diag(np.diag(M))),
+                          diagonal=np.real(np.diag(M)), expected_diagonal=np.array(expected))

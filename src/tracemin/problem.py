@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
-from .spectral import HermitianMatrix, as_herm
+from .spectral import HermitianMatrix
 
 
 @dataclass(frozen=True)
@@ -93,14 +92,3 @@ class Problem(NamedTuple):
             raise ValueError("constraint has more columns than the ambient space")
         return cls(Ah, Bh, Dh, constraint, sense)
 
-
-def signature_problem(A, B, D_plus, D_minus, k_plus=None, k_minus=None,
-                      sense="min") -> Problem:
-    """The problem of separate weight blocks under X^H B X = diag(I_{k+},
-    -I_{k-}), D = diag(D+, D-); k+ and k- default to the orders of the blocks
-    and must equal them when given."""
-    Dp, Dm = (as_herm(M) if np.size(M) else np.empty((0, 0)) for M in (D_plus, D_minus))
-    split = (Dp.shape[0], Dm.shape[0])
-    if any(k is not None and k != size for k, size in zip((k_plus, k_minus), split)):
-        raise ValueError("block sizes must match (k_plus, k_minus)")
-    return Problem.of(A, B, sla.block_diag(Dp, Dm), ConstraintSpec.signature(*split), sense)

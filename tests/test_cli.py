@@ -483,6 +483,16 @@ def test_split_counts_must_match_the_blocks(capsys, tmp_path):
                             "message": "block sizes must match (k_plus, k_minus)"}
 
 
+def test_split_block_is_judged_hermitian_at_its_own_scale(capsys, tmp_path):
+    # d_plus is off Hermitian by 1e-11 of its own entries, within tolerance
+    # only at the scale of the full D that d_minus = [[1e10]] sets
+    doc = dict(SPLIT_DOC, d_plus=[[1e-20, 1e-20], [1e-20 + 1e-31, 1e-20]], d_minus=[[1e10]])
+    code, rep = run_json(capsys, "solve", _write_problem(tmp_path, doc))
+    assert code == 1
+    assert rep["error"] == {"code": "PARSE_ERROR",
+                            "message": "matrix is not Hermitian within tolerance"}
+
+
 @pytest.mark.parametrize("doc", [SIGNATURE_DOC, SPLIT_DOC])
 def test_integer_counts_are_accepted(capsys, tmp_path, doc):
     code, rep = run_json(capsys, "solve", _write_problem(tmp_path, doc))
@@ -538,3 +548,55 @@ def test_negation_is_exact_and_not_validated_again(monkeypatch):
     assert isinstance(neg, spectral.HermitianMatrix)
     assert np.array_equal(neg.mat, -H.mat)
     assert np.allclose(neg.eigh()[0], -H.eigh()[0][::-1], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("command", ["solve", "pencil", "verify"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["undecodable", "nested"])
+def test_undecodable_problem_file_is_a_parse_error(capsys, tmp_path, command, content):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["code"] == "PARSE_ERROR"
+    assert error["message"].startswith(f"invalid JSON in {path}: ")
+
+
+# per subcommand: the arguments of a run that succeeds, whether it takes
+# --seed, and the arguments of a run that reports an error (selftest has none)
+SURFACE = {
+    "solve": ([str(FIXTURES / "kyfan.json")], True, [str(FIXTURES / "bad.json")]),
+    "pencil": ([str(FIXTURES / "kyfan.json")], False, [str(FIXTURES / "bad.json")]),
+    "verify": ([str(FIXTURES / "kyfan.json"), "--restarts", "2", "--iters", "50"], True,
+               [str(FIXTURES / "bad.json")]),
+    "counterexample": (["--mu", "2", "--delta", "0.25"], False,
+                       ["--mu", "0.5", "--delta", "0.25"]),
+    "selftest": ([], True, None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_flag_surface_and_one_tool_version_per_report(capsys, command):
+    args, seeded, failing = SURFACE[command]
+    usage_errors = [[*args, "--json", "--text"]] + ([] if seeded else [[*args, "--seed", "1"]])
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    runs = [(args, 0)] + ([([*args, "--seed", "1"], 0)] if seeded else [])
+    runs += [(failing, 1)] if failing else []
+    for argv, expected in runs:
+        for mode in ("--json", "--text"):
+            code, out, err = run(capsys, command, *argv, mode)
+            assert code == expected, (argv, mode)
+            # one report, on stdout for a success and on stderr for an error
+            report = out or err
+            assert (out, err) == ((report, "") if code == 0 else ("", report))
+            assert report.count("tool_version") == 1
+            if mode == "--json":
+                assert json.loads(report)["tool_version"] == __version__
+            else:
+                assert f"tool_version = {__version__}" in report.splitlines()

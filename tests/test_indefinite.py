@@ -653,6 +653,22 @@ def test_characterize_minimizer_of_a_signature_report():
     assert np.allclose(chk.diagonal, chk.expected_diagonal, atol=1e-9)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_characterize_minimizer_splits_a_signature_report_by_block(theta):
+    # the weight 2 occurs in both blocks: the compression and the expected
+    # diagonal follow the pairing block by block (+1 block first), not one
+    # descending order of all of D's weights; theta rotates D+
+    A, B = np.diag([1.0, 2.0, 3.0, 7.0, 9.0]), np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
+    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    D = np.zeros((3, 3))
+    D[:2, :2], D[2, 2] = R @ np.diag([2.0, 1.0]) @ R.T, 2.0
+    rep = solve(A, B, D, ConstraintSpec.signature(2, 1), want_optimizer=True)
+    chk = characterize_minimizer(rep, A, B, D)
+    assert chk.offdiag_max <= 1e-12
+    assert np.allclose(chk.diagonal, [1.0, 2.0, 7.0], atol=1e-12)
+    assert np.allclose(chk.expected_diagonal, [1.0, 2.0, 7.0], atol=1e-12)
+
+
 @pytest.mark.parametrize("width, kernel, tol", [(0.0, 2, 1e-10), (1e-6, 0, 1e-8)])
 def test_non_strict_path_transforms_back_only_needed_columns(monkeypatch, width, kernel,
                                                              tol):

@@ -107,3 +107,25 @@ REMOVED = ("solve_definite_min", "solve_definite_max", "solve_indefinite_plus",
 def test_removed_names_are_not_importable(name):
     with pytest.raises(ImportError):
         exec(f"from tracemin import {name}", {})
+
+
+def _envelope_writers(path):
+    """(module, top-level function, what) for each `_emit` call and each
+    "tool_version" key in a module; code outside a function is "<module>"."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "_emit" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None)):
+                found.add((path.stem, where, "_emit"))
+            if (isinstance(node, ast.Constant) and node.value == "tool_version"
+                    or isinstance(node, ast.keyword) and node.arg == "tool_version"):
+                found.add((path.stem, where, "tool_version"))
+    return found
+
+
+def test_main_alone_emits_and_stamps_reports():
+    # every report leaves through cli.main, which stamps tool_version on it
+    found = set().union(*(_envelope_writers(path) for path in PACKAGE.glob("*.py")))
+    assert found == {("cli", "main", "_emit"), ("cli", "main", "tool_version")}
