@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -51,8 +52,8 @@ def _parse_entry(e):
             return complex(e[0], e[1])
     except OverflowError:
         # JSON integers have no size limit; complex() refuses those past a float
-        raise ParseError(f"matrix entry {e!r} is too large for a float") from None
-    raise ParseError(f"matrix entry must be a number or [re, im] pair, got {e!r}")
+        raise ParseError(f"matrix entry {reprlib.repr(e)} is too large for a float") from None
+    raise ParseError(f"matrix entry must be a number or [re, im] pair, got {reprlib.repr(e)}")
 
 
 def _parse_matrix(obj, name):

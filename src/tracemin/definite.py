@@ -27,7 +27,6 @@ from .spectral import (
     Inertia,
     _pair_eigenpairs,
     _reduce_pair,
-    _scaled_tol,
     as_herm,
     max_norm,
 )
@@ -71,7 +70,7 @@ def _split_omegas(D_) -> OmegaSplit:
     # an empty signature block is split without an eigh
     w, Q = np.linalg.eigh(D_) if D_.size else (np.empty(0), D_)
     w = w[::-1].copy()
-    return OmegaSplit(omegas=w, ell=int(np.sum(w >= -_scaled_tol(D_, WEIGHT_RTOL))),
+    return OmegaSplit(omegas=w, ell=int(np.sum(w >= -WEIGHT_RTOL * max_norm(D_))),
                       q=Q[:, ::-1].copy())
 
 
@@ -126,7 +125,7 @@ def characterize_minimizer(report: SolveReport, A, B, D) -> MinimizerCheck:
     for lo, hi in ((0, kp), (kp, D_.shape[0])):
         block = D_[lo:hi, lo:hi]
         om = _split_omegas(block)
-        keep = np.flatnonzero(np.abs(om.omegas) > _scaled_tol(block, WEIGHT_RTOL))
+        keep = np.flatnonzero(np.abs(om.omegas) > WEIGHT_RTOL * max_norm(block))
         Zs.append(report.x_opt[:, lo:hi] @ om.q[:, keep])
         expected += [report.pairing[lo + i][1] for i in keep]
     Z = np.hstack(Zs)

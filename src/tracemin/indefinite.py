@@ -28,7 +28,7 @@ from .errors import (
 )
 from .pencil import finite_eigenvalues
 from .problem import ConstraintSpec, Problem
-from .spectral import WEIGHT_RTOL, Inertia, _scaled_tol, cholesky, max_norm
+from .spectral import WEIGHT_RTOL, Inertia, cholesky, max_norm
 
 # `epsilon_suboptimal`'s bound on max|X^H B X - C| and on -excess / (1 + |value|)
 FEASIBILITY_ATOL = 1e-8
@@ -57,7 +57,7 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
         if k > count:
             raise KTooLarge(f"k={k} exceeds {name}={count}")
     D_, kp = p.D.mat, c.k_plus
-    if max_norm(D_[:kp, kp:]) > _scaled_tol(D_, WEIGHT_RTOL):
+    if max_norm(D_[:kp, kp:]) > WEIGHT_RTOL * max_norm(D_):
         raise BlockStructureViolated(
             "D couples the +1 and -1 column groups; no eigenvalue-product "
             "formula exists for coupled D (see `tracemin counterexample`)"

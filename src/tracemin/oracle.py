@@ -100,29 +100,26 @@ class _SignatureCoords:
     """Congruence coordinates for the constraint X^H B X = diag(s).
 
     Eigen-decomposing B = V diag(b) V^H splits coordinates into +, - and
-    null groups; X = P Z + N R with Z^H J Z = diag(s) on the rank-r part and
-    R free on the nullspace."""
+    null groups, counted by `HermitianMatrix.inertia` as the solver counts
+    them; X = P Z + N R with Z^H J Z = diag(s) on the rank-r part and R free
+    on the nullspace."""
 
     def __init__(self, B, constraint: ConstraintSpec):
         Bh = HermitianMatrix.of(B)
         w, V = Bh.eigh()
-        tol = 1e-10 * (1.0 + max_norm(Bh.mat))
-        pos = np.where(w > tol)[0][::-1]  # largest first
-        neg = np.where(w < -tol)[0]
-        zero = np.where(np.abs(w) <= tol)[0]
-        self.n = Bh.n
-        self.n_plus = len(pos)
-        self.n_minus = len(neg)
-        self.n_zero = len(zero)
+        inb = Bh.inertia()
+        self.n_plus, self.n_minus, self.n_zero = inb.n_plus, inb.n_minus, inb.n_zero
         if constraint.k_plus > self.n_plus or constraint.k_minus > self.n_minus:
             raise InfeasibleConstraint(
                 f"signature ({constraint.k_plus},{constraint.k_minus}) exceeds "
                 f"inertia ({self.n_plus},{self.n_minus}) of B"
             )
-        cols = np.concatenate([pos, neg]).astype(int)
-        scale = np.sqrt(np.abs(w[cols])) if len(cols) else np.empty(0)
-        self.P = V[:, cols] / np.where(scale > 0, scale, 1.0)
-        self.N = V[:, zero]
+        # eigh ascends: n_minus negative columns, n_zero null ones, then the
+        # positive ones, which the + group takes largest first
+        nm, null = self.n_minus, self.n_minus + self.n_zero
+        cols = np.concatenate([np.arange(Bh.n - 1, null - 1, -1), np.arange(nm)])
+        self.P = V[:, cols] / np.sqrt(np.abs(w[cols]))
+        self.N = V[:, nm:null]
         self.row_signs = np.concatenate(
             [np.ones(self.n_plus), -np.ones(self.n_minus)]
         )
@@ -146,7 +143,7 @@ def _j_orthonormalize(Z, row_signs, col_signs, rng, max_retry=20):
                     z = z - V[:, :j] @ (col_signs[:j] * c)
             q = float(np.real((z.conj() * row_signs) @ z))
             nz2 = float(np.real(z.conj() @ z))
-            if col_signs[j] * q > 1e-10 * (nz2 + 1e-30) and q != 0.0:
+            if col_signs[j] * q > 1e-10 * nz2:
                 V[:, j] = z / math.sqrt(abs(q))
                 break
             z = rng.standard_normal(r) + 1j * rng.standard_normal(r)
@@ -313,12 +310,6 @@ def local_search(
     C = constraint.matrix()
     coords = _SignatureCoords(Bh, constraint)
     divergence = -1e6 * (1.0 + max_norm(A_) * max_norm(D_))
-
-    if max_norm(D_) == 0.0:
-        # f vanishes on the whole feasible set: any feasible point is optimal
-        X = feasible_sample(Bh, constraint, seed)
-        return OracleResult(0.0, X, 0, constraint_residual(Bh, X, C),
-                            stop_reasons=("converged",))
 
     # compress A onto the range/null split once; every evaluation and gradient
     # then works with stacks of n x k arrays X = [Z; R] only

@@ -33,12 +33,6 @@ def max_norm(M) -> float:
     return 0.0 if M.size == 0 else float(np.max(np.abs(M)))
 
 
-def _scaled_tol(M, rel: float) -> float:
-    # zero matrices fall back to an absolute tolerance to avoid 0*rel
-    s = max_norm(M)
-    return rel * s if s > 0.0 else 1e-12
-
-
 class HermitianMatrix:
     """Square complex matrix validated and stored as exactly Hermitian.
 
@@ -55,13 +49,13 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
         # one max|M| finds every non-finite entry (|z| overflows only for
         # finite entries near the float limit, which the full test then passes)
-        # and scales the deviation test, as _scaled_tol(M, 1e-12) does; H^H is
-        # transposed once, for the deviation and the symmetrization
+        # and scales the deviation test; H^H is transposed once, for the
+        # deviation and the symmetrization
         s = max_norm(M)
         if not np.isfinite(s) and not np.all(np.isfinite(M)):
             raise ValueError("matrix has non-finite entries")
         Mh = M.conj().T.copy()
-        if max_norm(M - Mh) > (1e-12 * s if s > 0.0 else 1e-12):
+        if max_norm(M - Mh) > 1e-12 * s:
             raise ValueError("matrix is not Hermitian within tolerance")
         self.mat = np.add(M, Mh, out=Mh)
         self.mat *= 0.5
@@ -84,9 +78,8 @@ class HermitianMatrix:
 
     def inertia(self) -> Inertia:
         """Inertia counted from the kept eigenvalues; those within ZERO_RTOL *
-        max|entry| of zero (absolute 1e-12 for the zero matrix) count as
-        zero."""
-        w, tol = self.eigh()[0], _scaled_tol(self.mat, ZERO_RTOL)
+        max|entry| of zero count as zero."""
+        w, tol = self.eigh()[0], ZERO_RTOL * max_norm(self.mat)
         return Inertia(n_plus=int(np.sum(w > tol)), n_zero=int(np.sum(np.abs(w) <= tol)),
                        n_minus=int(np.sum(w < -tol)))
 
@@ -132,17 +125,17 @@ def cholesky(B) -> np.ndarray:
     """Lower-triangular L with B = L L^H and positive real diagonal.
 
     Positive definiteness is certified, not assumed: a Cholesky factorization
-    of B - tau*I must succeed, with tau = ZERO_RTOL * max|entry| (1e-12 for
-    the zero matrix), the threshold below which `HermitianMatrix.inertia`
-    counts an eigenvalue as zero. Its success proves that the smallest eigenvalue of B
-    exceeds tau without computing the spectrum. Otherwise raises
+    of B - tau*I must succeed, with tau = ZERO_RTOL * max|entry|, the
+    threshold below which `HermitianMatrix.inertia` counts an eigenvalue as
+    zero. Its success proves that the smallest eigenvalue of B exceeds tau
+    without computing the spectrum. Otherwise raises
     NotPositiveDefinite, signalling the caller to route to the indefinite
     path. A HermitianMatrix B is not validated again.
     """
     M = as_herm(B)
     if M.size == 0:
         raise NotPositiveDefinite("empty matrix is not positive definite")
-    tau = _scaled_tol(M, ZERO_RTOL)
+    tau = ZERO_RTOL * max_norm(M)
     shifted = np.array(M, order="F")
     shifted.flat[:: M.shape[0] + 1] -= tau
     info = lapack.zpotrf(shifted, lower=1, overwrite_a=1)[1]

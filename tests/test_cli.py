@@ -246,6 +246,33 @@ class TestVerify:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_pass_on_infimum_not_attained(self, capsys):
+        # a 2x2 Jordan block at lambda0 = 1: the oracle approaches the
+        # infimum from above and never reaches it, so only its lower side
+        # is checked
+        code, rep = run_json(capsys, "verify", str(FIXTURES / "jordan.json"))
+        assert code == 0
+        assert rep["verdict"] == "PASS"
+        assert rep["analytic"]["attained"] is False
+        assert 0.0 <= rep["gap"] <= 1e-3
+
+    def test_fail_below_infimum_not_attained(self, capsys, monkeypatch):
+        path = str(FIXTURES / "jordan.json")
+        value = tracemin.cli.solve(*tracemin.cli.load_problem(path)).value
+        real = tracemin.cli.local_search
+
+        def undershooting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.best_value = value - 1e-6
+            return res
+
+        monkeypatch.setattr(tracemin.cli, "local_search", undershooting)
+        code, rep = run_json(capsys, "verify", path, "--restarts", "2", "--iters", "20")
+        assert code == 3
+        assert rep["verdict"] == "FAIL"
+        assert rep["analytic"]["attained"] is False
+        assert rep["gap"] == pytest.approx(-1e-6, rel=1e-6)
+
     def test_oracle_error_is_reported_as_json(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise DegenerateDraw("no feasible start could be drawn")
@@ -430,6 +457,27 @@ class TestParseMatrix:
             "matrix entry must be a number or [re, im] pair, got None")
 
 
+def _nested(depth):
+    entry = 1
+    for _ in range(depth):
+        entry = [entry]
+    return entry
+
+
+@pytest.mark.parametrize("entry", [_nested(500), 10**400], ids=["nested", "huge"])
+def test_parse_error_message_stays_short(capsys, tmp_path, entry):
+    # the message abbreviates the bad entry instead of echoing all of it
+    doc = json.loads((FIXTURES / "kyfan.json").read_text())
+    doc["a"][0][0] = entry
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "PARSE_ERROR"
+    assert len(error["message"]) < 200
+
+
 def _write_problem(tmp_path, doc):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
@@ -452,6 +500,32 @@ def test_malformed_problem_is_a_parse_error(capsys, tmp_path, command, name):
     code, out, err = run(capsys, command, _write_problem(tmp_path, MALFORMED[name]))
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["code"] == "PARSE_ERROR"
+
+
+PLUS_DOC = {"a": [[1, 0], [0, 2]], "b": [[1, 0], [0, 1]], "d": [[1]],
+         "constraint": "plus_identity"}
+SIGNATURE_B = {"a": [[1, 0], [0, 2]], "b": [[1, 0], [0, -1]], "constraint": "signature"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(PLUS_DOC, a=[]), "field 'a' must be a non-empty list of rows"),
+    ([PLUS_DOC], "problem file must be a JSON object"),
+    ({k: v for k, v in PLUS_DOC.items() if k != "a"}, "missing required field 'a'"),
+    (dict(PLUS_DOC, constraint="foo"), "unknown constraint 'foo'"),
+    ({k: v for k, v in PLUS_DOC.items() if k != "d"},
+     "constraint 'plus_identity' needs field 'd'"),
+    (dict(SIGNATURE_B, d=[[1, 0], [0, 1]], k_plus=1),
+     "signature with full d needs k_plus and k_minus"),
+    (dict(SIGNATURE_B, d_plus=[[1]]), "signature needs d, or d_plus and d_minus"),
+    (dict(SIGNATURE_B, d=[[1, 0], [0, 1]], k_plus=3, k_minus=-1),
+     "signature split must be nonnegative"),
+], ids=["empty_a", "not_object", "missing_a", "unknown_constraint", "missing_d",
+        "missing_k_minus", "missing_d_minus", "negative_split"])
+def test_malformed_document_message(capsys, tmp_path, doc, message):
+    code, out, err = run(capsys, "solve", _write_problem(tmp_path, doc))
+    assert code == 1 and out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == {"code": "PARSE_ERROR", "message": message}
 
 
 SIGNATURE_DOC = {"a": [[1, 0, 0], [0, 2, 0], [0, 0, 5]], "b": [[1, 0, 0], [0, 1, 0], [0, 0, -1]],

@@ -11,6 +11,7 @@ from tracemin import (
     spectral,
 )
 from tracemin.definite import _split_omegas
+from tracemin.errors import MissingOptimizer
 from helpers import definite_instance, random_hermitian, random_unitary, spy_choleskys
 
 
@@ -129,6 +130,13 @@ def test_characterize_minimizer_reads_the_pairing(monkeypatch, seed):
     chk = characterize_minimizer(rep, A, B, D)
     assert np.allclose(chk.diagonal, chk.expected_diagonal, atol=1e-7)
     assert potrf == [] and hegst == []
+
+
+def test_characterize_minimizer_needs_an_optimizer():
+    A, B, D = np.diag([1.0, 2.0, 3.0]), np.eye(3), np.eye(2)
+    rep = solve(A, B, D, ConstraintSpec.plus_identity(2))
+    with pytest.raises(MissingOptimizer, match="report carries no optimizer"):
+        characterize_minimizer(rep, A, B, D)
 
 
 def test_shift_rule():

@@ -23,10 +23,12 @@ from tracemin import (
     solve,
 )
 from tracemin.cli import load_problem
-from tracemin.oracle import _cayley_trials
+from tracemin.oracle import _cayley_trials, _SignatureCoords
+from tracemin.spectral import HermitianMatrix
 from helpers import (
     canonical_pencil_instance,
     definite_instance,
+    psd_pencil,
     random_hermitian,
     random_psd,
     random_unitary,
@@ -132,6 +134,19 @@ class TestLocalSearch:
         )
         assert res.best_value == 0.0
 
+    @pytest.mark.parametrize("restarts", [1, 3, 20])
+    def test_zero_d_runs_every_restart(self, restarts):
+        # f vanishes on the feasible set, so every restart stops converged
+        # at its first iteration, on the flat-gradient test
+        res = local_search(
+            np.diag([1.0, 2.0, 5.0]), np.diag([1.0, 1.0, -1.0]), np.zeros((1, 1)),
+            ConstraintSpec.plus_identity(1), restarts=restarts, iters=50, seed=0,
+        )
+        assert res.best_value == 0.0
+        assert res.stop_reasons == ("converged",) * restarts
+        assert res.iterations == restarts
+        assert res.feasibility_residual <= 1e-8
+
     @pytest.mark.parametrize("seed", range(8))
     def test_never_beats_analytic_value(self, seed):
         rng = np.random.default_rng(seed + 700)
@@ -150,6 +165,40 @@ class TestLocalSearch:
         )
         assert res.best_value >= rep.value - 1e-8 * (1 + abs(rep.value))
         assert objective(A, D, res.best_X) == pytest.approx(res.best_value, abs=1e-10)
+
+
+def _zero_rule_case(case):
+    """(A, B, D, constraint) of one of twelve problems: definite B, an
+    indefinite canonical pencil, or an indefinite B with a null direction."""
+    family, seed = divmod(case, 4)
+    if family == 0:
+        A, B, D, k = definite_instance(seed)
+        return A, B, D, ConstraintSpec.plus_identity(k)
+    if family == 1:
+        A, B, *_ = canonical_pencil_instance(seed)
+    else:
+        A, B, *_ = psd_pencil(np.random.default_rng(seed), 2, 2, n_inf=1)
+    return A, B, np.diag([1.0, 2.0]), ConstraintSpec.signature(1, 1)
+
+
+class TestZeroRule:
+    """The oracle counts B's null space as the solver does, at every scale
+    of B: its signature coordinates take B's inertia from
+    `HermitianMatrix.inertia`."""
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("case", range(12))
+    def test_coordinates_count_the_solvers_inertia(self, case, c):
+        A, B, D, constraint = _zero_rule_case(case)
+        coords = _SignatureCoords(c * B, constraint)
+        inb = HermitianMatrix(c * B).inertia()
+        assert (coords.n_plus, coords.n_zero, coords.n_minus) == (
+            inb.n_plus, inb.n_zero, inb.n_minus)
+        # P maps the signature coordinates onto B's J: P^H (cB) P = J
+        J = np.diag(coords.row_signs)
+        assert np.max(np.abs(coords.P.conj().T @ (c * B) @ coords.P - J)) <= 1e-8
+        res = local_search(A, c * B, D, constraint, restarts=2, iters=20, seed=0)
+        assert len(res.stop_reasons) == 2
 
 
 def _pencil_problem(seed):

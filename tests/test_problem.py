@@ -79,3 +79,12 @@ def test_identity_kinds_fix_their_split():
     c = ConstraintSpec("minus_identity", 3, k_plus=3)
     assert (c.k_plus, c.k_minus) == (0, 3)
     assert np.array_equal(c.signature_vector(), -np.ones(3))
+
+
+@pytest.mark.parametrize("k, k_plus, k_minus, message", [
+    (2, 3, -1, "signature split must be nonnegative"),
+    (3, 1, 1, "signature split must sum to k"),
+])
+def test_signature_split_is_checked(k, k_plus, k_minus, message):
+    with pytest.raises(ValueError, match=message):
+        ConstraintSpec("signature", k, k_plus=k_plus, k_minus=k_minus)

@@ -113,6 +113,12 @@ class TestMajorizes:
         assert not majorizes(np.array([3, 1]) * c, np.array([2, 1]) * c)
         assert majorizes(np.array([1.5, -0.5]) * c, np.array([1.5, -0.5]) * c)
 
+    @pytest.mark.parametrize("beta, alpha", [([1.0, 2.0], [3.0]), ([], []),
+                                             ([[1.0]], [[1.0]])])
+    def test_rejects_mismatched_shapes(self, beta, alpha):
+        with pytest.raises(ValueError, match="equal-length nonempty 1-D"):
+            majorizes(beta, alpha)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_diagonal_majorized_by_spectrum(self, seed):
         # Schur-Horn: eigenvalues majorize the diagonal in any unitary basis
@@ -133,6 +139,12 @@ class TestWeightedSumBounds:
     def test_rejects_unsorted_gamma(self):
         with pytest.raises(ValueError):
             weighted_sum_bounds([1.0, 2.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("gamma, beta", [([2.0, 1.0], [1.0]),
+                                             ([[2.0, 1.0]], [[1.0, 0.0]])])
+    def test_rejects_mismatched_shapes(self, gamma, beta):
+        with pytest.raises(ValueError, match="equal-length 1-D"):
+            weighted_sum_bounds(gamma, beta)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_brackets_every_permutation(self, seed):
