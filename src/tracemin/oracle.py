@@ -80,6 +80,10 @@ STOP_REASONS = ("converged", "stalled", "budget", "unbounded")
 # falls below the line search's acceptance margin 1e-14 * (1 + |f|) once
 # gn2 is about that small, so failing there is how a finished restart stops.
 CONVERGED_GN2_RTOL = 1e-12
+# An escape probe Xt counts only past f's rounding error at Xt, PROBE_NOISE_RTOL
+# * ||Xt||_F^2 * max|Ac| * max|D| (Ac: A in the search's coordinates); a t = 16
+# boost grows ||X||^2 by about 2e13, enough for noise to "lower" a constant f.
+PROBE_NOISE_RTOL = 1e-13
 
 
 @dataclass
@@ -289,9 +293,9 @@ def local_search(
     J-orthogonal steepest-descent generator, which keeps Z^H J Z exact. Its
     backtracking line search tries the halvings step * 2^-j a few at a time
     in one stacked solve and accepts the first j that lowers f. Every 25
-    iterations hyperbolic boost and nullspace probes supply the escape
-    directions that certify unbounded instances; every 40 a hyperbolic
-    Gram-Schmidt pass washes out feasibility drift.
+    iterations, before the gradient, boost and nullspace probes that beat
+    f's rounding error find the escapes that certify unbounded instances;
+    every 40 a hyperbolic Gram-Schmidt pass washes out feasibility drift.
 
     A restart stops when f makes no progress over 10 iterations, its
     gradient vanishes, or two line searches fail where the gradient is below
@@ -318,6 +322,7 @@ def local_search(
     n, k = Ac.shape[0], coords.k
     n_plus, n_minus, nz = coords.n_plus, coords.n_minus, coords.n_zero
     r = n_plus + n_minus
+    noise = PROBE_NOISE_RTOL * max_norm(Ac) * max_norm(D_)
 
     def axd(X):
         """Ac X D for every matrix of the stack X, as two 2-D products."""
@@ -332,7 +337,8 @@ def local_search(
     def accept(X, f, Xt):
         """The probes Xt, with their values, where they lower f; else X and f."""
         ft = f_of(Xt)
-        better = ft < f - 1e-12 * (1.0 + np.abs(f))
+        err = noise * np.sum(np.abs(Xt) ** 2, axis=(1, 2))
+        better = ft + err < f - 1e-12 * (1.0 + np.abs(f))
         return np.where(better[:, None, None], Xt, X), np.where(better, ft, f)
 
     rngs, Xs = [], []
@@ -363,25 +369,10 @@ def local_search(
             break
         s.window[:, it % 10] = s.f
         s.iterations[s.ids] += 1
-        X = s.X
-        Z = X[:, :r]
-        G = 2.0 * axd(X)
-        # steepest descent in the J-orthogonal group acting on the left:
-        # Z moves along S*Z with S = J*K, K skew-Hermitian, which keeps
-        # Z^H J Z exact and (by Witt transitivity) reaches every feasible
-        # point from any start. K = -skew(J G Z^H) is the steepest choice.
-        # The null rows R move along -G.
-        W = (js * G[:, :r]) @ _ct(Z)
-        K = 0.5 * (W - _ct(W))
-        gn2 = (np.sum(np.abs(K) ** 2, axis=(1, 2))
-               + np.sum(np.abs(G[:, r:]) ** 2, axis=(1, 2)))
-        # gn2 at the point the line search starts from; a probe that moves
-        # the point leaves it unknown
-        gn2_start = gn2
         if it % 25 == 0:
             # escape probes: exact-feasibility boosts and nullspace kicks,
             # drawn from each restart's generator, boosts first
-            f = s.f
+            X, f = s.X, s.f
             if hyperbolic:
                 pairs = np.array([
                     [(int(g.integers(n_plus)), n_plus + int(g.integers(n_minus)))
@@ -401,17 +392,26 @@ def local_search(
                     Xt = X.copy()
                     Xt[:, r:] += t * kicks[:, i]
                     X, f = accept(X, f, Xt)
-            gn2_start = np.where(f < s.f, np.inf, gn2)
             s.X, s.f = X, f
         if np.any(s.f < divergence):
             unbounded = True
             break
+        G = 2.0 * axd(s.X)
+        # steepest descent in the J-orthogonal group acting on the left:
+        # Z moves along S*Z with S = J*K, K skew-Hermitian, which keeps
+        # Z^H J Z exact and (by Witt transitivity) reaches every feasible
+        # point from any start. K = -skew(J G Z^H) is the steepest choice.
+        # The null rows R move along -G.
+        W = (js * G[:, :r]) @ _ct(s.X[:, :r])
+        K = 0.5 * (W - _ct(W))
+        gn2 = (np.sum(np.abs(K) ** 2, axis=(1, 2))
+               + np.sum(np.abs(G[:, r:]) ** 2, axis=(1, 2)))
         flat = gn2 <= 1e-24 * (1.0 + np.abs(s.f)) ** 2
         if flat.any():
             s.stop(flat, "converged")
             if not len(s.ids):
                 break
-            K, G, gn2_start = K[~flat], G[~flat], gn2_start[~flat]
+            K, G, gn2 = K[~flat], G[~flat], gn2[~flat]
         X, f = s.X, s.f
         Z = X[:, :r]
         # trial step: Barzilai-Borwein secant on the ambient flow field
@@ -457,7 +457,7 @@ def local_search(
         s.X, s.f, s.step = X_new, f_new, step_new
         s.stalls += ~accepted
         s.stop((s.stalls >= 2)
-               & (gn2_start <= CONVERGED_GN2_RTOL * (1.0 + np.abs(s.f)) ** 2),
+               & (gn2 <= CONVERGED_GN2_RTOL * (1.0 + np.abs(s.f)) ** 2),
                "converged")
         s.stop(s.stalls >= 2, "stalled")
         if it % 40 == 39 and len(s.ids):

@@ -14,6 +14,7 @@ import numpy as np
 from tracemin.errors import DegenerateDraw
 from tracemin.oracle import (
     CONVERGED_GN2_RTOL,
+    PROBE_NOISE_RTOL,
     _draw_z,
     _j_orthonormalize,
     _SignatureCoords,
@@ -37,6 +38,8 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
     Ap = P.conj().T @ A_ @ P
     An = P.conj().T @ A_ @ N if coords.n_zero else None
     Ann = N.conj().T @ A_ @ N if coords.n_zero else None
+    basis = np.hstack([P, N])
+    noise = PROBE_NOISE_RTOL * max_norm(basis.conj().T @ A_ @ basis) * max_norm(D_)
 
     def ax_parts(Z, R):
         top = Ap @ Z
@@ -52,6 +55,13 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
         if bot is not None:
             M = M + R.conj().T @ bot
         return float(np.real(np.trace(D_ @ M)))
+
+    def beats(ft, Z, R, f):
+        """Whether a probe's value ft at (Z, R) lowers f past its rounding error."""
+        n2 = float(np.sum(np.abs(Z) ** 2))
+        if R is not None:
+            n2 += float(np.sum(np.abs(R) ** 2))
+        return ft + noise * n2 < f - 1e-12 * (1.0 + abs(f))
 
     best_f = np.inf
     total_iters = 0
@@ -82,6 +92,26 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
                 reason = "converged"
                 break
             total_iters += 1
+            if hyperbolic and it % 25 == 0:
+                for _ in range(4):
+                    ip = int(rng.integers(coords.n_plus))
+                    im = coords.n_plus + int(rng.integers(coords.n_minus))
+                    for t in (1.0, 4.0, 16.0):
+                        Zt = _boost_pair(Z, ip, im, t)
+                        ft = f_of(Zt, R)
+                        if beats(ft, Zt, R, f):
+                            Z, f = Zt, ft
+            if coords.n_zero and it % 25 == 0:
+                for t in (1.0, 10.0):
+                    Rt = R + t * (
+                        rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape)
+                    )
+                    ft = f_of(Z, Rt)
+                    if beats(ft, Z, Rt, f):
+                        R, f = Rt, ft
+            if f < divergence:
+                reason = "unbounded"
+                break
             top, bot = ax_parts(Z, R)
             Gz = 2.0 * top @ D_
             W = (js * Gz) @ Z.conj().T
@@ -90,29 +120,6 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
             gn2 = float(np.sum(np.abs(K) ** 2))
             if Gr is not None:
                 gn2 += float(np.sum(np.abs(Gr) ** 2))
-            f_start = f
-            if hyperbolic and it % 25 == 0:
-                for _ in range(4):
-                    ip = int(rng.integers(coords.n_plus))
-                    im = coords.n_plus + int(rng.integers(coords.n_minus))
-                    for t in (1.0, 4.0, 16.0):
-                        Zt = _boost_pair(Z, ip, im, t)
-                        ft = f_of(Zt, R)
-                        if ft < f - 1e-12 * (1.0 + abs(f)):
-                            Z, f = Zt, ft
-            if coords.n_zero and it % 25 == 0:
-                for t in (1.0, 10.0):
-                    Rt = R + t * (
-                        rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape)
-                    )
-                    ft = f_of(Z, Rt)
-                    if ft < f - 1e-12 * (1.0 + abs(f)):
-                        R, f = Rt, ft
-            # a probe that moved the point leaves its gradient unknown
-            gn2_start = gn2 if f == f_start else np.inf
-            if f < divergence:
-                reason = "unbounded"
-                break
             if gn2 <= 1e-24 * (1.0 + abs(f)) ** 2:
                 reason = "converged"
                 break
@@ -152,7 +159,7 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
                 stalls += 1
                 if stalls >= 2:
                     tol = CONVERGED_GN2_RTOL * (1.0 + abs(f)) ** 2
-                    reason = "converged" if gn2_start <= tol else "stalled"
+                    reason = "converged" if gn2 <= tol else "stalled"
                     break
             if it % 40 == 39:
                 Z = _j_orthonormalize(

@@ -190,20 +190,38 @@ class TestVerify:
         assert rep["oracle"]["unbounded_flag"] is True
         assert rep["gap"] is None
 
-    def test_no_gap_from_a_diverged_oracle(self, capsys, tmp_path):
-        # A = 2B: every feasible X gives the value 0, yet every restart
-        # leaves the constraint in its first iteration and is flagged
-        # unbounded; a gap needs the oracle's best value, so there is none
-        path = _write_problem(tmp_path, {
-            "a": [[2, 0, 0], [0, 4, 0], [0, 0, -2]], "b": [[1, 0, 0], [0, 2, 0], [0, 0, -1]],
-            "d": [[1, 0], [0, -1]], "constraint": "plus_identity", "k": 2})
-        code, rep = run_json(capsys, "verify", path)
+    def test_no_gap_from_a_diverged_oracle(self, capsys, monkeypatch):
+        # an oracle that flags a finite problem unbounded has diverged; a gap
+        # needs the oracle's best value, so there is none
+        real = tracemin.cli.local_search
+
+        def diverging(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.unbounded_flag = True
+            return res
+
+        monkeypatch.setattr(tracemin.cli, "local_search", diverging)
+        code, rep = run_json(capsys, "verify", str(FIXTURES / "kyfan.json"),
+                             "--restarts", "2", "--iters", "20")
         assert code == 3
         assert rep["verdict"] == "FAIL"
         assert rep["analytic"]["finite"] is True
         assert rep["oracle"]["unbounded_flag"] is True
         assert rep["oracle"]["best_value"] is None
         assert rep["gap"] is None
+
+    @pytest.mark.parametrize("d", [[[-1]], [[1, 0], [0, -1]]])
+    def test_pass_on_a_constant_objective(self, capsys, tmp_path, d):
+        # A = 2B: every feasible X gives the value 2*tr(D); a t = 16 boost
+        # grows ||X||^2 by about 2e13, where f's rounding error is no progress
+        path = _write_problem(tmp_path, {
+            "a": [[2, 0, 0], [0, 4, 0], [0, 0, -2]], "b": [[1, 0, 0], [0, 2, 0], [0, 0, -1]],
+            "d": d, "constraint": "plus_identity", "k": len(d)})
+        code, rep = run_json(capsys, "verify", path)
+        assert code == 0
+        assert rep["verdict"] == "PASS"
+        assert rep["oracle"]["unbounded_flag"] is False
+        assert abs(rep["gap"]) <= 1e-12
 
     def test_unsupported_instance_exits_2(self, capsys):
         code, rep = run_json(capsys, "verify", str(FIXTURES / "nonpsd.json"))
@@ -309,6 +327,19 @@ def test_selftest(capsys):
     assert code == 0
     assert rep["verdict"] == "PASS"
     assert all(c["status"] == "PASS" for c in rep["checks"])
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def failing(params):
+        raise ValueError("margin lost")
+
+    monkeypatch.setattr(tracemin.cli, "counterexample_gap", failing)
+    code, rep = run_json(capsys, "selftest")
+    assert code == 3
+    assert rep["verdict"] == "FAIL"
+    failed = [c for c in rep["checks"] if c["status"] == "FAIL"]
+    assert failed == [{"name": "counterexample_margin", "status": "FAIL",
+                       "detail": "margin lost"}]
 
 
 def test_seed_env_variable(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from tracemin import (
     ConstraintSpec,
     CounterexampleParams,
     HyperbolicFactorization,
+    InfeasibleConstraint,
     compose_hyperbolic,
     counterexample_f,
     counterexample_gap,
@@ -165,6 +166,30 @@ class TestLocalSearch:
         )
         assert res.best_value >= rep.value - 1e-8 * (1 + abs(rep.value))
         assert objective(A, D, res.best_X) == pytest.approx(res.best_value, abs=1e-10)
+
+    def test_signature_beyond_inertia_is_infeasible(self):
+        msg = r"signature \(2,0\) exceeds inertia \(1,2\) of B"
+        with pytest.raises(InfeasibleConstraint, match=msg):
+            local_search(np.eye(3), np.diag([1.0, -1.0, -1.0]), np.eye(2),
+                         ConstraintSpec.signature(2, 0))
+
+
+class TestConstantObjective:
+    """A = lam*B makes f = lam*tr(D) on the whole feasible set, the paper's
+    exception to the finiteness rule. A t = 16 boost grows ||X||^2 by about
+    2e13, where f's rounding error alone must not pass for progress."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("b", [[1.0, 2.0, -1.0], [1.0, -1.0, 3.0, -2.0]])
+    @pytest.mark.parametrize("d", [[-1.0], [1.0, -1.0]])
+    @pytest.mark.parametrize("lam", [2.0, -0.5, 3.0, 200.0, 1e-3])
+    def test_finds_the_constant(self, lam, d, b, seed):
+        B = np.diag(b)
+        res = local_search(lam * B, B, np.diag(d), ConstraintSpec.plus_identity(len(d)),
+                           restarts=20, iters=500, seed=seed)
+        value = lam * sum(d)
+        assert not res.unbounded_flag
+        assert abs(res.best_value - value) <= 1e-8 * (1 + abs(value))
 
 
 def _zero_rule_case(case):

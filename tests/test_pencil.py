@@ -746,3 +746,8 @@ def test_certificate_rejects_a_non_psd_pencil_at_every_scale(c):
     # the certificate rejects the pencil at every c
     with pytest.raises(NotPsdPencil, match=r"A - lambda0\*B has eigenvalue"):
         finite_eigenvalues(c * np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
+
+
+def test_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="A and B must have the same shape"):
+        finite_eigenvalues(np.eye(2), np.eye(3))

@@ -93,6 +93,11 @@ def test_cholesky_rejects_indefinite():
         cholesky(np.diag([1.0, 0.0]))
 
 
+def test_cholesky_rejects_empty():
+    with pytest.raises(NotPositiveDefinite, match="empty matrix is not positive definite"):
+        cholesky(np.zeros((0, 0)))
+
+
 class TestMajorizes:
     def test_classic(self):
         assert majorizes([3, 1, 0], [2, 1, 1])
