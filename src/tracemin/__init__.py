@@ -35,7 +35,6 @@ from .oracle import (
     counterexample_matrices,
     counterexample_stationary,
     counterexample_y,
-    feasible_sample,
     local_search,
     objective,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "counterexample_stationary",
     "counterexample_y",
     "epsilon_suboptimal",
-    "feasible_sample",
     "finite_eigenvalues",
     "local_search",
     "majorizes",

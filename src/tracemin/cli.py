@@ -227,26 +227,24 @@ def cmd_pencil(args):
 def cmd_verify(args):
     p = load_problem(args.path)
     rep = solve(*p, want_optimizer=False)
-    # a sup is checked by running the oracle on -A, so its min matches it
+    # a sup is minus the inf on -A: the oracle runs on -A, and its best and
+    # the gap are read in that min's sign
+    sign = -1.0 if p.sense == "max" else 1.0
     oracle = local_search(
-        -p.A if p.sense == "max" else p.A, p.B, p.D, p.constraint,
+        -p.A if sign < 0 else p.A, p.B, p.D, p.constraint,
         restarts=args.restarts, iters=args.iters, seed=args.seed,
     )
     # a diverged search has no best value, so no gap either
-    oracle_best = None if oracle.unbounded_flag else (
-        -oracle.best_value if p.sense == "max" else oracle.best_value)
+    oracle_best = None if oracle.unbounded_flag else sign * oracle.best_value
     gap = None
     if not rep.finite:
         verdict = bool(oracle.unbounded_flag)
     elif oracle_best is None:
         verdict = False
     else:
-        gap = rep.value - oracle_best if p.sense == "max" else oracle_best - rep.value
-        if rep.attained:
-            verdict = GAP_LOWER <= gap <= GAP_UPPER
-        else:
-            # infimum not attained: oracle must stay above it, close is a bonus
-            verdict = gap >= GAP_LOWER
+        gap = oracle.best_value - sign * rep.value
+        # an infimum not attained: the oracle must stay above it, close is a bonus
+        verdict = GAP_LOWER <= gap and (gap <= GAP_UPPER or not rep.attained)
     report = {
         "analytic": {"route": rep.route, "finite": rep.finite,
                      "value": rep.value, "attained": rep.attained},

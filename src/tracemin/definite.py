@@ -82,20 +82,17 @@ def _pair(om: OmegaSplit, eigs, roles):
 
 
 def _solve_definite(A_, L, D_, sense, want_optimizer) -> SolveReport:
-    """The definite route on validated A and D, with B = L L^H."""
-    if sense == "max":
-        rep = _solve_definite(-A_, L, D_, "min", want_optimizer)
-        rep.route = "definite-max"
-        rep.value = -rep.value
-        rep.pairing = [(w, -lam, role) for (w, lam, role) in rep.pairing]
-        return rep
+    """The definite route on validated A and D, with B = L L^H; a max is the
+    min on -A with each paired eigenvalue negated back."""
+    sign = -1.0 if sense == "max" else 1.0
     n, k, om = A_.shape[0], D_.shape[0], _split_omegas(D_)
     # nonnegative weights take the ell smallest pencil eigenvalues, negative
-    # weights the k-ell largest
-    lams, U = _pair_eigenpairs(_reduce_pair(A_, L), om.ell, k - om.ell, want_optimizer)
-    value, pairing = _pair(om, lams, [f"lambda[{j + 1}]" for j in
-                                      [*range(om.ell), *range(n - k + om.ell, n)]])
-    return SolveReport(route="definite-min", finite=True, value=value, attained=True,
+    # weights the k-ell largest; only a max copies A, into -A
+    lams, U = _pair_eigenpairs(_reduce_pair(-A_ if sign < 0 else A_, L), om.ell,
+                               k - om.ell, want_optimizer)
+    value, pairing = _pair(om, sign * lams, [f"lambda[{j + 1}]" for j in
+                                             [*range(om.ell), *range(n - k + om.ell, n)]])
+    return SolveReport(route=f"definite-{sense}", finite=True, value=value, attained=True,
                        x_opt=U @ om.q.conj().T if want_optimizer else None, pairing=pairing)
 
 

@@ -6,9 +6,10 @@ other B to the indefinite route here, which reports its route name on
 `SolveReport.route`.
 
 For genuinely indefinite B and a positive semi-definite pencil the infimum
-of tr(D X^H A X) is finite exactly when D >= 0 or A = lambda0*B; the value
-pairs D's descending eigenvalues with the pencil eigenvalues nearest the
-certifying shift, and is attained iff the pencil is diagonalizable.
+of tr(D X^H A X) is finite when D >= 0 or A = lambda0*B; the value pairs D's
+descending eigenvalues with the pencil eigenvalues nearest the certifying
+shift, and is attained iff the pencil is diagonalizable. Any other D is -inf
+along an escape, or, under a signature constraint without one, refused.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
 
     The +1 block of D pairs its descending eigenvalues with the smallest
     lambda+, the -1 block with the largest lambda- negated (the plus route on
-    (A, -B)). The infimum is finite iff both blocks are positive
+    (A, -B)). The infimum is finite if both blocks are positive
     semi-definite or A = lambda0*B, and attained iff the pencil is
     diagonalizable; given eps, an unattained one carries X within eps/2.
+    Otherwise it is -inf if a negative weight has an escape, else Unsupported.
     """
     c = p.constraint
     # B's kept eigh gives its inertia here and, unchanged, the pencil analysis
@@ -64,11 +66,21 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
         )
     analysis = finite_eigenvalues(p.A, p.B)
     # each block is eigendecomposed apart, so each is judged against its own
-    # largest weight. A negative weight sends the infimum to -inf, unless
+    # largest weight. A negative weight leaves no finite pairing, unless
     # A = lambda0*B: X^H A X = lambda0 * C for every feasible X, so every
     # pencil eigenvalue is lambda0 and any weight pairs with it
     oms = (_split_omegas(D_[:kp, :kp]), _split_omegas(D_[kp:, kp:]))
     finite = analysis._scalar or all(om.ell == om.omegas.size for om in oms)
+    # -inf needs an escape: a negative weight's column boosted by a free
+    # direction of the other sign of B or moved along N(B) where A > 0, or the
+    # two blocks' least weights, summing below zero, boosted together (an
+    # empty block adds 0, so under I_k or -I_k every negative weight escapes)
+    spare = (inb.n_minus - c.k_minus, inb.n_plus - c.k_plus)
+    if not finite and not (
+            any(om.ell < om.omegas.size and (s or analysis._n2) for om, s in zip(oms, spare))
+            or sum(om.omegas[-1:].sum() for om in oms) < -WEIGHT_RTOL * max_norm(D_)):
+        raise Unsupported("D has a negative weight but no escape to -inf; its infimum "
+                          "has no known closed form")
     sides = [_pair(om, eigs, [f"{role}[{i + 1}]" for i in range(om.omegas.size)])
              for om, eigs, role in zip(oms, (analysis.lambda_plus, -analysis.lambda_minus),
                                        ("lambda+", "-lambda-"))] if finite else []
@@ -107,27 +119,24 @@ def _solve(p: Problem, want_optimizer, eps=None) -> SolveReport:
     # route solves from it (on -B for negative definite B); only an
     # indefinite or singular B needs its eigendecomposition, in the
     # indefinite route. Every pivot of B - tau*I (tau > 0) is at most its
-    # diagonal entry, so a diagonal entry of B at or below zero rules out a
-    # factor of B, and one at or above zero a factor of -B, unfactored
+    # diagonal entry, so only a diagonal of one strict sign can have a factor,
+    # of B or of -B; any other goes to the indefinite route unfactored
     b = np.real(np.diagonal(p.B.mat))
-    for negated, wrong, entries, suffix, inb in (
-        (False, constraint.k_minus, "-1 diagonal entries for positive", "", Inertia(n, 0, 0)),
-        (True, constraint.k_plus, "+1 diagonal entries for negative", "-negated-b",
-         Inertia(0, 0, n)),
-    ):
-        if (b.max() >= 0.0) if negated else (b.min() <= 0.0):
-            continue
-        try:
-            L = cholesky(-p.B if negated else p.B)
-        except NotPositiveDefinite:
-            continue
-        if wrong:
-            raise InfeasibleConstraint(f"X^H B X cannot have {entries} definite B")
-        rep = _solve_definite(p.A.mat, L, p.D.mat, p.sense, want_optimizer)
-        rep.route += suffix
-        rep.inertia_b = inb
-        return rep
-    return _solve_indefinite(p, want_optimizer, eps)
+    negated = b.max() < 0.0
+    if not (negated or b.min() > 0.0):
+        return _solve_indefinite(p, want_optimizer, eps)
+    try:
+        L = cholesky(-p.B if negated else p.B)
+    except NotPositiveDefinite:
+        return _solve_indefinite(p, want_optimizer, eps)
+    if constraint.k_plus if negated else constraint.k_minus:
+        raise InfeasibleConstraint("X^H B X cannot have " + (
+            "+1 diagonal entries for negative" if negated else
+            "-1 diagonal entries for positive") + " definite B")
+    rep = _solve_definite(p.A.mat, L, p.D.mat, p.sense, want_optimizer)
+    rep.route += "-negated-b" if negated else ""
+    rep.inertia_b = Inertia(0, 0, n) if negated else Inertia(n, 0, 0)
+    return rep
 
 
 def epsilon_suboptimal(A, B, D, constraint: ConstraintSpec, eps: float):

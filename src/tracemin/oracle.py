@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDraw, InfeasibleConstraint
-from .problem import ConstraintSpec
+from .problem import ConstraintSpec, Problem
 from .spectral import HermitianMatrix, as_herm, max_norm
 
 
@@ -173,19 +173,6 @@ def _draw_z(coords: _SignatureCoords, rng):
     return _j_orthonormalize(Z, coords.row_signs, coords.col_signs, rng)
 
 
-def feasible_sample(B, constraint: ConstraintSpec, seed=0) -> np.ndarray:
-    """Random X with X^H B X equal to the constraint matrix."""
-    rng = np.random.default_rng(seed)
-    coords = _SignatureCoords(B, constraint)
-    X = coords.P @ _draw_z(coords, rng)
-    if coords.n_zero:
-        X = X + coords.N @ (0.3 * (
-            rng.standard_normal((coords.n_zero, coords.k))
-            + 1j * rng.standard_normal((coords.n_zero, coords.k))
-        ))
-    return X
-
-
 def _ct(M):
     """Conjugate transpose of the trailing two axes."""
     return M.conj().swapaxes(-1, -2)
@@ -308,10 +295,9 @@ def local_search(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    A_ = as_herm(A)
-    Bh = HermitianMatrix.of(B)
-    D_ = as_herm(D)
-    C = constraint.matrix()
+    # validated as `solve` validates them; HermitianMatrix values pass as they are
+    prob = Problem.of(A, B, D, constraint)
+    A_, Bh, D_, C = prob.A.mat, prob.B, prob.D.mat, constraint.matrix()
     coords = _SignatureCoords(Bh, constraint)
     divergence = -1e6 * (1.0 + max_norm(A_) * max_norm(D_))
 

@@ -84,6 +84,8 @@ class PsdPencilAnalysis:
     _vectors: Callable | None = field(default=None, repr=False, compare=False)
     # A = lambda0*B: S - lambda0*J has kernel K0 everywhere and A vanishes on N(B)
     _scalar: bool = field(default=False, repr=False)
+    # the count of N(B) directions where A > 0 (`_reduce`'s n2)
+    _n2: int = field(default=0, repr=False)
 
     @property
     def rank(self) -> int:
@@ -182,8 +184,9 @@ def _shift_search(S, J, scale):
     (scale + |sigma|), then is about 4|e|, but at least floor/2, floor =
     PSD_RTOL * (scale + |sigma|). At floor/2 a step within r and inside the
     bracket is lambda0; else, after a quotient step with e >= 0, sigma is. A
-    bracket closed below the floor takes one last such step at its midpoint,
-    and `_certify` judges the midpoint if that step places nothing."""
+    bracket closed below the floor takes one last such step at its midpoint;
+    if it fails, its sigma and rho cut the bracket once more, and `_certify`
+    judges the midpoint of what is left."""
     if not J.size:
         return 0.0, True
     q = np.real(np.diag(S)) / J
@@ -216,10 +219,12 @@ def _shift_search(S, J, scale):
         L, y, g, rho = _try_shift(S, J, sigma, -relax)
         guess = np.nan
         if L is None:
-            if closed or not g:
+            if not g:
                 return sigma, False
             x = y
             lo, hi = (lo, min(sigma, rho)) if g > 0 else (max(sigma, rho), hi)
+            if closed:
+                return 0.5 * (lo + hi), False
             continue
         x = np.r_[x, np.zeros(J.size - x.size)]
         for _ in range(3):
@@ -296,7 +301,7 @@ def finite_eigenvalues(A, B) -> PsdPencilAnalysis:
     return PsdPencilAnalysis(
         lambda0=lam0, inertia_b=inb, lambda_plus=lam[n_minus:].copy(),
         lambda_minus=lam[:n_minus][::-1].copy(), diagonalizable=m0 == 0,
-        m0=m0, _vectors=vectors, _scalar=U0.shape[1] == J.size and n2 == 0,
+        m0=m0, _vectors=vectors, _scalar=U0.shape[1] == J.size and n2 == 0, _n2=n2,
     )
 
 

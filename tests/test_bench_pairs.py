@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,3 +98,21 @@ def test_summarize_flags_a_spread_wider_than_the_bound_as_unresolved(
                "peak_rss_mb": p["peak_rss_mb"] * change_factor} for p in parent[::-1]]
     s = bench_pairs.summarize(_runs(parent, change), METRICS)
     assert {name: v["unresolved"] for name, v in s.items()} == dict.fromkeys(s, unresolved)
+
+
+def test_describe_tree_names_the_commit_and_whether_it_is_dirty(tmp_path):
+    plain, repo = tmp_path / "plain", tmp_path / "repo"
+    plain.mkdir()
+    assert bench_pairs.describe_tree(plain) == {"path": str(plain), "commit": None,
+                                                "dirty": None}
+    repo.mkdir()
+    (repo / "a.txt").write_text("a\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "a.txt"], ["commit", "-q", "-m", "a"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert bench_pairs.describe_tree(repo) == {"path": str(repo), "commit": head,
+                                               "dirty": False}
+    (repo / "a.txt").write_text("b\n")
+    assert bench_pairs.describe_tree(repo)["dirty"] is True

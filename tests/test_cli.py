@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -644,6 +645,31 @@ def test_verify_on_max_problem_validates_a_and_b_once(capsys, monkeypatch, tmp_p
     assert [shape for shape in validated if shape == (n, n)] == [(n, n), (n, n)]
     if fixture == "kyfan.json":
         assert code == 0 and rep["analytic"]["route"] == "definite-max"
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_signature_without_escape_is_refused(capsys, command):
+    # D+ = -0.5 has no escape to -inf (f = 1.5*sinh(t)^2 >= 0), so no -inf is
+    # reported and `verify` runs no oracle against it
+    code, out, err = run(capsys, command, str(FIXTURES / "signature_no_escape.json"))
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["code"] == "UNSUPPORTED_SENSE"
+
+
+@pytest.mark.parametrize("negated_b", [False, True])
+def test_verify_on_max_problem_reads_a_zero_gap_as_plus_zero(capsys, tmp_path, negated_b):
+    # the oracle's best on -A is exactly minus the analytic max here; the gap
+    # is that min's excess, +0.0 and not -0.0
+    doc = json.loads((FIXTURES / "kyfan.json").read_text())
+    doc["sense"] = "max"
+    if negated_b:
+        doc["b"] = [[-entry for entry in row] for row in doc["b"]]
+        doc["constraint"] = "minus_identity"
+    code, rep = run_json(capsys, "verify", _write_problem(tmp_path, doc))
+    assert code == 0 and rep["verdict"] == "PASS"
+    assert rep["analytic"]["route"] == "definite-max" + "-negated-b" * negated_b
+    assert rep["gap"] == 0.0 and math.copysign(1.0, rep["gap"]) == 1.0
+    assert rep["oracle"]["best_value"] == rep["analytic"]["value"]
 
 
 def test_negation_is_exact_and_not_validated_again(monkeypatch):

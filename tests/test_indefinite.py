@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -322,7 +323,6 @@ def test_epsilon_suboptimal_meets_eps_on_coupled_pencils(monkeypatch, seed):
         raise AssertionError("epsilon_suboptimal ran the oracle")
 
     monkeypatch.setattr(oracle, "local_search", no_search)
-    monkeypatch.setattr(oracle, "feasible_sample", no_search)
     seconds = []
     for _ in range(5):
         start = time.perf_counter()
@@ -536,6 +536,49 @@ def test_a_off_lambda0_b_stays_unbounded():
                    (2 * Bw + np.diag([0.0, 0.1, 0.0]), Bw)):
         rep = solve(A_, B_, np.diag([-1.0]), ConstraintSpec.plus_identity(1))
         assert not rep.finite and rep.value is None and rep.warnings == []
+
+
+# signature(1, 1) problems that differ from A = diag(2, 1), B = diag(1, -1),
+# D = diag(-0.5, 1) as listed. A negative weight gives -inf only along an
+# escape: (A) a free - direction (k- < n-) or A > 0 on N(B) for a D+ weight,
+# (B) the same with the blocks swapped, or (C) lambda_min(D+) + lambda_min(D-)
+# < 0. Without one the solve is refused; on the problem itself f =
+# 1.5*sinh(t)^2 >= 0 on the whole feasible set.
+ESCAPE_BASE = {"a": [2.0, 1.0], "b": [1.0, -1.0], "d": [-0.5, 1.0]}
+
+
+@pytest.mark.parametrize("change, escapes", [
+    ({}, False),
+    ({"d": [1.0, -0.5]}, False),
+    ({"a": [2.0, 1.0, 3.0], "b": [1.0, -1.0, -1.0]}, True),
+    ({"a": [2.0, 1.0, 3.0], "b": [1.0, -1.0, 1.0], "d": [1.0, -0.5]}, True),
+    ({"a": [2.0, 1.0, 1.0], "b": [1.0, -1.0, 0.0]}, True),
+    ({"a": [2.0, 1.0, 0.0], "b": [1.0, -1.0, 0.0]}, False),
+    ({"d": [-1.0, 0.5]}, True),
+    ({"d": [-1.0, 1.0]}, False),
+])
+def test_signature_negative_weight_is_minus_inf_only_along_an_escape(change, escapes):
+    A, B, D = (np.diag(v) for v in {**ESCAPE_BASE, **change}.values())
+    constraint = ConstraintSpec.signature(1, 1)
+    if escapes:
+        assert not solve(A, B, D, constraint).finite
+    else:
+        with pytest.raises(Unsupported, match="no escape to -inf"):
+            solve(A, B, D, constraint)
+    # the oracle agrees: it diverges exactly where an escape exists
+    res = oracle.local_search(A, B, D, constraint, restarts=20, iters=2000, seed=0)
+    assert res.unbounded_flag is escapes
+
+
+@pytest.mark.parametrize("B, constraint, message", [
+    (np.eye(2), ConstraintSpec.minus_identity(1),
+     "X^H B X cannot have -1 diagonal entries for positive definite B"),
+    (-np.eye(2), ConstraintSpec.plus_identity(1),
+     "X^H B X cannot have +1 diagonal entries for negative definite B"),
+])
+def test_definite_b_refuses_the_other_sign(B, constraint, message):
+    with pytest.raises(InfeasibleConstraint, match=f"^{re.escape(message)}$"):
+        solve(np.eye(2), B, np.eye(1), constraint)
 
 
 def test_zero_a_optimizer_is_one_feasible_draw():

@@ -96,11 +96,13 @@ def test_every_public_name_is_bound_and_documented():
 
 
 # names the package no longer exports: `solve` on a `Problem` replaces the
-# route functions, and each of the others had a public or private twin
+# route functions, each of the others had a public or private twin, and
+# `local_search(..., restarts=1, iters=1).best_X` draws a feasible point
 REMOVED = ("solve_definite_min", "solve_definite_max", "solve_indefinite_plus",
            "solve_indefinite_minus", "solve_signature", "identity_problem",
            "pencil_eig_definite", "DefinitePencilEigen", "split_omegas", "check_finiteness",
-           "find_lambda0", "inertia", "eig_herm", "EigenDecomposition", "eigenvectors_of")
+           "find_lambda0", "inertia", "eig_herm", "EigenDecomposition", "eigenvectors_of",
+           "feasible_sample")
 
 
 @pytest.mark.parametrize("name", REMOVED)

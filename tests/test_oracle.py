@@ -18,7 +18,6 @@ from tracemin import (
     counterexample_matrices,
     counterexample_stationary,
     counterexample_y,
-    feasible_sample,
     local_search,
     objective,
     solve,
@@ -84,6 +83,9 @@ class TestHyperbolicFactorization:
 
 
 class TestFeasibleSample:
+    """A feasible sample is one restart of one iteration: the drawn start,
+    probed and stepped once."""
+
     @pytest.mark.parametrize("seed", range(20))
     def test_residual_small(self, seed):
         rng = np.random.default_rng(seed + 400)
@@ -95,15 +97,15 @@ class TestFeasibleSample:
             )
         )
         c = ConstraintSpec.signature(1, 1)
-        X = feasible_sample(B, c, seed=seed)
+        X = local_search(np.eye(n), B, np.eye(2), c, restarts=1, iters=1, seed=seed).best_X
         assert np.max(np.abs(X.conj().T @ B @ X - c.matrix())) <= 1e-8
 
     def test_nullspace_directions_allowed(self):
         B = np.diag([1.0, -1.0, 0.0])
         c = ConstraintSpec.signature(1, 1)
-        X = feasible_sample(B, c, seed=1)
+        X = local_search(np.eye(3), B, np.eye(2), c, restarts=1, iters=1, seed=1).best_X
         assert np.max(np.abs(X.conj().T @ B @ X - c.matrix())) <= 1e-8
-        # the sampler actually uses the free null coordinate
+        # the start actually uses the free null coordinate
         assert np.max(np.abs(X[2, :])) > 0
 
 
@@ -166,6 +168,21 @@ class TestLocalSearch:
         )
         assert res.best_value >= rep.value - 1e-8 * (1 + abs(rep.value))
         assert objective(A, D, res.best_X) == pytest.approx(res.best_value, abs=1e-10)
+
+    @pytest.mark.parametrize("A, B, D, constraint, message", [
+        (np.eye(2), np.diag([1.0, -1.0]), np.eye(3), ConstraintSpec.plus_identity(2),
+         "D must be k x k for the given constraint"),
+        (np.eye(2), np.diag([1.0, -1.0]), np.eye(1), ConstraintSpec.plus_identity(2),
+         "D must be k x k for the given constraint"),
+        (np.eye(3), np.diag([1.0, -1.0]), np.eye(1), ConstraintSpec.plus_identity(1),
+         "A and B dimension mismatch"),
+        (np.eye(2), np.diag([1.0, -1.0]), np.eye(3), ConstraintSpec.plus_identity(3),
+         "constraint has more columns than the ambient space"),
+    ])
+    def test_input_is_checked_as_solve_checks_it(self, A, B, D, constraint, message):
+        for entry in (solve, local_search):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                entry(A, B, D, constraint)
 
     def test_signature_beyond_inertia_is_infeasible(self):
         msg = r"signature \(2,0\) exceeds inertia \(1,2\) of B"

@@ -148,6 +148,12 @@ def test_degenerate_bracket_diagonalizable():
 # the subset eigensolvers of the certificate fail to converge on this one
 @example(seed=501, n_plus=2, n_minus=7, n_inf=2, n_common=2, n_coupled=2, n_touch=0,
          not_psd=False)
+# a closed bracket's midpoint once stood 4.8e-9 from lambda0 beside a touching
+# pair, where the J-null direction of K0 no longer read as J-null
+@example(seed=2647, n_plus=0, n_minus=0, n_inf=0, n_common=0, n_coupled=1, n_touch=1,
+         not_psd=False)
+@example(seed=4145223268, n_plus=0, n_minus=3, n_inf=2, n_common=3, n_coupled=2,
+         n_touch=1, not_psd=False)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_plus=st.integers(0, 8),

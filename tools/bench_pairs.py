@@ -15,7 +15,8 @@ median is better than the parent's by more than the parent's interquartile
 range), whether it is ``unresolved`` (the parent's interquartile range is wider
 than ``bound`` times its median and not every change run beats every parent
 run), plus the ``failed`` count of each side. ``--workload`` may be repeated.
-``--out`` writes the summaries, the machine and every run's metrics as JSON.
+``--out`` writes the summaries, the machine, the two trees compared and every
+run's metrics as JSON.
 """
 
 from __future__ import annotations
@@ -44,6 +45,19 @@ def run_bench(tree, workload, seed):
            "--seconds", str(SECONDS), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def describe_tree(tree):
+    """The tree's ``path``, its git ``commit`` (``git rev-parse HEAD``) and
+    whether ``git status --porcelain`` lists anything (``dirty``); both are
+    None outside a git work tree."""
+    def git(*args):
+        done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        return done.stdout if done.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    return {"path": str(tree), "commit": commit.strip() if commit else None,
+            "dirty": bool(git("status", "--porcelain")) if commit else None}
 
 
 def quartiles(xs):
@@ -126,6 +140,7 @@ def main(argv=None):
             "command": f"bench/run.py --seconds {SECONDS} --trace 0", "seeds": args.seeds,
             "machine": {"platform": platform.platform(), "processor": platform.machine(),
                         "cpus": os.cpu_count(), "python": platform.python_version()},
+            "trees": {side: describe_tree(tree) for side, tree in trees.items()},
             "workloads": results,
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
