@@ -346,6 +346,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer of at least 0, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracemin",
@@ -360,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--text", dest="mode", action="store_const", const="text")
     mode.set_defaults(mode="json")
     seeded = argparse.ArgumentParser(add_help=False)
-    # argparse converts a string default with `type`, so a malformed
-    # TRACEMIN_SEED is a usage error, as a malformed flag value is
-    seeded.add_argument("--seed", type=int, default=os.environ.get("TRACEMIN_SEED", "0"))
+    # argparse converts a string default with `type`, so a malformed or
+    # negative TRACEMIN_SEED is a usage error, as a malformed flag value is
+    seeded.add_argument("--seed", type=_seed, default=os.environ.get("TRACEMIN_SEED", "0"))
 
     sp = sub.add_parser("solve", parents=[mode, seeded], help="solve a problem file")
     sp.add_argument("path")

@@ -59,7 +59,7 @@ class BudgetExceeded(TraceminError):
 
 
 class DegenerateDraw(TraceminError):
-    """Repeated feasible-point draws collapsed onto a degenerate subspace."""
+    """The oracle's wash-out lost a column's J-norm sign, or no restart ended finite."""
 
     code = "DEGENERATE_DRAW"
 

@@ -1,14 +1,15 @@
 """Independent verification engine.
 
 Parametrizes the feasible sets X^H B X = diag(+/-1) through a congruence to
-signature coordinates and runs randomized projected descent there: Cayley
-steps of the J-orthogonal group keep the constraint exact, and a hyperbolic
-Gram-Schmidt pass washes out rounding drift. The restarts of one search run
-in lockstep as stacked arrays. Each draws from its own generator and keeps
-its own step length and stopping test, so it follows the path it would
-follow alone, while every stacked NumPy call serves all restarts still
-running. The backtracking line search tries a few halvings of each restart's
-step in one stacked solve and accepts the first that lowers the objective.
+signature coordinates and runs randomized projected descent there from
+closed-form random starts: Cayley steps of the J-orthogonal group keep the
+constraint exact, and a hyperbolic Gram-Schmidt pass washes out rounding
+drift. The restarts of one search run in lockstep as stacked arrays. Each
+draws from its own generator and keeps its own step length and stopping
+test, so it follows the path it would follow alone, while every stacked
+NumPy call serves all restarts still running. The backtracking line search
+tries a few halvings of each restart's step in one stacked solve and accepts
+the first that lowers the objective.
 
 The oracle imports nothing from the analytic modules it certifies. It also
 carries the closed forms of the coupled-weight counterexample that rules out
@@ -40,9 +41,14 @@ def constraint_residual(B, X, C) -> float:
     return max_norm(X.conj().T @ as_herm(B) @ X - C)
 
 
+def _ct(M):
+    """Conjugate transpose of the trailing two axes."""
+    return M.conj().swapaxes(-1, -2)
+
+
 def _sqrtm_psd(M):
     w, V = np.linalg.eigh(M)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _ct(V)
 
 
 @dataclass
@@ -57,19 +63,22 @@ class HyperbolicFactorization:
 
 def compose_hyperbolic(f: HyperbolicFactorization) -> np.ndarray:
     """Assemble the J-orthogonal matrix X with X^H J X = J,
-    J = diag(I_{n+}, -I_{n-})."""
+    J = diag(I_{n+}, -I_{n-}). The parameters may be stacks over leading
+    axes, which must broadcast; X then stacks over them too."""
     W = np.asarray(f.w, dtype=complex)
-    np_, nm = W.shape
+    np_, nm = W.shape[-2:]
     Vp = np.asarray(f.v_plus, dtype=complex)
     Vm = np.asarray(f.v_minus, dtype=complex)
-    if Vp.shape != (np_, np_) or Vm.shape != (nm, nm):
+    if Vp.shape[-2:] != (np_, np_) or Vm.shape[-2:] != (nm, nm):
         raise ValueError("unitary block shapes must match W")
-    top = _sqrtm_psd(np.eye(np_) + W @ W.conj().T)
-    bot = _sqrtm_psd(np.eye(nm) + W.conj().T @ W)
-    boost = np.block([[top, W], [W.conj().T, bot]])
-    V = np.zeros((np_ + nm, np_ + nm), dtype=complex)
-    V[:np_, :np_] = Vp
-    V[np_:, np_:] = Vm
+    top = _sqrtm_psd(np.eye(np_) + W @ _ct(W))
+    bot = _sqrtm_psd(np.eye(nm) + _ct(W) @ W)
+    boost = np.concatenate([np.concatenate([top, W], axis=-1),
+                            np.concatenate([_ct(W), bot], axis=-1)], axis=-2)
+    stack = np.broadcast_shapes(Vp.shape[:-2], Vm.shape[:-2])
+    V = np.zeros(stack + (np_ + nm, np_ + nm), dtype=complex)
+    V[..., :np_, :np_] = Vp
+    V[..., np_:, np_:] = Vm
     return boost @ V
 
 
@@ -90,7 +99,7 @@ PROBE_NOISE_RTOL = 1e-13
 class OracleResult:
     """Best point found by ``local_search``. ``iterations`` sums every
     restart's iterations; ``stop_reasons`` holds one entry of
-    ``STOP_REASONS`` per drawn restart, in restart order."""
+    ``STOP_REASONS`` per restart, in restart order."""
 
     best_value: float
     best_X: np.ndarray | None
@@ -131,51 +140,41 @@ class _SignatureCoords:
         self.k = constraint.k
 
 
-def _j_orthonormalize(Z, row_signs, col_signs, rng, max_retry=20):
-    """Hyperbolic Gram-Schmidt: returns V with V^H J V = diag(col_signs),
-    J = diag(row_signs). Columns that collapse or land with the wrong sign
-    of J-norm are re-drawn at random (biased into the matching block)."""
+def _j_orthonormalize(Z, row_signs, col_signs):
+    """Hyperbolic Gram-Schmidt: V with V^H J V = diag(col_signs), J =
+    diag(row_signs); a column whose J-norm has the wrong sign raises."""
     r, k = Z.shape
     V = np.zeros((r, k), dtype=complex)
-    n_plus = int(np.sum(row_signs > 0))
     for j in range(k):
         z = Z[:, j].astype(complex)
-        for attempt in range(max_retry + 1):
-            for _ in range(2):  # two passes for re-orthogonalization
-                if j:
-                    c = (V[:, :j].conj() * row_signs[:, None]).T @ z
-                    z = z - V[:, :j] @ (col_signs[:j] * c)
-            q = float(np.real((z.conj() * row_signs) @ z))
-            nz2 = float(np.real(z.conj() @ z))
-            if col_signs[j] * q > 1e-10 * nz2:
-                V[:, j] = z / math.sqrt(abs(q))
-                break
-            z = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            if col_signs[j] > 0:
-                z[:n_plus] *= 4.0
-            else:
-                z[n_plus:] *= 4.0
-        else:
-            raise DegenerateDraw(
-                f"could not build a feasible column {j} after {max_retry} retries"
-            )
+        for _ in range(2):  # two passes for re-orthogonalization
+            if j:
+                c = (V[:, :j].conj() * row_signs[:, None]).T @ z
+                z = z - V[:, :j] @ (col_signs[:j] * c)
+        q = float(np.real((z.conj() * row_signs) @ z))
+        if col_signs[j] * q <= 1e-10 * float(np.real(z.conj() @ z)):
+            raise DegenerateDraw(f"column {j} lost the sign of its J-norm")
+        V[:, j] = z / math.sqrt(abs(q))
     return V
 
 
-def _draw_z(coords: _SignatureCoords, rng):
-    r = coords.n_plus + coords.n_minus
-    Z = rng.standard_normal((r, coords.k)) + 1j * rng.standard_normal((r, coords.k))
-    for j in range(coords.k):
-        if coords.col_signs[j] > 0:
-            Z[: coords.n_plus, j] *= 4.0
-        else:
-            Z[coords.n_plus:, j] *= 4.0
-    return _j_orthonormalize(Z, coords.row_signs, coords.col_signs, rng)
+def _draw_starts(coords: _SignatureCoords, rngs):
+    """Stacked starts [Z; R], one per generator: Z is the leading k columns of
+    a random J-orthogonal matrix in hyperbolic polar form (Higham, SIAM Rev.
+    45, 2003) on k+ + q coordinates, q = min(n-, k), mapped J-isometrically
+    into B's by orthonormal frames, so Z^H J Z = diag(col_signs) to rounding.
+    R is free on the nullspace. Each generator draws W, Gp, Gm, then R."""
+    kp, q, k = int(np.sum(coords.col_signs > 0)), min(coords.n_minus, coords.k), coords.k
 
+    def gauss(rng, *shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-def _ct(M):
-    """Conjugate transpose of the trailing two axes."""
-    return M.conj().swapaxes(-1, -2)
+    W, Gp, Gm, R = (np.stack(a) for a in zip(*[
+        (gauss(g, kp, q), gauss(g, coords.n_plus, kp), gauss(g, coords.n_minus, q),
+         0.1 * gauss(g, coords.n_zero, k)) for g in rngs]))
+    X = compose_hyperbolic(HyperbolicFactorization(W, np.eye(kp), np.eye(q)))[..., :k]
+    Qp, Qm = np.linalg.qr(Gp)[0], np.linalg.qr(Gm)[0]
+    return np.concatenate([Qp @ X[:, :kp], Qm @ X[:, kp:], R], axis=1)
 
 
 def _boost_rows(X, i_plus, i_minus, t):
@@ -272,11 +271,11 @@ def local_search(
 ) -> OracleResult:
     """Randomized projected descent on the feasible set.
 
-    Every restart draws a feasible point from its own generator
-    ``default_rng([seed, restart])``; then all drawn restarts advance in
-    lockstep as stacked arrays, each with its own step length,
-    Barzilai-Borwein memory and stopping test, so each follows the path it
-    would follow alone. An iteration takes one Cayley step of the
+    Every restart has its own generator ``default_rng([seed, restart])``;
+    one stacked closed form draws each restart's feasible start from it, and
+    all restarts advance in lockstep as stacked arrays, each with its own
+    step length, Barzilai-Borwein memory and stopping test, so each follows
+    the path it would follow alone. An iteration takes one Cayley step of the
     J-orthogonal steepest-descent generator, which keeps Z^H J Z exact. Its
     backtracking line search tries the halvings step * 2^-j a few at a time
     in one stacked solve and accepts the first j that lowers f. Every 25
@@ -291,7 +290,7 @@ def local_search(
     any restart falls below the divergence threshold the search stops, flags
     the instance unbounded and marks the restarts still running
     ``unbounded``.
-    The result is the best point over all drawn restarts.
+    The result is the best point over all restarts.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -327,19 +326,8 @@ def local_search(
         better = ft + err < f - 1e-12 * (1.0 + np.abs(f))
         return np.where(better[:, None, None], Xt, X), np.where(better, ft, f)
 
-    rngs, Xs = [], []
-    for restart in range(restarts):
-        rng = np.random.default_rng([int(seed), restart])
-        try:
-            Z = _draw_z(coords, rng)
-        except DegenerateDraw:
-            continue
-        R = 0.1 * (rng.standard_normal((nz, k)) + 1j * rng.standard_normal((nz, k)))
-        rngs.append(rng)
-        Xs.append(np.vstack([Z, R]))
-    if not rngs:
-        raise DegenerateDraw("no feasible start could be drawn")
-    X0 = np.stack(Xs)
+    rngs = [np.random.default_rng([int(seed), i]) for i in range(restarts)]
+    X0 = _draw_starts(coords, rngs)
     s = _Lockstep(rngs, X0, f_of(X0))
 
     hyperbolic = n_plus >= 1 and n_minus >= 1
@@ -448,11 +436,8 @@ def local_search(
         s.stop(s.stalls >= 2, "stalled")
         if it % 40 == 39 and len(s.ids):
             # wash out accumulated feasibility drift
-            s.X[:, :r] = np.stack([
-                _j_orthonormalize(x[:r], coords.row_signs, coords.col_signs, g,
-                                  max_retry=3)
-                for x, g in zip(s.X, s.rngs)
-            ])
+            s.X[:, :r] = np.stack([_j_orthonormalize(x[:r], coords.row_signs, coords.col_signs)
+                                   for x in s.X])
             s.f = f_of(s.X)
     s.stop(np.ones(len(s.ids), dtype=bool), "unbounded" if unbounded else "budget")
 

@@ -11,11 +11,10 @@ import math
 
 import numpy as np
 
-from tracemin.errors import DegenerateDraw
 from tracemin.oracle import (
     CONVERGED_GN2_RTOL,
     PROBE_NOISE_RTOL,
-    _draw_z,
+    _draw_starts,
     _j_orthonormalize,
     _SignatureCoords,
 )
@@ -71,15 +70,9 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
 
     for restart in range(restarts):
         rng = np.random.default_rng([int(seed), restart])
-        try:
-            Z = _draw_z(coords, rng)
-        except DegenerateDraw:
-            continue
-        R = (
-            0.1 * (rng.standard_normal((coords.n_zero, coords.k))
-                   + 1j * rng.standard_normal((coords.n_zero, coords.k)))
-            if coords.n_zero else None
-        )
+        X0 = _draw_starts(coords, [rng])[0]
+        r = coords.n_plus + coords.n_minus
+        Z, R = X0[:r], X0[r:] if coords.n_zero else None
         f = f_of(Z, R)
         step = 1.0
         stalls = 0
@@ -162,9 +155,7 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
                     reason = "converged" if gn2 <= tol else "stalled"
                     break
             if it % 40 == 39:
-                Z = _j_orthonormalize(
-                    Z, coords.row_signs, coords.col_signs, rng, max_retry=3
-                )
+                Z = _j_orthonormalize(Z, coords.row_signs, coords.col_signs)
                 f = f_of(Z, R)
         reasons.append(reason)
         if f < best_f - 1e-12 * (1.0 + abs(f)):

@@ -100,6 +100,24 @@ def test_summarize_flags_a_spread_wider_than_the_bound_as_unresolved(
     assert {name: v["unresolved"] for name, v in s.items()} == dict.fromkeys(s, unresolved)
 
 
+@pytest.mark.parametrize("parent, change, shares, more", [
+    # the change fails fewer ops but attempts far fewer: its share is larger
+    ([(2, 400), (0, 400)], [(1, 100), (0, 100)], (0.0025, 0.005), True),
+    # as many failures over twice the ops: a smaller share
+    ([(1, 100), (1, 100)], [(1, 200), (1, 200)], (0.01, 0.005), False),
+    # no failures on either side
+    ([(0, 50)], [(0, 70)], (0.0, 0.0), False),
+])
+def test_failures_compare_shares_not_counts(parent, change, shares, more):
+    runs = [{"parent": {"failed": pf, "attempted": pa}, "change": {"failed": cf, "attempted": ca}}
+            for (pf, pa), (cf, ca) in zip(parent, change)]
+    out = bench_pairs.failures(runs)
+    assert out["failed"] == {"parent": sum(f for f, _ in parent),
+                             "change": sum(f for f, _ in change)}
+    assert (out["failed_share"]["parent"], out["failed_share"]["change"]) == pytest.approx(shares)
+    assert out["more_failed"] is more
+
+
 def test_describe_tree_names_the_commit_and_whether_it_is_dirty(tmp_path):
     plain, repo = tmp_path / "plain", tmp_path / "repo"
     plain.mkdir()

@@ -294,7 +294,7 @@ class TestVerify:
 
     def test_oracle_error_is_reported_as_json(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
-            raise DegenerateDraw("no feasible start could be drawn")
+            raise DegenerateDraw("no restart reached a finite value")
 
         monkeypatch.setattr(tracemin.cli, "local_search", failing)
         code, rep = run_json(capsys, "verify", str(FIXTURES / "kyfan.json"))
@@ -362,6 +362,32 @@ def test_malformed_seed_env_variable_is_a_usage_error(capsys, monkeypatch, argv)
     # an explicit --seed is parsed in its place
     code, rep = run_json(capsys, "solve", str(FIXTURES / "kyfan.json"), "--seed", "5")
     assert code == 0 and rep["finite"]
+
+
+@pytest.mark.parametrize("argv", [["selftest"], ["verify", "kyfan.json"],
+                                  ["solve", "kyfan.json"]])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, argv, from_env):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    if from_env:
+        monkeypatch.setenv("TRACEMIN_SEED", "-2")
+    else:
+        argv += ["--seed", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_verify_runs_every_restart_at_full_plus_signature(capsys, tmp_path):
+    # k = n+ = 5: every start needs all of B's + directions
+    path = _write_problem(tmp_path, {
+        "a": np.diag(np.arange(1.0, 11.0)).tolist(),
+        "b": np.diag([1.0] * 5 + [-1.0] * 5).tolist(),
+        "d": np.eye(5).tolist(), "constraint": "plus_identity", "k": 5})
+    code, rep = run_json(capsys, "verify", path)
+    assert code == 0 and rep["verdict"] == "PASS"
+    assert sum(rep["oracle"]["stop_reasons"].values()) == 20
 
 
 def test_version_flag(capsys):
@@ -657,15 +683,26 @@ def test_signature_without_escape_is_refused(capsys, command):
 
 
 @pytest.mark.parametrize("negated_b", [False, True])
-def test_verify_on_max_problem_reads_a_zero_gap_as_plus_zero(capsys, tmp_path, negated_b):
-    # the oracle's best on -A is exactly minus the analytic max here; the gap
-    # is that min's excess, +0.0 and not -0.0
+def test_verify_on_max_problem_reads_a_zero_gap_as_plus_zero(
+        capsys, tmp_path, monkeypatch, negated_b):
+    # an oracle whose best on -A is exactly minus the analytic max has a gap
+    # of that min's excess, +0.0 and not -0.0
     doc = json.loads((FIXTURES / "kyfan.json").read_text())
     doc["sense"] = "max"
     if negated_b:
         doc["b"] = [[-entry for entry in row] for row in doc["b"]]
         doc["constraint"] = "minus_identity"
-    code, rep = run_json(capsys, "verify", _write_problem(tmp_path, doc))
+    path = _write_problem(tmp_path, doc)
+    _, solved = run_json(capsys, "solve", path)
+    real = tracemin.cli.local_search
+
+    def exact(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.best_value = -solved["value"]
+        return res
+
+    monkeypatch.setattr(tracemin.cli, "local_search", exact)
+    code, rep = run_json(capsys, "verify", path)
     assert code == 0 and rep["verdict"] == "PASS"
     assert rep["analytic"]["route"] == "definite-max" + "-negated-b" * negated_b
     assert rep["gap"] == 0.0 and math.copysign(1.0, rep["gap"]) == 1.0

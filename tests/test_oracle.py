@@ -23,7 +23,7 @@ from tracemin import (
     solve,
 )
 from tracemin.cli import load_problem
-from tracemin.oracle import _cayley_trials, _SignatureCoords
+from tracemin.oracle import _cayley_trials, _draw_starts, _SignatureCoords
 from tracemin.spectral import HermitianMatrix
 from helpers import (
     canonical_pencil_instance,
@@ -75,6 +75,15 @@ class TestHyperbolicFactorization:
         )
         assert np.allclose(X, counterexample_y(tau), atol=1e-12)
 
+    def test_stack_matches_its_matrices_bitwise(self):
+        rng = np.random.default_rng(5)
+        W = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        Vp = np.stack([random_unitary(rng, 3) for _ in range(4)])
+        X = compose_hyperbolic(HyperbolicFactorization(W, Vp, np.eye(2)))
+        assert X.shape == (4, 5, 5)
+        for Wi, Vpi, Xi in zip(W, Vp, X):
+            assert np.array_equal(Xi, compose_hyperbolic(HyperbolicFactorization(Wi, Vpi, np.eye(2))))
+
     def test_rejects_mismatched_blocks(self):
         with pytest.raises(ValueError):
             compose_hyperbolic(
@@ -107,6 +116,39 @@ class TestFeasibleSample:
         assert np.max(np.abs(X.conj().T @ B @ X - c.matrix())) <= 1e-8
         # the start actually uses the free null coordinate
         assert np.max(np.abs(X[2, :])) > 0
+
+
+# (n+, n-) of B and (k+, k-) of the constraint
+DRAW_MIXES = [((3, 3), (2, 1)), ((2, 4), (2, 2)), ((5, 0), (3, 0)), ((0, 4), (0, 2)),
+              ((4, 1), (3, 1)), ((1, 200), (1, 0)), ((5, 5), (5, 0)), ((1, 3), (1, 3))]
+
+
+class TestDrawStarts:
+    @staticmethod
+    def _coords(inertia, signature, n_zero):
+        (n_plus, n_minus), (k_plus, k_minus) = inertia, signature
+        B = np.diag([1.0] * n_plus + [-1.0] * n_minus + [0.0] * n_zero)
+        return _SignatureCoords(B, ConstraintSpec.signature(k_plus, k_minus))
+
+    @pytest.mark.parametrize("n_zero", [0, 2])
+    @pytest.mark.parametrize("inertia, signature", DRAW_MIXES)
+    def test_starts_are_feasible(self, inertia, signature, n_zero):
+        coords = self._coords(inertia, signature, n_zero)
+        X = _draw_starts(coords, [np.random.default_rng([7, i]) for i in range(6)])
+        r, k = sum(inertia), sum(signature)
+        assert X.shape == (6, r + n_zero, k)
+        J, C = np.diag(coords.row_signs), np.diag(coords.col_signs)
+        for Z in X[:, :r]:
+            assert np.max(np.abs(Z.conj().T @ J @ Z - C)) <= 1e-12
+        # R, the Gaussian null block, has no zero entry
+        assert np.all(X[:, r:] != 0)
+
+    @pytest.mark.parametrize("inertia, signature", DRAW_MIXES)
+    def test_stack_matches_one_restart_draws_bitwise(self, inertia, signature):
+        coords = self._coords(inertia, signature, 1)
+        X = _draw_starts(coords, [np.random.default_rng([3, i]) for i in range(5)])
+        for i in range(5):
+            assert np.array_equal(X[i], _draw_starts(coords, [np.random.default_rng([3, i])])[0])
 
 
 class TestLocalSearch:
@@ -148,6 +190,23 @@ class TestLocalSearch:
         assert res.best_value == 0.0
         assert res.stop_reasons == ("converged",) * restarts
         assert res.iterations == restarts
+        assert res.feasibility_residual <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_restart_runs_at_full_plus_signature(self, seed):
+        # k = n+ = 5: a start needs all of B's + directions
+        res = local_search(
+            np.diag(np.arange(1.0, 11.0)), np.diag([1.0] * 5 + [-1.0] * 5), np.eye(5),
+            ConstraintSpec.plus_identity(5), restarts=20, iters=1, seed=seed,
+        )
+        assert len(res.stop_reasons) == 20
+
+    def test_every_restart_runs_with_one_plus_direction_among_200(self):
+        res = local_search(
+            np.eye(201), np.diag([1.0] + [-1.0] * 200), np.eye(1),
+            ConstraintSpec.plus_identity(1), restarts=20, iters=1, seed=0,
+        )
+        assert len(res.stop_reasons) == 20
         assert res.feasibility_residual <= 1e-8
 
     @pytest.mark.parametrize("seed", range(8))

@@ -14,7 +14,9 @@ shows a gain (``gain_shown``: the change wins at least 9 of 10 pairs and its
 median is better than the parent's by more than the parent's interquartile
 range), whether it is ``unresolved`` (the parent's interquartile range is wider
 than ``bound`` times its median and not every change run beats every parent
-run), plus the ``failed`` count of each side. ``--workload`` may be repeated.
+run). It also gives each side's ``failed`` count and ``failed_share`` (failed
+over attempted ops, summed over its runs), and ``more_failed`` when the
+change's share exceeds the parent's. ``--workload`` may be repeated.
 ``--out`` writes the summaries, the machine, the two trees compared and every
 run's metrics as JSON.
 """
@@ -99,6 +101,17 @@ def summarize(runs, metrics):
     return out
 
 
+def failures(runs):
+    """Each side's ``failed`` count and ``failed_share``, the sum of its runs'
+    failed ops over the sum of their attempted ops, and ``more_failed``:
+    whether the change's share exceeds the parent's. The two sides attempt
+    different numbers of ops, so only the shares compare."""
+    failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
+    share = {side: failed[side] / sum(r[side]["attempted"] for r in runs) for side in SIDES}
+    return {"failed": failed, "failed_share": share,
+            "more_failed": share["change"] > share["parent"]}
+
+
 def run_pairs(trees, workload, seeds, metrics):
     runs = []
     for i, seed in enumerate(seeds):
@@ -118,9 +131,11 @@ def run_pairs(trees, workload, seeds, metrics):
         print(f"{name:<14}{cols[0]:>34}{cols[1]:>34}  {wins:>5}  "
               + "  ".join(f"{'yes' if s[k] else 'no':>{len(k)}}"
                           for k in ("gain_shown", "past_bound", "unresolved")))
-    failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
-    print("failed: " + ", ".join(f"{side} {n}" for side, n in failed.items()))
-    return {"failed": failed, "summary": summary, "runs": runs}
+    fails = failures(runs)
+    print("failed: " + ", ".join(
+        f"{side} {fails['failed'][side]} (share {fails['failed_share'][side]:.4g})"
+        for side in SIDES) + ("  more_failed" if fails["more_failed"] else ""))
+    return {**fails, "summary": summary, "runs": runs}
 
 
 def main(argv=None):
