@@ -9,6 +9,7 @@ identical numeric content. Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import reprlib
@@ -133,6 +134,10 @@ def parse_problem(doc: dict) -> Problem:
 
 
 def load_problem(path: str) -> Problem:
+    # a parsed document holds no reference cycles, so the cyclic collector's
+    # passes over its many new lists and floats would find nothing to free
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -140,6 +145,9 @@ def load_problem(path: str) -> Problem:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also undecodable or nested too deep
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     return parse_problem(doc)
 
 
@@ -234,12 +242,13 @@ def cmd_verify(args):
         -p.A if sign < 0 else p.A, p.B, p.D, p.constraint,
         restarts=args.restarts, iters=args.iters, seed=args.seed,
     )
-    # a diverged search has no best value, so no gap either
-    oracle_best = None if oracle.unbounded_flag else sign * oracle.best_value
+    # a diverged search has no best value, so no gap and no residual either
+    diverged = oracle.unbounded_flag
+    oracle_best = None if diverged else sign * oracle.best_value
     gap = None
     if not rep.finite:
-        verdict = bool(oracle.unbounded_flag)
-    elif oracle_best is None:
+        verdict = bool(diverged)
+    elif diverged:
         verdict = False
     else:
         gap = oracle.best_value - sign * rep.value
@@ -251,7 +260,7 @@ def cmd_verify(args):
         "oracle": {"best_value": oracle_best,
                    "unbounded_flag": oracle.unbounded_flag,
                    "iterations": oracle.iterations,
-                   "feasibility_residual": oracle.feasibility_residual,
+                   "feasibility_residual": None if diverged else oracle.feasibility_residual,
                    "stop_reasons": {reason: oracle.stop_reasons.count(reason)
                                     for reason in STOP_REASONS}},
         "gap": gap,

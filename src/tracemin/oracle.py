@@ -9,7 +9,8 @@ draws from its own generator and keeps its own step length and stopping
 test, so it follows the path it would follow alone, while every stacked
 NumPy call serves all restarts still running. The backtracking line search
 tries a few halvings of each restart's step in one stacked solve and accepts
-the first that lowers the objective.
+the first that lowers the objective. A nonsingular B leaves no null rows, and
+the search then does no work for them.
 
 The oracle imports nothing from the analytic modules it certifies. It also
 carries the closed forms of the coupled-weight counterexample that rules out
@@ -248,6 +249,7 @@ class _Lockstep:
         self.flow_prev = np.zeros_like(X)
         self.final_X = np.empty_like(X)
         self.final_f = np.empty(m)
+        self.count = 0  # iterations begun; a row that stops ran this many
         self.iterations = np.zeros(m, dtype=int)
         self.reasons = [""] * m
 
@@ -258,6 +260,7 @@ class _Lockstep:
         ids = self.ids[rows]
         self.final_X[ids] = self.X[rows]
         self.final_f[ids] = self.f[rows]
+        self.iterations[ids] = self.count
         for i in ids:
             self.reasons[i] = reason
         keep = ~rows
@@ -282,6 +285,8 @@ def local_search(
     iterations, before the gradient, boost and nullspace probes that beat
     f's rounding error find the escapes that certify unbounded instances;
     every 40 a hyperbolic Gram-Schmidt pass washes out feasibility drift.
+    With B nonsingular there are no null rows, and no step, gradient norm
+    or flow field spends work on them.
 
     A restart stops when f makes no progress over 10 iterations, its
     gradient vanishes, or two line searches fail where the gradient is below
@@ -317,12 +322,12 @@ def local_search(
 
     def f_of(X):
         """tr(D X^H Ac X) for every matrix of the stack X."""
-        return np.real(np.sum(X.conj() * axd(X), axis=(-2, -1)))
+        return np.real((X.conj() * axd(X)).sum(axis=(-2, -1)))
 
     def accept(X, f, Xt):
         """The probes Xt, with their values, where they lower f; else X and f."""
         ft = f_of(Xt)
-        err = noise * np.sum(np.abs(Xt) ** 2, axis=(1, 2))
+        err = noise * (np.abs(Xt) ** 2).sum(axis=(1, 2))
         better = ft + err < f - 1e-12 * (1.0 + np.abs(f))
         return np.where(better[:, None, None], Xt, X), np.where(better, ft, f)
 
@@ -342,7 +347,7 @@ def local_search(
         if not len(s.ids):
             break
         s.window[:, it % 10] = s.f
-        s.iterations[s.ids] += 1
+        s.count += 1
         if it % 25 == 0:
             # escape probes: exact-feasibility boosts and nullspace kicks,
             # drawn from each restart's generator, boosts first
@@ -367,9 +372,13 @@ def local_search(
                     Xt[:, r:] += t * kicks[:, i]
                     X, f = accept(X, f, Xt)
             s.X, s.f = X, f
-        if np.any(s.f < divergence):
+        if (s.f < divergence).any():
             unbounded = True
             break
+        # formed afresh over the whole stack, not carried from the trial that
+        # reached s.X: BLAS rounds a product's remainder columns differently,
+        # so one X can give a last-bit different Ac X D in another stack, and
+        # the descent amplifies that
         G = 2.0 * axd(s.X)
         # steepest descent in the J-orthogonal group acting on the left:
         # Z moves along S*Z with S = J*K, K skew-Hermitian, which keeps
@@ -378,8 +387,9 @@ def local_search(
         # The null rows R move along -G.
         W = (js * G[:, :r]) @ _ct(s.X[:, :r])
         K = 0.5 * (W - _ct(W))
-        gn2 = (np.sum(np.abs(K) ** 2, axis=(1, 2))
-               + np.sum(np.abs(G[:, r:]) ** 2, axis=(1, 2)))
+        gn2 = (np.abs(K) ** 2).sum(axis=(1, 2))
+        if nz:
+            gn2 += (np.abs(G[:, r:]) ** 2).sum(axis=(1, 2))
         flat = gn2 <= 1e-24 * (1.0 + np.abs(s.f)) ** 2
         if flat.any():
             s.stop(flat, "converged")
@@ -392,32 +402,38 @@ def local_search(
         # [J K Z; G_R] (which vanishes exactly at critical points), else
         # doubled memory; accept on plain decrease
         S = js * K
-        flow = np.concatenate([S @ Z, G[:, r:]], axis=1)
+        flow = S @ Z
+        if nz:
+            flow = np.concatenate([flow, G[:, r:]], axis=1)
         step = np.minimum(s.step * 2.0, 1.0)
         if s.has_prev.any():
             dx = X - s.X_prev
-            sy = np.real(np.sum(dx.conj() * (flow - s.flow_prev), axis=(1, 2)))
-            ss = np.real(np.sum(dx.conj() * dx, axis=(1, 2)))
+            sy = np.real((dx.conj() * (flow - s.flow_prev)).sum(axis=(1, 2)))
+            ss = np.real((dx.conj() * dx).sum(axis=(1, 2)))
             bb = s.has_prev & (sy > 1e-300) & (ss > 0)
-            step[bb] = np.clip(ss[bb] / sy[bb], 1e-12, 1e3)
+            step[bb] = np.minimum(np.maximum(ss[bb] / sy[bb], 1e-12), 1e3)
         # backtracking: the first halving j < _HALVINGS whose step lowers f.
         # The Cayley transform of the J-skew generator -step*J*K is exactly
         # J-orthogonal, so feasibility is preserved.
         target = f - 1e-14 * (1.0 + np.abs(f))
-        accepted = np.zeros(len(f), dtype=bool)
+        m = len(f)
+        accepted = np.zeros(m, dtype=bool)
         X_new, f_new = X.copy(), f.copy()
         step_new = step * 0.5 ** _HALVINGS
-        todo = np.arange(len(f))
+        todo = np.arange(m)
         for j0, j1 in _ROUNDS:
-            steps = step[todo, None] * _SCALES[j0:j1]
-            Zc = _cayley_trials(S[todo], Z[todo], flow[todo, :r], 0.5 * steps)
-            # the null rows take the plain gradient step
-            Rc = X[todo, None, r:] - steps[..., None, None] * G[todo, None, r:]
-            Xc = np.concatenate([Zc, Rc], axis=-2)
+            # a round that serves every row reads the stacks whole, ungathered
+            sel = todo if len(todo) < m else slice(None)
+            steps = step[sel, None] * _SCALES[j0:j1]
+            Xc = _cayley_trials(S[sel], Z[sel], flow[sel, :r], 0.5 * steps)
+            if nz:
+                # the null rows take the plain gradient step
+                Rc = X[sel, None, r:] - steps[..., None, None] * G[sel, None, r:]
+                Xc = np.concatenate([Xc, Rc], axis=-2)
             fc = f_of(Xc)
-            hit = (fc < target[todo, None]) | (fc < divergence)
+            hit = (fc < target[sel, None]) | (fc < divergence)
             got = hit.any(axis=1)
-            rows, first = todo[got], np.argmax(hit[got], axis=1)
+            rows, first = todo[got], hit[got].argmax(axis=1)
             X_new[rows] = Xc[got, first]
             f_new[rows] = fc[got, first]
             step_new[rows] = steps[got, first]
@@ -426,14 +442,15 @@ def local_search(
             if not len(todo):
                 break
         s.has_prev |= accepted
-        s.X_prev[accepted] = X[accepted]
-        s.flow_prev[accepted] = flow[accepted]
+        np.copyto(s.X_prev, X, where=accepted[:, None, None])
+        np.copyto(s.flow_prev, flow, where=accepted[:, None, None])
         s.X, s.f, s.step = X_new, f_new, step_new
         s.stalls += ~accepted
-        s.stop((s.stalls >= 2)
-               & (gn2 <= CONVERGED_GN2_RTOL * (1.0 + np.abs(s.f)) ** 2),
-               "converged")
-        s.stop(s.stalls >= 2, "stalled")
+        stuck = s.stalls >= 2
+        if stuck.any():
+            s.stop(stuck & (gn2 <= CONVERGED_GN2_RTOL * (1.0 + np.abs(s.f)) ** 2),
+                   "converged")
+            s.stop(s.stalls >= 2, "stalled")
         if it % 40 == 39 and len(s.ids):
             # wash out accumulated feasibility drift
             s.X[:, :r] = np.stack([_j_orthonormalize(x[:r], coords.row_signs, coords.col_signs)

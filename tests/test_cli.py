@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -190,6 +191,17 @@ class TestVerify:
         assert rep["analytic"]["finite"] is False
         assert rep["oracle"]["unbounded_flag"] is True
         assert rep["gap"] is None
+
+    def test_no_residual_from_a_diverged_oracle(self, capsys):
+        # the residual at a diverged point is rounding at ||X||_F ~ 1e36;
+        # like best_value, it is null
+        code, rep = run_json(
+            capsys, "verify", str(FIXTURES / "unbounded.json"), "--iters", "2000"
+        )
+        assert code == 0
+        assert rep["oracle"]["unbounded_flag"] is True
+        assert rep["oracle"]["best_value"] is None
+        assert rep["oracle"]["feasibility_residual"] is None
 
     def test_no_gap_from_a_diverged_oracle(self, capsys, monkeypatch):
         # an oracle that flags a finite problem unbounded has diverged; a gap
@@ -446,6 +458,40 @@ def test_definite_solve_makes_no_eigvalsh_call(capsys, monkeypatch, tmp_path, si
     assert rep["diagnostics"]["inertia_b"] == ([3, 0, 0] if sign > 0 else [0, 0, 3])
     assert rep["value"] == pytest.approx(3.0, abs=1e-12)
     assert calls == []
+
+
+class TestLoadPausesTheCollector:
+    """`load_problem` parses with the cyclic collector paused and leaves it
+    as the caller had it."""
+
+    def test_paused_during_the_parse_and_enabled_after(self, monkeypatch):
+        seen = []
+        real = json.load
+
+        def spy(fh):
+            seen.append(gc.isenabled())
+            return real(fh)
+
+        monkeypatch.setattr(tracemin.cli.json, "load", spy)
+        assert gc.isenabled()
+        tracemin.cli.load_problem(FIXTURES / "kyfan.json")
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_stays_disabled_if_the_caller_disabled_it(self):
+        gc.disable()
+        try:
+            tracemin.cli.load_problem(FIXTURES / "kyfan.json")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_enabled_again_after_invalid_json(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text('{"a": [[1, 2]')
+        with pytest.raises(tracemin.ParseError, match="invalid JSON"):
+            tracemin.cli.load_problem(path)
+        assert gc.isenabled()
 
 
 class TestParseMatrix:

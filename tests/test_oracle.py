@@ -328,6 +328,11 @@ def _singular_b_problem(seed):
     return A, B, random_psd(rng, 1), ConstraintSpec.plus_identity(1)
 
 
+def _fixture_problem(name):
+    A, B, D, constraint, _sense = load_problem(FIXTURES / f"{name}.json")
+    return A, B, D, constraint
+
+
 class TestLockstep:
     @pytest.mark.parametrize("problem", [
         _pencil_problem(9), _pencil_problem(3), _definite_problem(5),
@@ -386,6 +391,23 @@ class TestLockstep:
         res = local_search(*_pencil_problem(9), restarts=20, iters=50, seed=0)
         assert res.stop_reasons == ("budget",) * 20
         assert res.iterations == 20 * 50
+
+    # A restart's iterations are counted when it stops: at the top of an
+    # iteration (the window test), inside one (a flat gradient, a second
+    # failed line search, the divergence break) or at the budget. Each case
+    # pins the count that the one-increment-per-iteration bookkeeping gave.
+    @pytest.mark.parametrize("problem, restarts, iters, seed, iterations, reason", [
+        (_pencil_problem(7), 1, 200, 0, 69, "converged"),  # window test
+        (_definite_problem(4), 1, 200, 0, 92, "converged"),  # window test
+        (_fixture_problem("kyfan"), 1, 300, 5, 11, "converged"),  # flat gradient
+        (_fixture_problem("kyfan"), 1, 300, 0, 11, "converged"),  # second failed line search
+        (_fixture_problem("unbounded"), 20, 2000, 0, 20, "unbounded"),  # first probe round
+    ])
+    def test_iterations_counted_where_each_restart_stops(self, problem, restarts, iters,
+                                                         seed, iterations, reason):
+        res = local_search(*problem, restarts=restarts, iters=iters, seed=seed)
+        assert res.iterations == iterations
+        assert res.stop_reasons == (reason,) * restarts
 
     def test_unbounded_stop_reasons(self):
         res = local_search(
