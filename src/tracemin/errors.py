@@ -59,7 +59,7 @@ class BudgetExceeded(TraceminError):
 
 
 class DegenerateDraw(TraceminError):
-    """The oracle's wash-out lost a column's J-norm sign, or no restart ended finite."""
+    """No restart of the oracle ended at a finite value."""
 
     code = "DEGENERATE_DRAW"
 

@@ -3,14 +3,15 @@
 Parametrizes the feasible sets X^H B X = diag(+/-1) through a congruence to
 signature coordinates and runs randomized projected descent there from
 closed-form random starts: Cayley steps of the J-orthogonal group keep the
-constraint exact, and a hyperbolic Gram-Schmidt pass washes out rounding
+constraint exact, and a first-order J-Gram correction washes out rounding
 drift. The restarts of one search run in lockstep as stacked arrays. Each
-draws from its own generator and keeps its own step length and stopping
-test, so it follows the path it would follow alone, while every stacked
-NumPy call serves all restarts still running. The backtracking line search
-tries a few halvings of each restart's step in one stacked solve and accepts
-the first that lowers the objective. A nonsingular B leaves no null rows, and
-the search then does no work for them.
+draws from its own generator, keeps its own step length and stopping test
+and has every product formed per matrix or per row, so it follows bit for
+bit the path it would follow alone, while every stacked NumPy call serves
+all restarts still running. The backtracking line search tries a few
+halvings of each restart's step in one stacked solve and accepts the first
+that lowers the objective. A nonsingular B leaves no null rows, and the
+search then does no work for them.
 
 The oracle imports nothing from the analytic modules it certifies. It also
 carries the closed forms of the coupled-weight counterexample that rules out
@@ -141,24 +142,6 @@ class _SignatureCoords:
         self.k = constraint.k
 
 
-def _j_orthonormalize(Z, row_signs, col_signs):
-    """Hyperbolic Gram-Schmidt: V with V^H J V = diag(col_signs), J =
-    diag(row_signs); a column whose J-norm has the wrong sign raises."""
-    r, k = Z.shape
-    V = np.zeros((r, k), dtype=complex)
-    for j in range(k):
-        z = Z[:, j].astype(complex)
-        for _ in range(2):  # two passes for re-orthogonalization
-            if j:
-                c = (V[:, :j].conj() * row_signs[:, None]).T @ z
-                z = z - V[:, :j] @ (col_signs[:j] * c)
-        q = float(np.real((z.conj() * row_signs) @ z))
-        if col_signs[j] * q <= 1e-10 * float(np.real(z.conj() @ z)):
-            raise DegenerateDraw(f"column {j} lost the sign of its J-norm")
-        V[:, j] = z / math.sqrt(abs(q))
-    return V
-
-
 def _draw_starts(coords: _SignatureCoords, rngs):
     """Stacked starts [Z; R], one per generator: Z is the leading k columns of
     a random J-orthogonal matrix in hyperbolic polar form (Higham, SIAM Rev.
@@ -228,7 +211,8 @@ class _Lockstep:
     restart's point in signature coordinates, Z (range rows) over R (null
     rows). ``stop`` records the final point, value and reason of the rows
     that leave and drops them from the live arrays, so every stacked
-    operation works on running restarts only."""
+    operation works on running restarts only. No arithmetic mixes rows, so
+    a row computes what it would compute alone in a stack of one."""
 
     _LIVE = ("ids", "rngs", "X", "f", "step", "stalls", "window",
              "has_prev", "X_prev", "flow_prev")
@@ -277,16 +261,20 @@ def local_search(
     Every restart has its own generator ``default_rng([seed, restart])``;
     one stacked closed form draws each restart's feasible start from it, and
     all restarts advance in lockstep as stacked arrays, each with its own
-    step length, Barzilai-Borwein memory and stopping test, so each follows
-    the path it would follow alone. An iteration takes one Cayley step of the
-    J-orthogonal steepest-descent generator, which keeps Z^H J Z exact. Its
-    backtracking line search tries the halvings step * 2^-j a few at a time
-    in one stacked solve and accepts the first j that lowers f. Every 25
-    iterations, before the gradient, boost and nullspace probes that beat
-    f's rounding error find the escapes that certify unbounded instances;
-    every 40 a hyperbolic Gram-Schmidt pass washes out feasibility drift.
-    With B nonsingular there are no null rows, and no step, gradient norm
-    or flow field spends work on them.
+    step length, Barzilai-Borwein memory and stopping test. Every product is
+    formed per matrix, or per row where the stack is flattened, so each
+    restart follows bit for bit the path it would follow alone: short of a
+    divergence, which stops them all, a search with more restarts ends its
+    first ones exactly where a smaller search ends them. An iteration takes
+    one Cayley step of the J-orthogonal steepest-descent generator, which
+    keeps Z^H J Z exact. Its backtracking line search tries the halvings
+    step * 2^-j a few at a time in one stacked solve and accepts the first j
+    that lowers f. Every 25 iterations, before the gradient, boost and
+    nullspace probes that beat f's rounding error find the escapes that
+    certify unbounded instances; every 40 the first-order J-Gram correction
+    Z - Z diag(s) E / 2, with Z^H J Z = diag(s) + E, washes out feasibility
+    drift. With B nonsingular there are no null rows, and no step, gradient
+    norm or flow field spends work on them.
 
     A restart stops when f makes no progress over 10 iterations, its
     gradient vanishes, or two line searches fail where the gradient is below
@@ -295,7 +283,8 @@ def local_search(
     any restart falls below the divergence threshold the search stops, flags
     the instance unbounded and marks the restarts still running
     ``unbounded``.
-    The result is the best point over all restarts.
+    The result is the point of least finite value over all restarts, the
+    first such restart on a tie.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -313,12 +302,16 @@ def local_search(
     n_plus, n_minus, nz = coords.n_plus, coords.n_minus, coords.n_zero
     r = n_plus + n_minus
     noise = PROBE_NOISE_RTOL * max_norm(Ac) * max_norm(D_)
+    AcT = Ac.T.copy()
 
     def axd(X):
-        """Ac X D for every matrix of the stack X, as two 2-D products."""
-        T = (X.reshape(-1, k) @ D_).reshape(-1, n, k).transpose(1, 0, 2)
-        Y = (Ac @ T.reshape(n, -1)).reshape(n, -1, k).transpose(1, 0, 2)
-        return Y.reshape(X.shape)
+        """Ac X D for every matrix of the stack X. Each column of X D is a row
+        of one product with Ac^T, and a row's rounding does not depend on the
+        rows stacked around it; a lone row is doubled, because NumPy forms a
+        one-row product with gemv, which rounds differently."""
+        T = (X.reshape(-1, k) @ D_).reshape(-1, n, k).swapaxes(1, 2).reshape(-1, n)
+        Y = (T if len(T) > 1 else np.vstack([T, T])) @ AcT
+        return Y[:len(T)].reshape(-1, k, n).swapaxes(1, 2).reshape(X.shape)
 
     def f_of(X):
         """tr(D X^H Ac X) for every matrix of the stack X."""
@@ -336,7 +329,7 @@ def local_search(
     s = _Lockstep(rngs, X0, f_of(X0))
 
     hyperbolic = n_plus >= 1 and n_minus >= 1
-    js = coords.row_signs[:, None]
+    js, sig = coords.row_signs[:, None], coords.col_signs[:, None]
     unbounded = False
 
     for it in range(iters):
@@ -375,10 +368,6 @@ def local_search(
         if (s.f < divergence).any():
             unbounded = True
             break
-        # formed afresh over the whole stack, not carried from the trial that
-        # reached s.X: BLAS rounds a product's remainder columns differently,
-        # so one X can give a last-bit different Ac X D in another stack, and
-        # the descent amplifies that
         G = 2.0 * axd(s.X)
         # steepest descent in the J-orthogonal group acting on the left:
         # Z moves along S*Z with S = J*K, K skew-Hermitian, which keeps
@@ -452,21 +441,20 @@ def local_search(
                    "converged")
             s.stop(s.stalls >= 2, "stalled")
         if it % 40 == 39 and len(s.ids):
-            # wash out accumulated feasibility drift
-            s.X[:, :r] = np.stack([_j_orthonormalize(x[:r], coords.row_signs, coords.col_signs)
-                                   for x in s.X])
+            # wash out feasibility drift: with Z^H J Z = C + E, the first-order
+            # J-Gram correction Z - Z diag(col_signs) E / 2 leaves C + O(E^2)
+            Z = s.X[:, :r]
+            Z -= 0.5 * Z @ (sig * (_ct(Z) @ (js * Z) - C))
             s.f = f_of(s.X)
     s.stop(np.ones(len(s.ids), dtype=bool), "unbounded" if unbounded else "budget")
 
-    best, best_f = None, np.inf
-    for i, fi in enumerate(s.final_f):
-        if fi < best_f - 1e-12 * (1.0 + abs(fi)):
-            best, best_f = i, fi
-    if best is None:
+    finite = np.isfinite(s.final_f)
+    if not finite.any():
         raise DegenerateDraw("no restart reached a finite value")
+    best = int(np.argmin(np.where(finite, s.final_f, np.inf)))
     X = basis @ s.final_X[best]
     return OracleResult(
-        best_value=float(best_f),
+        best_value=float(s.final_f[best]),
         best_X=X,
         iterations=int(s.iterations.sum()),
         feasibility_residual=constraint_residual(Bh, X, C),

@@ -1,10 +1,11 @@
 """Reference for the lockstep oracle: the one-restart-at-a-time search.
 
 ``sequential_search`` runs each restart of ``tracemin.local_search`` to its
-end before drawing the next, with scalar arithmetic and one Cayley solve per
-trial step. It draws from the same generators in the same order, so every
-restart follows the path it takes inside the lockstep search, up to
-rounding. It returns (best_value, iterations, stop_reasons).
+end before drawing the next, with one Cayley solve per trial step. It draws
+from the same generators in the same order and forms every product and sum
+on one X = [Z; R] as the lockstep search forms it for one matrix of its
+stack, so every restart ends exactly where it ends inside the lockstep
+search. It returns (best_value, iterations, stop_reasons).
 """
 
 import math
@@ -15,65 +16,55 @@ from tracemin.oracle import (
     CONVERGED_GN2_RTOL,
     PROBE_NOISE_RTOL,
     _draw_starts,
-    _j_orthonormalize,
     _SignatureCoords,
 )
 from tracemin.spectral import as_herm, max_norm
 
 
-def _boost_pair(Z, i_plus, i_minus, t):
+def _boost_pair(X, i_plus, i_minus, t):
     c, s = math.cosh(t), math.sinh(t)
-    Z2 = Z.copy()
-    Z2[i_plus] = c * Z[i_plus] + s * Z[i_minus]
-    Z2[i_minus] = s * Z[i_plus] + c * Z[i_minus]
-    return Z2
+    X2 = X.copy()
+    X2[i_plus] = c * X[i_plus] + s * X[i_minus]
+    X2[i_minus] = s * X[i_plus] + c * X[i_minus]
+    return X2
 
 
 def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
     A_, B_, D_ = as_herm(A), as_herm(B), as_herm(D)
     coords = _SignatureCoords(B_, constraint)
     divergence = -1e6 * (1.0 + max_norm(A_) * max_norm(D_))
-    P, N = coords.P, coords.N
-    Ap = P.conj().T @ A_ @ P
-    An = P.conj().T @ A_ @ N if coords.n_zero else None
-    Ann = N.conj().T @ A_ @ N if coords.n_zero else None
-    basis = np.hstack([P, N])
-    noise = PROBE_NOISE_RTOL * max_norm(basis.conj().T @ A_ @ basis) * max_norm(D_)
+    basis = np.hstack([coords.P, coords.N])
+    Ac = basis.conj().T @ A_ @ basis
+    AcT = Ac.T.copy()
+    n, k = Ac.shape[0], coords.k
+    nz = coords.n_zero
+    r = n - nz
+    noise = PROBE_NOISE_RTOL * max_norm(Ac) * max_norm(D_)
+    C = constraint.matrix()
+    js, sig = coords.row_signs[:, None], coords.col_signs[:, None]
 
-    def ax_parts(Z, R):
-        top = Ap @ Z
-        bot = None
-        if R is not None:
-            top = top + An @ R
-            bot = An.conj().T @ Z + Ann @ R
-        return top, bot
+    def axd(X):
+        """Ac X D, the columns of X D as the rows of one product with Ac^T."""
+        T = (X @ D_).T.copy()
+        Y = (T if k > 1 else np.vstack([T, T])) @ AcT
+        return Y[:k].T.copy()
 
-    def f_of(Z, R):
-        top, bot = ax_parts(Z, R)
-        M = Z.conj().T @ top
-        if bot is not None:
-            M = M + R.conj().T @ bot
-        return float(np.real(np.trace(D_ @ M)))
+    def f_of(X):
+        return float(np.real((X.conj() * axd(X)).sum()))
 
-    def beats(ft, Z, R, f):
-        """Whether a probe's value ft at (Z, R) lowers f past its rounding error."""
-        n2 = float(np.sum(np.abs(Z) ** 2))
-        if R is not None:
-            n2 += float(np.sum(np.abs(R) ** 2))
-        return ft + noise * n2 < f - 1e-12 * (1.0 + abs(f))
+    def beats(ft, Xt, f):
+        """Whether a probe's value ft at Xt lowers f past its rounding error."""
+        return ft + noise * float((np.abs(Xt) ** 2).sum()) < f - 1e-12 * (1.0 + abs(f))
 
     best_f = np.inf
     total_iters = 0
     reasons = []
     hyperbolic = coords.n_plus >= 1 and coords.n_minus >= 1
-    js = coords.row_signs[:, None]
 
     for restart in range(restarts):
         rng = np.random.default_rng([int(seed), restart])
-        X0 = _draw_starts(coords, [rng])[0]
-        r = coords.n_plus + coords.n_minus
-        Z, R = X0[:r], X0[r:] if coords.n_zero else None
-        f = f_of(Z, R)
+        X = _draw_starts(coords, [rng])[0]
+        f = f_of(X)
         step = 1.0
         stalls = 0
         history = []
@@ -90,61 +81,57 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
                     ip = int(rng.integers(coords.n_plus))
                     im = coords.n_plus + int(rng.integers(coords.n_minus))
                     for t in (1.0, 4.0, 16.0):
-                        Zt = _boost_pair(Z, ip, im, t)
-                        ft = f_of(Zt, R)
-                        if beats(ft, Zt, R, f):
-                            Z, f = Zt, ft
-            if coords.n_zero and it % 25 == 0:
+                        Xt = _boost_pair(X, ip, im, t)
+                        ft = f_of(Xt)
+                        if beats(ft, Xt, f):
+                            X, f = Xt, ft
+            if nz and it % 25 == 0:
                 for t in (1.0, 10.0):
-                    Rt = R + t * (
-                        rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape)
-                    )
-                    ft = f_of(Z, Rt)
-                    if beats(ft, Z, Rt, f):
-                        R, f = Rt, ft
+                    Xt = X.copy()
+                    Xt[r:] += t * (rng.standard_normal((nz, k))
+                                   + 1j * rng.standard_normal((nz, k)))
+                    ft = f_of(Xt)
+                    if beats(ft, Xt, f):
+                        X, f = Xt, ft
             if f < divergence:
                 reason = "unbounded"
                 break
-            top, bot = ax_parts(Z, R)
-            Gz = 2.0 * top @ D_
-            W = (js * Gz) @ Z.conj().T
+            G = 2.0 * axd(X)
+            Z = X[:r]
+            W = (js * G[:r]) @ Z.conj().T
             K = 0.5 * (W - W.conj().T)
-            Gr = 2.0 * bot @ D_ if bot is not None else None
-            gn2 = float(np.sum(np.abs(K) ** 2))
-            if Gr is not None:
-                gn2 += float(np.sum(np.abs(Gr) ** 2))
+            gn2 = float((np.abs(K) ** 2).sum())
+            if nz:
+                gn2 += float((np.abs(G[r:]) ** 2).sum())
             if gn2 <= 1e-24 * (1.0 + abs(f)) ** 2:
                 reason = "converged"
                 break
-            F = (js * K) @ Z
+            S = js * K
+            flow = S @ Z
+            if nz:
+                flow = np.concatenate([flow, G[r:]])
             step = min(step * 2.0, 1.0)
             if prev is not None:
-                Z_prev, F_prev, R_prev, Gr_prev = prev
-                s_ = Z - Z_prev
-                y_ = F - F_prev
-                sy = float(np.real(np.sum(s_.conj() * y_)))
-                ss = float(np.real(np.sum(s_.conj() * s_)))
-                if Gr is not None:
-                    sr = R - R_prev
-                    sy += float(np.real(np.sum(sr.conj() * (Gr - Gr_prev))))
-                    ss += float(np.real(np.sum(sr.conj() * sr)))
+                X_prev, flow_prev = prev
+                dx = X - X_prev
+                sy = float(np.real((dx.conj() * (flow - flow_prev)).sum()))
+                ss = float(np.real((dx.conj() * dx).sum()))
                 if sy > 1e-300 and ss > 0:
                     step = min(max(ss / sy, 1e-12), 1e3)
             accepted = False
-            eye_r = np.eye(K.shape[0])
+            eye_r = np.eye(r)
             for _ in range(30):
-                S = js * K
                 half = 0.5 * step
                 try:
-                    Z_new = np.linalg.solve(eye_r + half * S, Z - half * (S @ Z))
+                    Z_new = np.linalg.solve(eye_r + half * S, Z - half * flow[:r])
                 except np.linalg.LinAlgError:
                     step *= 0.5
                     continue
-                R_new = R - step * Gr if Gr is not None else None
-                f_new = f_of(Z_new, R_new)
+                X_new = np.concatenate([Z_new, X[r:] - step * G[r:]]) if nz else Z_new
+                f_new = f_of(X_new)
                 if f_new < f - 1e-14 * (1.0 + abs(f)) or f_new < divergence:
-                    prev = (Z, F, R, Gr)
-                    Z, R, f = Z_new, R_new, f_new
+                    prev = (X, flow)
+                    X, f = X_new, f_new
                     accepted = True
                     break
                 step *= 0.5
@@ -155,10 +142,11 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
                     reason = "converged" if gn2 <= tol else "stalled"
                     break
             if it % 40 == 39:
-                Z = _j_orthonormalize(Z, coords.row_signs, coords.col_signs)
-                f = f_of(Z, R)
+                Z = X[:r]
+                X = np.concatenate([Z - 0.5 * Z @ (sig * (Z.conj().T @ (js * Z) - C)), X[r:]])
+                f = f_of(X)
         reasons.append(reason)
-        if f < best_f - 1e-12 * (1.0 + abs(f)):
+        if np.isfinite(f) and f < best_f:
             best_f = f
         if reason == "unbounded":
             break

@@ -360,26 +360,44 @@ class TestLockstep:
         _pencil_problem(0), _pencil_problem(1), _pencil_problem(2),
     ])
     def test_more_restarts_never_worse(self, problem):
-        # restarts 0-4 follow the same paths in both searches
+        # restarts 0-4 follow the same paths, bit for bit, in both searches
         few = local_search(*problem, restarts=5, iters=300, seed=3)
         many = local_search(*problem, restarts=20, iters=300, seed=3)
-        assert many.best_value <= few.best_value + 1e-12 * (1 + abs(few.best_value))
+        assert many.best_value <= few.best_value
 
-    # Over 45 iterations (two probe rounds and one wash) the lockstep search
-    # and the one-restart-at-a-time reference differ only by rounding; the
-    # descent amplifies such differences over longer runs.
+    # Every product and sum of a restart is formed per matrix, so the
+    # restarts stacked around it do not change its path: on these bounded
+    # problems (a divergence would stop every restart) the first m restarts
+    # of a 12-restart search end exactly where an m-restart search ends
+    # them. k = 1 and 2, plus and signature constraints, singular B.
+    @pytest.mark.parametrize("problem", [
+        _pencil_problem(9), _pencil_problem(1), _definite_problem(5),
+        _singular_b_problem(2), _zero_rule_case(5), _zero_rule_case(10),
+    ])
+    def test_restart_does_not_depend_on_its_stack(self, problem):
+        many = local_search(*problem, restarts=12, iters=200, seed=6)
+        for m in (1, 2, 5):
+            few = local_search(*problem, restarts=m, iters=200, seed=6)
+            assert few.stop_reasons == many.stop_reasons[:m]
+            assert many.best_value <= few.best_value
+            if few.best_value == many.best_value:
+                assert np.array_equal(few.best_X, many.best_X)
+
+    # The reference forms each restart's products and sums as the lockstep
+    # search forms them for one matrix, so the two agree bit for bit.
     @pytest.mark.parametrize("problem", [
         _pencil_problem(9), _pencil_problem(29), _pencil_problem(6),
         _pencil_problem(13), _definite_problem(3), _definite_problem(11),
         _singular_b_problem(0), _singular_b_problem(7),
     ])
     def test_matches_sequential_reference(self, problem):
-        ref_value, ref_iters, ref_reasons = sequential_search(
-            *problem, restarts=8, iters=45, seed=2)
-        res = local_search(*problem, restarts=8, iters=45, seed=2)
-        assert res.best_value == pytest.approx(ref_value, rel=1e-9, abs=1e-9)
-        assert res.iterations == ref_iters
-        assert res.stop_reasons == ref_reasons
+        for seed in (2, 3, 4):
+            ref_value, ref_iters, ref_reasons = sequential_search(
+                *problem, restarts=8, iters=45, seed=seed)
+            res = local_search(*problem, restarts=8, iters=45, seed=seed)
+            assert res.best_value == ref_value
+            assert res.iterations == ref_iters
+            assert res.stop_reasons == ref_reasons
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_rejects_restarts_below_one(self, restarts):
