@@ -214,8 +214,8 @@ class _Lockstep:
     operation works on running restarts only. No arithmetic mixes rows, so
     a row computes what it would compute alone in a stack of one."""
 
-    _LIVE = ("ids", "rngs", "X", "f", "step", "stalls", "window",
-             "has_prev", "X_prev", "flow_prev")
+    _LIVE = ("ids", "rngs", "X", "f", "step", "stalls", "has_prev", "X_prev",
+             "flow_prev")
 
     def __init__(self, rngs, X, f):
         m = len(rngs)
@@ -225,7 +225,6 @@ class _Lockstep:
         self.X, self.f = X, f
         self.step = np.ones(m)
         self.stalls = np.zeros(m, dtype=int)
-        self.window = np.zeros((m, 10))  # f at the last 10 iterations, slot it % 10
         # Barzilai-Borwein memory: the point and the flow field at each
         # restart's last accepted step, valid where has_prev is set
         self.has_prev = np.zeros(m, dtype=bool)
@@ -276,13 +275,12 @@ def local_search(
     drift. With B nonsingular there are no null rows, and no step, gradient
     norm or flow field spends work on them.
 
-    A restart stops when f makes no progress over 10 iterations, its
-    gradient vanishes, or two line searches fail where the gradient is below
-    CONVERGED_GN2_RTOL (``converged``), when two line searches fail
-    elsewhere (``stalled``) or after ``iters`` iterations (``budget``). Once
-    any restart falls below the divergence threshold the search stops, flags
-    the instance unbounded and marks the restarts still running
-    ``unbounded``.
+    A restart stops when its line search fails a second time: ``converged``
+    where gn2, its squared gradient norm, is at most CONVERGED_GN2_RTOL *
+    (1 + |f|)^2, else ``stalled``. It stops as ``budget`` after ``iters``
+    iterations. Once any restart falls below the divergence threshold the
+    search stops, flags the instance unbounded and marks the restarts still
+    running ``unbounded``.
     The result is the point of least finite value over all restarts, the
     first such restart on a tie.
     """
@@ -333,13 +331,6 @@ def local_search(
     unbounded = False
 
     for it in range(iters):
-        if it >= 10:
-            # converged: no meaningful progress over the window
-            s.stop(s.window[:, it % 10] - s.f < 1e-12 * (1.0 + np.abs(s.f)),
-                   "converged")
-        if not len(s.ids):
-            break
-        s.window[:, it % 10] = s.f
         s.count += 1
         if it % 25 == 0:
             # escape probes: exact-feasibility boosts and nullspace kicks,
@@ -379,12 +370,6 @@ def local_search(
         gn2 = (np.abs(K) ** 2).sum(axis=(1, 2))
         if nz:
             gn2 += (np.abs(G[:, r:]) ** 2).sum(axis=(1, 2))
-        flat = gn2 <= 1e-24 * (1.0 + np.abs(s.f)) ** 2
-        if flat.any():
-            s.stop(flat, "converged")
-            if not len(s.ids):
-                break
-            K, G, gn2 = K[~flat], G[~flat], gn2[~flat]
         X, f = s.X, s.f
         Z = X[:, :r]
         # trial step: Barzilai-Borwein secant on the ambient flow field
@@ -440,7 +425,9 @@ def local_search(
             s.stop(stuck & (gn2 <= CONVERGED_GN2_RTOL * (1.0 + np.abs(s.f)) ** 2),
                    "converged")
             s.stop(s.stalls >= 2, "stalled")
-        if it % 40 == 39 and len(s.ids):
+            if not len(s.ids):
+                break
+        if it % 40 == 39:
             # wash out feasibility drift: with Z^H J Z = C + E, the first-order
             # J-Gram correction Z - Z diag(col_signs) E / 2 leaves C + O(E^2)
             Z = s.X[:, :r]

@@ -5,7 +5,10 @@ end before drawing the next, with one Cayley solve per trial step. It draws
 from the same generators in the same order and forms every product and sum
 on one X = [Z; R] as the lockstep search forms it for one matrix of its
 stack, so every restart ends exactly where it ends inside the lockstep
-search. It returns (best_value, iterations, stop_reasons).
+search. Where a restart diverges, the lockstep search stops every restart
+still running, so the reference cuts each restart that ran as far at the
+earliest iteration where one diverged. It returns (best_value, iterations,
+stop_reasons).
 """
 
 import math
@@ -56,9 +59,7 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
         """Whether a probe's value ft at Xt lowers f past its rounding error."""
         return ft + noise * float((np.abs(Xt) ** 2).sum()) < f - 1e-12 * (1.0 + abs(f))
 
-    best_f = np.inf
-    total_iters = 0
-    reasons = []
+    runs = []  # per restart: f after each iteration's probes, stop reason, final f
     hyperbolic = coords.n_plus >= 1 and coords.n_minus >= 1
 
     for restart in range(restarts):
@@ -67,15 +68,10 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
         f = f_of(X)
         step = 1.0
         stalls = 0
-        history = []
+        probed = []
         prev = None
         reason = "budget"
         for it in range(iters):
-            history.append(f)
-            if len(history) > 10 and history[-11] - f < 1e-12 * (1.0 + abs(f)):
-                reason = "converged"
-                break
-            total_iters += 1
             if hyperbolic and it % 25 == 0:
                 for _ in range(4):
                     ip = int(rng.integers(coords.n_plus))
@@ -93,6 +89,7 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
                     ft = f_of(Xt)
                     if beats(ft, Xt, f):
                         X, f = Xt, ft
+            probed.append(f)
             if f < divergence:
                 reason = "unbounded"
                 break
@@ -103,9 +100,6 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
             gn2 = float((np.abs(K) ** 2).sum())
             if nz:
                 gn2 += float((np.abs(G[r:]) ** 2).sum())
-            if gn2 <= 1e-24 * (1.0 + abs(f)) ** 2:
-                reason = "converged"
-                break
             S = js * K
             flow = S @ Z
             if nz:
@@ -145,9 +139,10 @@ def sequential_search(A, B, D, constraint, restarts=20, iters=500, seed=0):
                 Z = X[:r]
                 X = np.concatenate([Z - 0.5 * Z @ (sig * (Z.conj().T @ (js * Z) - C)), X[r:]])
                 f = f_of(X)
-        reasons.append(reason)
-        if np.isfinite(f) and f < best_f:
-            best_f = f
-        if reason == "unbounded":
-            break
-    return best_f, total_iters, tuple(reasons)
+        runs.append((probed, reason, f))
+    # a restart still running at the first divergence, at iteration cut, stops there
+    cut = min((len(p) - 1 for p, reason, _ in runs if reason == "unbounded"), default=iters)
+    ends = [("unbounded", cut + 1, p[cut]) if len(p) > cut else (reason, len(p), f)
+            for p, reason, f in runs]
+    best_f = min((f for _, _, f in ends if np.isfinite(f)), default=np.inf)
+    return best_f, sum(n for _, n, _ in ends), tuple(reason for reason, _, _ in ends)

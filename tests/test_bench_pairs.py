@@ -1,3 +1,4 @@
+import importlib.metadata
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -134,3 +135,15 @@ def test_describe_tree_names_the_commit_and_whether_it_is_dirty(tmp_path):
                                                "dirty": False}
     (repo / "a.txt").write_text("b\n")
     assert bench_pairs.describe_tree(repo)["dirty"] is True
+
+
+def test_describe_machine_names_the_builds_and_thread_settings(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    machine = bench_pairs.describe_machine()
+    assert (machine["OPENBLAS_NUM_THREADS"], machine["OMP_NUM_THREADS"],
+            machine["MKL_NUM_THREADS"]) == ("1", "2", None)
+    assert machine["numpy"] == importlib.metadata.version("numpy")
+    assert machine["scipy"] == importlib.metadata.version("scipy")
+    assert {"platform", "processor", "cpus", "python"} <= machine.keys()

@@ -181,15 +181,16 @@ class TestLocalSearch:
 
     @pytest.mark.parametrize("restarts", [1, 3, 20])
     def test_zero_d_runs_every_restart(self, restarts):
-        # f vanishes on the feasible set, so every restart stops converged
-        # at its first iteration, on the flat-gradient test
+        # f vanishes on the feasible set, so its gradient is zero, no step
+        # lowers f, and every restart stops converged at its second
+        # iteration, when its line search fails a second time
         res = local_search(
             np.diag([1.0, 2.0, 5.0]), np.diag([1.0, 1.0, -1.0]), np.zeros((1, 1)),
             ConstraintSpec.plus_identity(1), restarts=restarts, iters=50, seed=0,
         )
         assert res.best_value == 0.0
         assert res.stop_reasons == ("converged",) * restarts
-        assert res.iterations == restarts
+        assert res.iterations == 2 * restarts
         assert res.feasibility_residual <= 1e-8
 
     @pytest.mark.parametrize("seed", range(30))
@@ -333,6 +334,20 @@ def _fixture_problem(name):
     return A, B, D, constraint
 
 
+# Unbounded problems. A boost escapes at the first probe round on the first
+# three, the last of them with singular B. On the fourth, A < 0 on N(B): the
+# null rows descend to -inf, and each restart diverges at its own iteration.
+_UNBOUNDED = [
+    (np.diag([1.0, 2.0, 5.0]), np.diag([1.0, 1.0, -1.0]), np.diag([-1.0]),
+     ConstraintSpec.plus_identity(1)),
+    _fixture_problem("unbounded"),
+    (*psd_pencil(np.random.default_rng(0), 2, 2, n_inf=1)[:2], np.diag([1.0, -1.0]),
+     ConstraintSpec.signature(1, 1)),
+    (np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 0.0, -1.0]), np.eye(1),
+     ConstraintSpec.plus_identity(1)),
+]
+
+
 class TestLockstep:
     @pytest.mark.parametrize("problem", [
         _pencil_problem(9), _pencil_problem(3), _definite_problem(5),
@@ -384,11 +399,13 @@ class TestLockstep:
                 assert np.array_equal(few.best_X, many.best_X)
 
     # The reference forms each restart's products and sums as the lockstep
-    # search forms them for one matrix, so the two agree bit for bit.
+    # search forms them for one matrix, so the two agree bit for bit; on the
+    # unbounded problems it cuts every restart still running at the first
+    # divergence, where the lockstep search stops them.
     @pytest.mark.parametrize("problem", [
         _pencil_problem(9), _pencil_problem(29), _pencil_problem(6),
         _pencil_problem(13), _definite_problem(3), _definite_problem(11),
-        _singular_b_problem(0), _singular_b_problem(7),
+        _singular_b_problem(0), _singular_b_problem(7), *_UNBOUNDED,
     ])
     def test_matches_sequential_reference(self, problem):
         for seed in (2, 3, 4):
@@ -410,14 +427,14 @@ class TestLockstep:
         assert res.stop_reasons == ("budget",) * 20
         assert res.iterations == 20 * 50
 
-    # A restart's iterations are counted when it stops: at the top of an
-    # iteration (the window test), inside one (a flat gradient, a second
-    # failed line search, the divergence break) or at the budget. Each case
-    # pins the count that the one-increment-per-iteration bookkeeping gave.
+    # A restart's iterations are counted where it stops: inside an iteration
+    # (a second failed line search, the divergence break) or at the budget.
+    # Each case pins the count that the one-increment-per-iteration
+    # bookkeeping gave.
     @pytest.mark.parametrize("problem, restarts, iters, seed, iterations, reason", [
-        (_pencil_problem(7), 1, 200, 0, 69, "converged"),  # window test
-        (_definite_problem(4), 1, 200, 0, 92, "converged"),  # window test
-        (_fixture_problem("kyfan"), 1, 300, 5, 11, "converged"),  # flat gradient
+        (_pencil_problem(7), 1, 200, 0, 71, "converged"),  # second failed line search
+        (_definite_problem(4), 1, 200, 0, 97, "converged"),  # second failed line search
+        (_fixture_problem("kyfan"), 1, 300, 5, 12, "converged"),  # second failed line search
         (_fixture_problem("kyfan"), 1, 300, 0, 11, "converged"),  # second failed line search
         (_fixture_problem("unbounded"), 20, 2000, 0, 20, "unbounded"),  # first probe round
     ])

@@ -18,12 +18,14 @@ run). It also gives each side's ``failed`` count and ``failed_share`` (failed
 over attempted ops, summed over its runs), and ``more_failed`` when the
 change's share exceeds the parent's. ``--workload`` may be repeated.
 ``--out`` writes the summaries, the machine, the two trees compared and every
-run's metrics as JSON.
+run's metrics as JSON. The machine block names the numpy and scipy versions
+and the BLAS thread settings, because the oracle's values depend on them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -34,6 +36,7 @@ from pathlib import Path
 
 SECONDS = 15
 SIDES = ("parent", "change")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def seed_range(text):
@@ -60,6 +63,16 @@ def describe_tree(tree):
     commit = git("rev-parse", "HEAD")
     return {"path": str(tree), "commit": commit.strip() if commit else None,
             "dirty": bool(git("status", "--porcelain")) if commit else None}
+
+
+def describe_machine():
+    """Platform, CPU count, the Python, numpy and scipy versions (read from
+    package metadata, importing neither) and each BLAS thread variable, None
+    when unset."""
+    return {"platform": platform.platform(), "processor": platform.machine(),
+            "cpus": os.cpu_count(), "python": platform.python_version(),
+            **{dist: importlib.metadata.version(dist) for dist in ("numpy", "scipy")},
+            **{var: os.environ.get(var) for var in THREAD_VARS}}
 
 
 def quartiles(xs):
@@ -153,8 +166,7 @@ def main(argv=None):
     if args.out:
         doc = {
             "command": f"bench/run.py --seconds {SECONDS} --trace 0", "seeds": args.seeds,
-            "machine": {"platform": platform.platform(), "processor": platform.machine(),
-                        "cpus": os.cpu_count(), "python": platform.python_version()},
+            "machine": describe_machine(),
             "trees": {side: describe_tree(tree) for side, tree in trees.items()},
             "workloads": results,
         }
