@@ -86,10 +86,11 @@ def _solve_definite(A_, L, D_, sense, want_optimizer) -> SolveReport:
     min on -A with each paired eigenvalue negated back."""
     sign = -1.0 if sense == "max" else 1.0
     n, k, om = A_.shape[0], D_.shape[0], _split_omegas(D_)
-    # nonnegative weights take the ell smallest pencil eigenvalues, negative
-    # weights the k-ell largest; only a max copies A, into -A
-    lams, U = _pair_eigenpairs(_reduce_pair(-A_ if sign < 0 else A_, L), om.ell,
-                               k - om.ell, want_optimizer)
+    # zhegst and zhetrd commute with negation: -A reduces to A's reflectors
+    # with d and e negated, so a max reduces A itself. Nonnegative weights take
+    # the ell smallest pencil eigenvalues, negative weights the k-ell largest
+    d, e, *rest = _reduce_pair(A_, L)
+    lams, U = _pair_eigenpairs((sign * d, sign * e, *rest), om.ell, k - om.ell, want_optimizer)
     value, pairing = _pair(om, sign * lams, [f"lambda[{j + 1}]" for j in
                                              [*range(om.ell), *range(n - k + om.ell, n)]])
     return SolveReport(route=f"definite-{sense}", finite=True, value=value, attained=True,

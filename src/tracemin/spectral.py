@@ -36,9 +36,9 @@ def max_norm(M) -> float:
 class HermitianMatrix:
     """Square complex matrix validated and stored as exactly Hermitian.
 
-    Construction rejects non-square or non-finite input and any matrix whose
-    deviation from its conjugate transpose exceeds 1e-12 * max|entry|; the
-    stored matrix is the exact symmetrization (H + H^H)/2.
+    Construction rejects non-square or non-finite input, any matrix whose
+    deviation from its conjugate transpose exceeds 1e-12 * max|entry|, and any
+    whose exact symmetrization (H + H^H)/2, the stored matrix, overflows.
     """
 
     __slots__ = ("mat", "_eigh")
@@ -49,15 +49,25 @@ class HermitianMatrix:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
         # one max|M| finds every non-finite entry (|z| overflows only for
         # finite entries near the float limit, which the full test then passes)
-        # and scales the deviation test; H^H is transposed once, for the
-        # deviation and the symmetrization
-        s = max_norm(M)
+        # and scales the deviation test
+        s, n = max_norm(M), M.shape[0]
         if not np.isfinite(s) and not np.all(np.isfinite(M)):
             raise ValueError("matrix has non-finite entries")
-        Mh = M.conj().T.copy()
-        if max_norm(M - Mh) > 1e-12 * s:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        self.mat = np.add(M, Mh, out=Mh)
+        # M - M^H and M + M^H a block of rows at a time, in the stored
+        # matrix's rows, so that beside it only one block of M - M^H (about
+        # 8192 entries) is held
+        self.mat, step = np.empty((n, n), dtype=complex), 8192 // max(n, 1) + 1
+        with np.errstate(over="ignore"):
+            for i in range(0, n, step):
+                rows, out = M[i : i + step], self.mat[i : i + step]
+                out[...] = M[:, i : i + step].T
+                np.conjugate(out, out=out)
+                if max_norm(rows - out) > 1e-12 * s:
+                    raise ValueError("matrix is not Hermitian within tolerance")
+                out += rows
+        # entries under half the float limit cannot overflow in M + M^H
+        if s > np.finfo(float).max / 2 and not np.all(np.isfinite(self.mat)):
+            raise ValueError("matrix overflows: M + M^H exceeds the float range")
         self.mat *= 0.5
         self._eigh = None
 
@@ -136,11 +146,13 @@ def cholesky(B) -> np.ndarray:
     if M.size == 0:
         raise NotPositiveDefinite("empty matrix is not positive definite")
     tau = ZERO_RTOL * max_norm(M)
-    shifted = np.array(M, order="F")
-    shifted.flat[:: M.shape[0] + 1] -= tau
-    info = lapack.zpotrf(shifted, lower=1, overwrite_a=1)[1]
+    # one column-major buffer holds B - tau*I to certify, then B to factor
+    L = np.array(M, order="F")
+    L.flat[:: M.shape[0] + 1] -= tau
+    L, info = lapack.zpotrf(L, lower=1, overwrite_a=1)
     if info == 0:
-        L, info = lapack.zpotrf(M, lower=1)
+        L[...] = M
+        L, info = lapack.zpotrf(L, lower=1, overwrite_a=1)
     if info != 0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue is not safely positive: B - {tau:.3e}*I "
@@ -167,22 +179,27 @@ def _pair_eigenpairs(reduction, n_low, n_high, vectors=True):
     d, e, L, C, tau = reduction
     n = d.size
     ranges = [r for r in ((0, n_low - 1), (n - n_high, n - 1)) if r[0] <= r[1]]
-    # MRRR (stemr) keeps the vectors of the two ranges orthogonal even when one
-    # cluster of equal eigenvalues spans both; stebz/stein may return the same
-    # vector in both calls
-    parts = [
-        sla.eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i",
-                             select_range=r, lapack_driver="stemr")
-        for r in ranges
-    ]
+
+    def mrrr(r):
+        # MRRR (stemr) keeps the vectors of the two ranges orthogonal even when
+        # one cluster of equal eigenvalues spans both (stebz/stein may not).
+        # Its vectors, a view of an n x n buffer, are copied out on return
+        out = sla.eigh_tridiagonal(d, e, eigvals_only=not vectors, select="i",
+                                   select_range=r, lapack_driver="stemr")
+        return (out[0], out[1].astype(complex)) if vectors else out
+
+    parts = [mrrr(r) for r in ranges]
     if not vectors:
         # the empty heads cover a request for none (D = 0, or no column wanted)
         return np.concatenate([np.empty(0), *parts]), None
     lam = np.concatenate([np.empty(0)] + [w for w, _ in parts])
-    Y = np.hstack([np.empty((n, 0))] + [V for _, V in parts]).astype(complex)
+    Y = np.hstack([np.empty((n, 0), dtype=complex)] + [V for _, V in parts])
     if n > 1:
-        # Q = H(1)...H(n-1), reflector H(i) stored below the subdiagonal of C
-        refl = np.asfortranarray(C[1:, : n - 1])
+        # Q = H(1)...H(n-1), reflector H(i) below the subdiagonal of the
+        # column-major C. zunmqr reads them in place, in the first n-1 rows
+        # (all it reads) of the n x (n-1) view from C[1, 0] with leading
+        # dimension n, and restores the entries it sets while it works
+        refl = C.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
         lwork = int(lapack.zunmqr("L", "N", refl, tau, Y[1:], -1)[1][0].real)
         Y[1:] = lapack.zunmqr("L", "N", refl, tau, Y[1:], lwork)[0]
     X = sla.solve_triangular(L, Y, lower=True, trans="C", check_finite=False)

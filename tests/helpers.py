@@ -1,8 +1,22 @@
 """Shared instance generators for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
+
+
+def traced_peak(f, *args):
+    """(f(*args), the most bytes the call held allocated at once beyond what
+    was allocated when it started), as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def random_hermitian(rng, n):

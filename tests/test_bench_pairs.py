@@ -1,5 +1,6 @@
 import importlib.metadata
 import importlib.util
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -135,6 +136,32 @@ def test_describe_tree_names_the_commit_and_whether_it_is_dirty(tmp_path):
                                                "dirty": False}
     (repo / "a.txt").write_text("b\n")
     assert bench_pairs.describe_tree(repo)["dirty"] is True
+
+
+def test_tree_digest_names_the_benchmarked_files(tmp_path):
+    # a copy shares the digest, with or without git and compiled caches; a
+    # one-byte edit under src/ or bench/ or to BENCHMARK.json changes it
+    tree = tmp_path / "tree"
+    for rel, text in (("BENCHMARK.json", "{}\n"), ("src/pkg/mod.py", "x = 1\n"),
+                      ("bench/run.py", "print(1)\n"), ("README.md", "notes\n")):
+        (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tree / rel).write_text(text)
+    digest = bench_pairs.tree_digest(tree)
+    assert bench_pairs.describe_tree(tree)["commit"] is None
+    assert len(digest) == 64
+    copy = tmp_path / "copy"
+    shutil.copytree(tree, copy)
+    (copy / "src" / "pkg" / "__pycache__").mkdir()
+    (copy / "src" / "pkg" / "__pycache__" / "mod.pyc").write_bytes(b"\0")
+    (copy / "README.md").write_text("other notes\n")
+    assert bench_pairs.tree_digest(copy) == digest
+    for rel in ("BENCHMARK.json", "src/pkg/mod.py", "bench/run.py"):
+        path = copy / rel
+        original = path.read_bytes()
+        path.write_bytes(original[:-1] + b"\r")
+        assert bench_pairs.tree_digest(copy) != digest, rel
+        path.write_bytes(original)
+    assert bench_pairs.tree_digest(copy) == digest
 
 
 def test_describe_machine_names_the_builds_and_thread_settings(monkeypatch):

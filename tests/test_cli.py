@@ -632,6 +632,15 @@ def test_malformed_document_message(capsys, tmp_path, doc, message):
     assert json.loads(line)["error"] == {"code": "PARSE_ERROR", "message": message}
 
 
+def test_overflowing_matrix_is_a_parse_error(capsys, tmp_path):
+    # every entry is finite, but (A + A^H)/2 is not
+    doc = dict(PLUS_DOC, a=[[1.5e308, 0], [0, 1]])
+    code, out, err = run(capsys, "solve", _write_problem(tmp_path, doc))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "PARSE_ERROR" and "overflow" in error["message"]
+
+
 SIGNATURE_DOC = {"a": [[1, 0, 0], [0, 2, 0], [0, 0, 5]], "b": [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
                  "d": [[1, 0], [0, 1]], "constraint": "signature", "k_plus": 1, "k_minus": 1}
 SPLIT_DOC = {"a": SIGNATURE_DOC["a"], "b": SIGNATURE_DOC["b"], "d_plus": [[1]],

@@ -12,7 +12,13 @@ from tracemin import (
 )
 from tracemin.definite import _split_omegas
 from tracemin.errors import MissingOptimizer
-from helpers import definite_instance, random_hermitian, random_unitary, spy_choleskys
+from helpers import (
+    definite_instance,
+    random_hermitian,
+    random_unitary,
+    spy_choleskys,
+    traced_peak,
+)
 
 
 def test_ky_fan_minimum():
@@ -321,6 +327,44 @@ def test_definite_solve_validates_once_and_skips_full_eigensolvers(
     assert rep.route.startswith(f"definite-{sense}")
     assert full == []
     assert sorted(validated) == sorted([(n, n), (n, n), (k, k)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("kind", ["complex", "real", "diagonal"])
+def test_max_is_the_min_on_minus_a_bit_for_bit(n, kind):
+    # a max reduces A itself and negates the tridiagonal, which is exactly
+    # the tridiagonal of -A: every output bit is the min's on -A
+    for seed in range(8):
+        rng = np.random.default_rng([seed, n])
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        B = G @ G.conj().T + n * np.eye(n)
+        A = {"complex": G + G.conj().T, "real": (G + G.T).real,
+             "diagonal": np.diag(rng.standard_normal(n))}[kind]
+        k = int(rng.integers(1, n + 1))
+        D = random_hermitian(rng, k)
+        constraint = ConstraintSpec.plus_identity(k)
+        hi = solve(A, B, D, constraint, "max", want_optimizer=True)
+        lo = solve(-A, B, D, constraint, "min", want_optimizer=True)
+        assert hi.value == -lo.value
+        assert [(w, -lam, role) for w, lam, role in lo.pairing] == hi.pairing
+        assert hi.x_opt.tobytes() == lo.x_opt.tobytes()
+
+
+@pytest.mark.parametrize("negative_b", [False, True])
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_definite_solve_working_set(negative_b, sense):
+    # beside its inputs a solve holds the validated A and B, the factor L,
+    # the reduced C and one range's n x n MRRR buffer
+    n, k = 256, 8
+    rng = np.random.default_rng(16)
+    A, B = _congruent_pair(rng, np.sort(rng.standard_normal(n)))
+    D = random_hermitian(rng, k)
+    constraint = ConstraintSpec.plus_identity(k)
+    if negative_b:
+        B, constraint = -B, ConstraintSpec.minus_identity(k)
+    rep, peak = traced_peak(solve, A, B, D, constraint, sense, True)
+    assert rep.route.startswith(f"definite-{sense}")
+    assert peak <= 4.75 * 16 * n**2
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from tracemin import (
     ConstraintSpec,
     HermitianMatrix,
     NotPositiveDefinite,
+    Problem,
     Unsupported,
     as_herm,
     cholesky,
@@ -12,8 +15,12 @@ from tracemin import (
     solve,
     weighted_sum_bounds,
 )
-from tracemin.spectral import ZERO_RTOL
-from helpers import random_hermitian, random_unitary
+from tracemin.spectral import ZERO_RTOL, _pair_eigenpairs, _reduce_pair
+from helpers import random_hermitian, random_unitary, traced_peak
+
+# the working-set tests run at this order; one n x n complex matrix is
+# 16 * WS_N**2 bytes
+WS_N = 256
 
 
 class TestHermitianMatrix:
@@ -40,6 +47,37 @@ class TestHermitianMatrix:
             HermitianMatrix([[1.0, 1e-9j], [0.0, 1.0]])
         # ... but fine at scale 1e5
         HermitianMatrix([[1e5, 1e-9j], [0.0, 1e5]])
+
+    @pytest.mark.parametrize("M", [
+        [[1.5e308, 0.0], [0.0, 1.0]],
+        [[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]],
+    ], ids=["diagonal", "off_diagonal"])
+    def test_rejects_an_overflowing_symmetrization(self, M):
+        # M + M^H leaves the float range although every entry is finite
+        with pytest.raises(ValueError, match="overflow"):
+            HermitianMatrix(M)
+        with pytest.raises(ValueError, match="overflow"):
+            Problem.of(M, np.eye(2), [[1.0]], ConstraintSpec.plus_identity(1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 40, 1100])
+    @pytest.mark.parametrize("scale", [1.0, 8e307])
+    def test_stores_the_exact_symmetrization(self, seed, n, scale):
+        # (M + M^H) * 0.5 entry by entry, in blocks of rows or not, up to
+        # entries near the float limit
+        rng = np.random.default_rng(seed)
+        G = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        M = scale * ((G + G.conj().T) / 2 + 1e-14 * rng.uniform(-1, 1, (n, n)))
+        expected = (M + M.conj().T) * 0.5
+        for entries in (M, np.asfortranarray(M)):
+            assert HermitianMatrix(entries).mat.tobytes() == expected.tobytes()
+
+    def test_working_set(self):
+        # the stored matrix and one block of rows beside it
+        rng = np.random.default_rng(0)
+        M = random_hermitian(rng, WS_N)
+        _H, peak = traced_peak(HermitianMatrix, M)
+        assert peak <= 1.25 * 16 * WS_N**2
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -91,6 +129,63 @@ def test_cholesky_rejects_indefinite():
         cholesky(np.diag([1.0, -1.0]))
     with pytest.raises(NotPositiveDefinite):
         cholesky(np.diag([1.0, 0.0]))
+
+
+def test_cholesky_working_set():
+    # B - tau*I is certified and B factored in one buffer, L's own
+    rng = np.random.default_rng(1)
+    G = rng.standard_normal((WS_N, WS_N)) + 1j * rng.standard_normal((WS_N, WS_N))
+    B = HermitianMatrix(G @ G.conj().T + np.eye(WS_N))
+    L, peak = traced_peak(cholesky, B)
+    assert peak <= 1.25 * 16 * WS_N**2
+    assert np.allclose(L @ L.conj().T, B.mat, atol=1e-10 * np.max(np.abs(B.mat)))
+
+
+def _reduction(rng, n):
+    A = random_hermitian(rng, n)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _reduce_pair(A, cholesky(G @ G.conj().T + np.eye(n)))
+
+
+def _pair_eigenpairs_copying_reflectors(reduction, n_low, n_high):
+    """`_pair_eigenpairs` with the reflectors copied out of C into their own
+    (n-1) x (n-1) column-major array: the reference for the in-place view."""
+    d, e, L, C, tau = reduction
+    n = d.size
+    ranges = [r for r in ((0, n_low - 1), (n - n_high, n - 1)) if r[0] <= r[1]]
+    parts = [sla.eigh_tridiagonal(d, e, select="i", select_range=r, lapack_driver="stemr")
+             for r in ranges]
+    lam = np.concatenate([np.empty(0)] + [w for w, _ in parts])
+    Y = np.hstack([np.empty((n, 0))] + [V for _, V in parts]).astype(complex)
+    if n > 1:
+        refl = np.asfortranarray(C[1:, : n - 1])
+        lwork = int(lapack.zunmqr("L", "N", refl, tau, Y[1:], -1)[1][0].real)
+        Y[1:] = lapack.zunmqr("L", "N", refl, tau, Y[1:], lwork)[0]
+    return lam, sla.solve_triangular(L, Y, lower=True, trans="C", check_finite=False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_pair_eigenpairs_reads_the_reflectors_in_place(n):
+    rng = np.random.default_rng(n)
+    reduction = _reduction(rng, n)
+    C = reduction[3].copy()
+    for n_low, n_high in ((1, 0), (0, 1), (n // 2, (n + 1) // 2), (n - 1, 1), (0, 0)):
+        if n_low + n_high > n:
+            continue
+        lam, X = _pair_eigenpairs(reduction, n_low, n_high)
+        ref_lam, ref_X = _pair_eigenpairs_copying_reflectors(reduction, n_low, n_high)
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert X.tobytes() == ref_X.tobytes()
+        # zunmqr restores the entries of C it sets while it works
+        assert reduction[3].tobytes() == C.tobytes()
+
+
+def test_pair_eigenpairs_working_set():
+    # one range's n x n MRRR buffer at a time, and no (n-1) x (n-1)
+    # reflector copy
+    reduction = _reduction(np.random.default_rng(2), WS_N)
+    _out, peak = traced_peak(_pair_eigenpairs, reduction, 4, 4)
+    assert peak <= 0.75 * 16 * WS_N**2
 
 
 def test_cholesky_rejects_empty():

@@ -19,12 +19,15 @@ over attempted ops, summed over its runs), and ``more_failed`` when the
 change's share exceeds the parent's. ``--workload`` may be repeated.
 ``--out`` writes the summaries, the machine, the two trees compared and every
 run's metrics as JSON. The machine block names the numpy and scipy versions
-and the BLAS thread settings, because the oracle's values depend on them.
+and the BLAS thread settings, because the oracle's values depend on them. Each
+tree is named by its git commit, when it has one, and by a digest of the files
+a benchmark run builds from, which names it with or without git.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -63,6 +66,21 @@ def describe_tree(tree):
     commit = git("rev-parse", "HEAD")
     return {"path": str(tree), "commit": commit.strip() if commit else None,
             "dirty": bool(git("status", "--porcelain")) if commit else None}
+
+
+def tree_digest(tree):
+    """SHA-256 over the path relative to ``tree`` and the bytes of every file
+    under ``src/`` and ``bench/`` and of ``BENCHMARK.json``, in path order,
+    ``__pycache__`` skipped."""
+    tree = Path(tree)
+    files = [p for p in (tree / "BENCHMARK.json", *(tree / "src").rglob("*"),
+                         *(tree / "bench").rglob("*"))
+             if p.is_file() and "__pycache__" not in p.parts]
+    digest = hashlib.sha256()
+    for rel, path in sorted((p.relative_to(tree).as_posix(), p) for p in files):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def describe_machine():
@@ -162,13 +180,14 @@ def main(argv=None):
     args = p.parse_args(argv)
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    # named before the runs, so the names are those of the code that ran
+    named = {side: {**describe_tree(tree), "digest": tree_digest(tree)}
+             for side, tree in trees.items()}
     results = {w: run_pairs(trees, w, args.seeds, metrics) for w in args.workload}
     if args.out:
         doc = {
             "command": f"bench/run.py --seconds {SECONDS} --trace 0", "seeds": args.seeds,
-            "machine": describe_machine(),
-            "trees": {side: describe_tree(tree) for side, tree in trees.items()},
-            "workloads": results,
+            "machine": describe_machine(), "trees": named, "workloads": results,
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
