@@ -16,7 +16,6 @@ from .errors import (
     BudgetExceeded,
     DegenerateDraw,
     InfeasibleConstraint,
-    KTooLarge,
     MissingOptimizer,
     NotPositiveDefinite,
     NotPsdPencil,
@@ -59,7 +58,6 @@ __all__ = [
     "HyperbolicFactorization",
     "Inertia",
     "InfeasibleConstraint",
-    "KTooLarge",
     "MinimizerCheck",
     "MissingOptimizer",
     "NotPositiveDefinite",

@@ -23,10 +23,10 @@ import numpy as np
 from .errors import MissingOptimizer
 from .pencil import PsdPencilAnalysis
 from .spectral import (
-    WEIGHT_RTOL,
     Inertia,
     _pair_eigenpairs,
     _reduce_pair,
+    _signs,
     as_herm,
     max_norm,
 )
@@ -64,14 +64,13 @@ class SolveReport:
 
 
 def _split_omegas(D_) -> OmegaSplit:
-    """Eigen-decompose a validated D with values descending; weights within
-    WEIGHT_RTOL * max|D| of zero group with the nonnegative ones. D is one
+    """Eigen-decompose a validated D with values descending; weights zero by
+    the zero rule (`spectral._signs`) group with the nonnegative ones. D is one
     block: a signature route splits each of its blocks apart."""
     # an empty signature block is split without an eigh
     w, Q = np.linalg.eigh(D_) if D_.size else (np.empty(0), D_)
     w = w[::-1].copy()
-    return OmegaSplit(omegas=w, ell=int(np.sum(w >= -WEIGHT_RTOL * max_norm(D_))),
-                      q=Q[:, ::-1].copy())
+    return OmegaSplit(omegas=w, ell=int(np.sum(_signs(w, D_) >= 0)), q=Q[:, ::-1].copy())
 
 
 def _pair(om: OmegaSplit, eigs, roles):
@@ -123,7 +122,7 @@ def characterize_minimizer(report: SolveReport, A, B, D) -> MinimizerCheck:
     for lo, hi in ((0, kp), (kp, D_.shape[0])):
         block = D_[lo:hi, lo:hi]
         om = _split_omegas(block)
-        keep = np.flatnonzero(np.abs(om.omegas) > WEIGHT_RTOL * max_norm(block))
+        keep = np.flatnonzero(_signs(om.omegas, block))
         Zs.append(report.x_opt[:, lo:hi] @ om.q[:, keep])
         expected += [report.pairing[lo + i][1] for i in keep]
     Z = np.hstack(Zs)

@@ -40,12 +40,6 @@ class BlockStructureViolated(TraceminError):
     code = "BLOCK_STRUCTURE_VIOLATED"
 
 
-class KTooLarge(TraceminError):
-    """Requested more constrained columns than the matching inertia count."""
-
-    code = "K_TOO_LARGE"
-
-
 class MissingOptimizer(TraceminError):
     """Operation needs report.x_opt but the report was built without it."""
 

@@ -3,7 +3,7 @@
 `solve` validates a problem once (`problem.Problem`) and splits on B's
 inertia: a Cholesky factor of B or -B sends it to the definite route, any
 other B to the indefinite route here, which reports its route name on
-`SolveReport.route`.
+`SolveReport.route`. A constraint that inertia cannot hold is refused first.
 
 For genuinely indefinite B and a positive semi-definite pencil the infimum
 of tr(D X^H A X) is finite when D >= 0 or A = lambda0*B; the value pairs D's
@@ -14,6 +14,7 @@ along an escape, or, under a signature constraint without one, refused.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -22,14 +23,12 @@ from .definite import SolveReport, _pair, _solve_definite, _split_omegas
 from .errors import (
     BlockStructureViolated,
     BudgetExceeded,
-    InfeasibleConstraint,
-    KTooLarge,
     NotPositiveDefinite,
     Unsupported,
 )
 from .pencil import finite_eigenvalues
 from .problem import ConstraintSpec, Problem
-from .spectral import WEIGHT_RTOL, Inertia, cholesky, max_norm
+from .spectral import ZERO_RTOL, Inertia, cholesky, max_norm
 
 # `epsilon_suboptimal`'s bound on max|X^H B X - C| and on -excess / (1 + |value|)
 FEASIBILITY_ATOL = 1e-8
@@ -46,7 +45,7 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
     Otherwise it is -inf if a negative weight has an escape, else Unsupported.
     """
     c = p.constraint
-    # B's kept eigh gives its inertia here and, unchanged, the pencil analysis
+    # B's kept eigh gives its inertia here, as in `_solve`, and the pencil analysis
     inb = p.B.inertia()
     if inb.n_plus < 1 or inb.n_minus < 1:
         raise Unsupported("B must be genuinely indefinite for this route")
@@ -54,12 +53,8 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
         raise Unsupported(
             "maximization under genuinely indefinite B has no analytic solution"
         )
-    for k, count, name in ((c.k_plus, inb.n_plus, "n_plus"),
-                           (c.k_minus, inb.n_minus, "n_minus")):
-        if k > count:
-            raise KTooLarge(f"k={k} exceeds {name}={count}")
     D_, kp = p.D.mat, c.k_plus
-    if max_norm(D_[:kp, kp:]) > WEIGHT_RTOL * max_norm(D_):
+    if max_norm(D_[:kp, kp:]) > ZERO_RTOL * max_norm(D_):
         raise BlockStructureViolated(
             "D couples the +1 and -1 column groups; no eigenvalue-product "
             "formula exists for coupled D (see `tracemin counterexample`)"
@@ -78,7 +73,7 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
     spare = (inb.n_minus - c.k_minus, inb.n_plus - c.k_plus)
     if not finite and not (
             any(om.ell < om.omegas.size and (s or analysis._n2) for om, s in zip(oms, spare))
-            or sum(om.omegas[-1:].sum() for om in oms) < -WEIGHT_RTOL * max_norm(D_)):
+            or sum(om.omegas[-1:].sum() for om in oms) < -ZERO_RTOL * max_norm(D_)):
         raise Unsupported("D has a negative weight but no escape to -inf; its infimum "
                           "has no known closed form")
     sides = [_pair(om, eigs, [f"{role}[{i + 1}]" for i in range(om.omegas.size)])
@@ -114,28 +109,24 @@ def solve(A, B, D, constraint: ConstraintSpec, sense="min", want_optimizer=False
 
 def _solve(p: Problem, want_optimizer, eps=None) -> SolveReport:
     """`solve` on a validated problem, eps as in `_solve_indefinite`."""
-    n, constraint = p.A.n, p.constraint
-    # a Cholesky factor of B or -B certifies a definite B, and the definite
-    # route solves from it (on -B for negative definite B); only an
-    # indefinite or singular B needs its eigendecomposition, in the
-    # indefinite route. Every pivot of B - tau*I (tau > 0) is at most its
-    # diagonal entry, so only a diagonal of one strict sign can have a factor,
-    # of B or of -B; any other goes to the indefinite route unfactored
+    n = p.A.n
+    # B's inertia, decided once: a Cholesky factor of B or -B certifies a
+    # definite B for the definite route (on -B if negative definite), else B's
+    # kept eigh counts it. Every pivot of B - tau*I (tau > 0) is at most its
+    # diagonal entry, so only a diagonal of one strict sign can have a factor
     b = np.real(np.diagonal(p.B.mat))
-    negated = b.max() < 0.0
-    if not (negated or b.min() > 0.0):
+    negated, L = b.max() < 0.0, None
+    if negated or b.min() > 0.0:
+        with suppress(NotPositiveDefinite):
+            L = cholesky(-p.B if negated else p.B)
+    inb = p.B.inertia() if L is None else Inertia(0, 0, n) if negated else Inertia(n, 0, 0)
+    # an infeasible constraint is refused before any refusal of a route
+    p.constraint.check_feasible(inb)
+    if L is None:
         return _solve_indefinite(p, want_optimizer, eps)
-    try:
-        L = cholesky(-p.B if negated else p.B)
-    except NotPositiveDefinite:
-        return _solve_indefinite(p, want_optimizer, eps)
-    if constraint.k_plus if negated else constraint.k_minus:
-        raise InfeasibleConstraint("X^H B X cannot have " + (
-            "+1 diagonal entries for negative" if negated else
-            "-1 diagonal entries for positive") + " definite B")
     rep = _solve_definite(p.A.mat, L, p.D.mat, p.sense, want_optimizer)
     rep.route += "-negated-b" if negated else ""
-    rep.inertia_b = Inertia(0, 0, n) if negated else Inertia(n, 0, 0)
+    rep.inertia_b = inb
     return rep
 
 

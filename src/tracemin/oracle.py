@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDraw, InfeasibleConstraint
+from .errors import DegenerateDraw
 from .problem import ConstraintSpec, Problem
 from .spectral import HermitianMatrix, as_herm, max_norm
 
@@ -116,28 +116,23 @@ class _SignatureCoords:
 
     Eigen-decomposing B = V diag(b) V^H splits coordinates into +, - and
     null groups, counted by `HermitianMatrix.inertia` as the solver counts
-    them; X = P Z + N R with Z^H J Z = diag(s) on the rank-r part and R free
-    on the nullspace."""
+    them, and a constraint they cannot hold is refused by the solver's rule.
+    X = P Z + N R with Z^H J Z = diag(s) on the rank-r part and R free on
+    the nullspace."""
 
     def __init__(self, B, constraint: ConstraintSpec):
         Bh = HermitianMatrix.of(B)
         w, V = Bh.eigh()
         inb = Bh.inertia()
+        constraint.check_feasible(inb)
         self.n_plus, self.n_minus, self.n_zero = inb.n_plus, inb.n_minus, inb.n_zero
-        if constraint.k_plus > self.n_plus or constraint.k_minus > self.n_minus:
-            raise InfeasibleConstraint(
-                f"signature ({constraint.k_plus},{constraint.k_minus}) exceeds "
-                f"inertia ({self.n_plus},{self.n_minus}) of B"
-            )
         # eigh ascends: n_minus negative columns, n_zero null ones, then the
         # positive ones, which the + group takes largest first
         nm, null = self.n_minus, self.n_minus + self.n_zero
         cols = np.concatenate([np.arange(Bh.n - 1, null - 1, -1), np.arange(nm)])
         self.P = V[:, cols] / np.sqrt(np.abs(w[cols]))
         self.N = V[:, nm:null]
-        self.row_signs = np.concatenate(
-            [np.ones(self.n_plus), -np.ones(self.n_minus)]
-        )
+        self.row_signs = np.sign(w[cols])
         self.col_signs = constraint.signature_vector()
         self.k = constraint.k
 

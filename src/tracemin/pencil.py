@@ -190,7 +190,9 @@ def _shift_search(S, J, scale):
     if not J.size:
         return 0.0, True
     q = np.real(np.diag(S)) / J
-    reach = 2.0 * float(np.linalg.norm(S))
+    # a side without a quotient takes 2||S||_F, by BLAS nrm2, which scales so that
+    # no square of an entry over- or underflows; a two-sided bracket never reads it
+    reach = 2.0 * float(blas.dznrm2(S.ravel(order="K"))) if J.min() == J.max() else np.inf
     lo, hi = float(np.max(q[J < 0], initial=-reach)), float(np.min(q[J > 0], initial=reach))
     psd, x = [lo, hi], np.ones(J.size)
     while True:

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectral import HermitianMatrix
+from .errors import InfeasibleConstraint
+from .spectral import HermitianMatrix, Inertia
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,13 @@ class ConstraintSpec:
 
     def matrix(self) -> np.ndarray:
         return np.diag(self.signature_vector())
+
+    def check_feasible(self, inertia: Inertia) -> None:
+        """Raise InfeasibleConstraint unless X^H B X = C has a solution for B of
+        this inertia, by Sylvester's law: k_plus <= n_plus and k_minus <= n_minus."""
+        if self.k_plus > inertia.n_plus or self.k_minus > inertia.n_minus:
+            raise InfeasibleConstraint(f"signature ({self.k_plus},{self.k_minus}) exceeds "
+                                       f"inertia ({inertia.n_plus},{inertia.n_minus}) of B")
 
 
 class Problem(NamedTuple):

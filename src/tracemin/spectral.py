@@ -16,13 +16,10 @@ from scipy.linalg import lapack
 
 from .errors import NotPositiveDefinite
 
-# eigenvalues within ZERO_RTOL * max|M| of zero count as zero: the inertia
-# count and the Cholesky certificate of definiteness share this threshold
+# eigenvalues within ZERO_RTOL * max|M| of zero count as zero (`_signs`): B's
+# inertia, the Cholesky certificate of definiteness and the signs of D's
+# weights share this threshold, as does the coupling of signature blocks
 ZERO_RTOL = 1e-10
-# eigenvalues of a weight matrix D within WEIGHT_RTOL * max|D| of zero count
-# as zero (the split of D's weights, the finiteness dichotomy, the
-# minimizer's zero-weight columns and the coupling of signature blocks)
-WEIGHT_RTOL = 1e-10
 # prefix sums within MAJORIZE_RTOL * sum|beta| of each other count as tied
 MAJORIZE_RTOL = 1e-9
 
@@ -33,6 +30,11 @@ def max_norm(M) -> float:
     return 0.0 if M.size == 0 else float(np.max(np.abs(M)))
 
 
+def _signs(w, M) -> np.ndarray:
+    """The signs (1, 0, -1) of eigenvalues w of M, 0 within ZERO_RTOL * max|M|."""
+    return np.where(np.abs(w) <= ZERO_RTOL * max_norm(M), 0, np.sign(w))
+
+
 class HermitianMatrix:
     """Square complex matrix validated and stored as exactly Hermitian.
 
@@ -41,7 +43,7 @@ class HermitianMatrix:
     whose exact symmetrization (H + H^H)/2, the stored matrix, overflows.
     """
 
-    __slots__ = ("mat", "_eigh")
+    __slots__ = ("_mat", "_eigh", "_negates")
 
     def __init__(self, entries):
         M = np.asarray(entries, dtype=complex)
@@ -56,20 +58,27 @@ class HermitianMatrix:
         # M - M^H and M + M^H a block of rows at a time, in the stored
         # matrix's rows, so that beside it only one block of M - M^H (about
         # 8192 entries) is held
-        self.mat, step = np.empty((n, n), dtype=complex), 8192 // max(n, 1) + 1
+        mat, step = np.empty((n, n), dtype=complex), 8192 // max(n, 1) + 1
         with np.errstate(over="ignore"):
             for i in range(0, n, step):
-                rows, out = M[i : i + step], self.mat[i : i + step]
+                rows, out = M[i : i + step], mat[i : i + step]
                 out[...] = M[:, i : i + step].T
                 np.conjugate(out, out=out)
                 if max_norm(rows - out) > 1e-12 * s:
                     raise ValueError("matrix is not Hermitian within tolerance")
                 out += rows
         # entries under half the float limit cannot overflow in M + M^H
-        if s > np.finfo(float).max / 2 and not np.all(np.isfinite(self.mat)):
+        if s > np.finfo(float).max / 2 and not np.all(np.isfinite(mat)):
             raise ValueError("matrix overflows: M + M^H exceeds the float range")
-        self.mat *= 0.5
-        self._eigh = None
+        mat *= 0.5
+        self._mat, self._eigh, self._negates = mat, None, None
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The stored matrix; a negation forms its entries on first use."""
+        if self._mat is None:
+            self._mat = -self._negates.mat
+        return self._mat
 
     @classmethod
     def of(cls, H) -> HermitianMatrix:
@@ -87,16 +96,16 @@ class HermitianMatrix:
         return self._eigh
 
     def inertia(self) -> Inertia:
-        """Inertia counted from the kept eigenvalues; those within ZERO_RTOL *
-        max|entry| of zero count as zero."""
-        w, tol = self.eigh()[0], ZERO_RTOL * max_norm(self.mat)
-        return Inertia(n_plus=int(np.sum(w > tol)), n_zero=int(np.sum(np.abs(w) <= tol)),
-                       n_minus=int(np.sum(w < -tol)))
+        """Inertia counted from the signs of the kept eigenvalues."""
+        s = _signs(self.eigh()[0], self.mat)
+        return Inertia(n_plus=int(np.sum(s > 0)), n_zero=int(np.sum(s == 0)),
+                       n_minus=int(np.sum(s < 0)))
 
     def __neg__(self) -> HermitianMatrix:
-        """The exact negation, without validating it again."""
+        """The exact negation, without validating it again. Its entries are
+        formed on first use, so `cholesky(-H)` fills its buffer from H."""
         neg = object.__new__(HermitianMatrix)
-        neg.mat, neg._eigh = -self.mat, None
+        neg._mat, neg._eigh, neg._negates = None, None, self
         return neg
 
     @property
@@ -129,8 +138,6 @@ class Inertia:
         return self.n_plus + self.n_minus
 
 
-
-
 def cholesky(B) -> np.ndarray:
     """Lower-triangular L with B = L L^H and positive real diagonal.
 
@@ -140,19 +147,24 @@ def cholesky(B) -> np.ndarray:
     zero. Its success proves that the smallest eigenvalue of B exceeds tau
     without computing the spectrum. Otherwise raises
     NotPositiveDefinite, signalling the caller to route to the indefinite
-    path. A HermitianMatrix B is not validated again.
+    path. A HermitianMatrix B is not validated again, nor a negation -H formed.
     """
-    M = as_herm(B)
+    H = HermitianMatrix.of(B)
+    M, negated = (H._negates.mat, True) if H._mat is None else (H.mat, False)
     if M.size == 0:
         raise NotPositiveDefinite("empty matrix is not positive definite")
     tau = ZERO_RTOL * max_norm(M)
-    # one column-major buffer holds B - tau*I to certify, then B to factor
-    L = np.array(M, order="F")
-    L.flat[:: M.shape[0] + 1] -= tau
-    L, info = lapack.zpotrf(L, lower=1, overwrite_a=1)
-    if info == 0:
+    # one column-major buffer holds B - tau*I to certify, then B to factor; a
+    # negation -H not yet formed is filled from H and negated in place
+    L = np.empty(M.shape, dtype=complex, order="F")
+    for shift in (tau, 0.0):
         L[...] = M
+        if negated:
+            np.negative(L, out=L)
+        L.flat[:: M.shape[0] + 1] -= shift
         L, info = lapack.zpotrf(L, lower=1, overwrite_a=1)
+        if info:
+            break
     if info != 0:
         raise NotPositiveDefinite(
             f"smallest eigenvalue is not safely positive: B - {tau:.3e}*I "

@@ -13,8 +13,10 @@ from tracemin import (
 from tracemin.definite import _split_omegas
 from tracemin.errors import MissingOptimizer
 from helpers import (
+    canonical_pencil_instance,
     definite_instance,
     random_hermitian,
+    random_psd,
     random_unitary,
     spy_choleskys,
     traced_peak,
@@ -416,3 +418,73 @@ def test_definite_value_scales_and_is_invariant(seed, sign, sense):
     At, Bt = 0.5 * (At + At.conj().T), 0.5 * (Bt + Bt.conj().T)
     congruent = solve(At, Bt, D, constraint, sense=sense)
     assert congruent.value == pytest.approx(base.value, rel=1e-9)
+
+
+def _comparisons_before_one_rule(w, M):
+    """(count of nonnegative weights, indices of nonzero ones) of eigenvalues
+    w of M by the comparisons D's split and the minimizer check made before
+    they shared B's zero rule: w >= -tol and |w| > tol, tol = 1e-10 * max|M|."""
+    tol = 1e-10 * np.max(np.abs(M))
+    return int(np.sum(w >= -tol)), np.flatnonzero(np.abs(w) > tol)
+
+
+@pytest.mark.parametrize("rel", [1.0, 1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("top", [1.0, 3.0e-7, 5.0e8])
+def test_one_zero_rule_for_b_and_d_at_its_boundary(rel, sign, top):
+    # an eigenvalue at exactly +-tol, or at +-tol*(1 +- 1e-3), tol =
+    # ZERO_RTOL * max|M|: B's inertia, D's split and the minimizer's kept
+    # columns all count it as the old comparisons did
+    assert spectral.ZERO_RTOL == 1e-10
+    M = np.diag([top, sign * rel * spectral.ZERO_RTOL * top])
+    w = np.linalg.eigvalsh(M)[::-1]
+    assert np.array_equal(w, np.diag(M))
+    inb = spectral.HermitianMatrix(M).inertia()
+    om = _split_omegas(M)
+    rep = solve(np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4), M, ConstraintSpec.plus_identity(2),
+                want_optimizer=True)
+    kept = characterize_minimizer(rep, np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4), M)
+    zero = rel <= 1.0
+    assert (inb.n_plus, inb.n_zero, inb.n_minus) == (
+        (1, 1, 0) if zero else (2, 0, 0) if sign > 0 else (1, 0, 1))
+    assert om.ell == inb.n_plus + inb.n_zero
+    assert kept.expected_diagonal.size == inb.rank
+    ell, keep = _comparisons_before_one_rule(w, M)
+    assert om.ell == ell
+    assert np.array_equal(kept.expected_diagonal, [rep.pairing[i][1] for i in keep])
+
+
+def test_zero_rule_keeps_the_split_of_criteria_2_and_3():
+    # on the canonical instances of acceptance criteria 2 (definite B, mixed
+    # weights) and 3 (indefinite B, D > 0), D's split and the minimizer's kept
+    # columns are those of the old comparisons
+    cases = []
+    for seed in range(50):
+        A, B, D, k = definite_instance(seed)
+        cases.append((A, B, D, k))
+    for seed in range(25):
+        rng = np.random.default_rng(seed + 10_000)
+        n = int(rng.integers(3, 7))
+        k = int(rng.integers(1, min(3, n) + 1))
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        B = G @ G.conj().T + 0.5 * np.eye(n)
+        A = random_hermitian(rng, n)
+        w = np.sort(rng.uniform(0.3, 3.0, k) * np.sign(rng.standard_normal(k)))[::-1]
+        Q = random_unitary(rng, k)
+        cases.append((A, B, Q @ np.diag(w) @ Q.conj().T, k))
+    for seed in range(100):
+        A, B, n_plus, *_rest = canonical_pencil_instance(seed)
+        rng = np.random.default_rng(seed + 20_000)
+        k = int(rng.integers(1, n_plus + 1))
+        cases.append((A, B, random_psd(rng, k), k))
+    checked = 0
+    for i, (A, B, D, k) in enumerate(cases):
+        om = _split_omegas(spectral.as_herm(D))
+        ell, keep = _comparisons_before_one_rule(om.omegas, spectral.as_herm(D))
+        assert om.ell == ell, i
+        rep = solve(A, B, D, ConstraintSpec.plus_identity(k), want_optimizer=True)
+        if rep.attained:
+            kept = characterize_minimizer(rep, A, B, D)
+            assert np.array_equal(kept.expected_diagonal, [rep.pairing[j][1] for j in keep]), i
+            checked += 1
+    assert checked >= 150

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import time
@@ -12,7 +13,6 @@ from tracemin import (
     BudgetExceeded,
     ConstraintSpec,
     InfeasibleConstraint,
-    KTooLarge,
     Unsupported,
     characterize_minimizer,
     epsilon_suboptimal,
@@ -20,8 +20,9 @@ from tracemin import (
     solve,
 )
 from tracemin import indefinite, oracle, spectral
+from tracemin.cli import main
 from tracemin.definite import _split_omegas
-from tracemin.spectral import WEIGHT_RTOL
+from tracemin.spectral import ZERO_RTOL as WEIGHT_RTOL
 from helpers import (
     canonical_pencil_instance,
     check_factorizations,
@@ -129,9 +130,9 @@ class TestWorkedExamples:
         assert rep.value is None
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLarge):
+        with pytest.raises(InfeasibleConstraint):
             solve(A3, B3, np.eye(3), ConstraintSpec.plus_identity(3))
-        with pytest.raises(KTooLarge):
+        with pytest.raises(InfeasibleConstraint):
             solve(A3, B3, np.eye(2), ConstraintSpec.minus_identity(2))
 
 
@@ -572,13 +573,82 @@ def test_signature_negative_weight_is_minus_inf_only_along_an_escape(change, esc
 
 @pytest.mark.parametrize("B, constraint, message", [
     (np.eye(2), ConstraintSpec.minus_identity(1),
-     "X^H B X cannot have -1 diagonal entries for positive definite B"),
+     "signature (0,1) exceeds inertia (2,0) of B"),
     (-np.eye(2), ConstraintSpec.plus_identity(1),
-     "X^H B X cannot have +1 diagonal entries for negative definite B"),
+     "signature (1,0) exceeds inertia (0,2) of B"),
 ])
 def test_definite_b_refuses_the_other_sign(B, constraint, message):
     with pytest.raises(InfeasibleConstraint, match=f"^{re.escape(message)}$"):
         solve(np.eye(2), B, np.eye(1), constraint)
+
+
+# (B, constraint, sense, message): constraints B's inertia cannot hold, by
+# Sylvester's law, under semidefinite, zero, indefinite and definite B
+INFEASIBLE = [
+    (np.diag([1.0, 0.0]), ConstraintSpec.minus_identity(1), "min",
+     "signature (0,1) exceeds inertia (1,0) of B"),
+    (np.zeros((2, 2)), ConstraintSpec.plus_identity(1), "min",
+     "signature (1,0) exceeds inertia (0,0) of B"),
+    (np.diag([1.0, 1.0, -1.0]), ConstraintSpec.minus_identity(2), "min",
+     "signature (0,2) exceeds inertia (2,1) of B"),
+    (np.diag([1.0, 1.0, -1.0]), ConstraintSpec.minus_identity(2), "max",
+     "signature (0,2) exceeds inertia (2,1) of B"),
+    (np.eye(2), ConstraintSpec.minus_identity(1), "min",
+     "signature (0,1) exceeds inertia (2,0) of B"),
+    (-np.eye(2), ConstraintSpec.signature(1, 1), "min",
+     "signature (1,1) exceeds inertia (0,2) of B"),
+]
+
+
+def _problem_file(tmp_path, A, B, D, constraint, sense):
+    doc = {"a": A.tolist(), "b": B.tolist(), "d": D.tolist(),
+           "constraint": constraint.kind, "sense": sense}
+    if constraint.kind == "signature":
+        doc.update(k_plus=constraint.k_plus, k_minus=constraint.k_minus)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("B, constraint, sense, message", INFEASIBLE)
+def test_every_entry_point_refuses_an_infeasible_constraint_first(
+        capsys, tmp_path, B, constraint, sense, message):
+    # one rule and one message, before any refusal that reads B's class or
+    # the sense; epsilon_suboptimal and the oracle seek a minimum
+    n, k = B.shape[0], constraint.k
+    A, D = np.diag(np.arange(1.0, n + 1.0)), np.eye(k)
+    entries = [lambda: solve(A, B, D, constraint, sense),
+               lambda: epsilon_suboptimal(A, B, D, constraint, 1e-6),
+               lambda: oracle.local_search(A, B, D, constraint, restarts=1, iters=1)]
+    for entry in entries[: 1 if sense == "max" else 3]:
+        with pytest.raises(InfeasibleConstraint, match=f"^{re.escape(message)}$"):
+            entry()
+    path = _problem_file(tmp_path, A, B, D, constraint, sense)
+    for command in ("solve", "verify"):
+        code = main([command, path])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"code": "INFEASIBLE_CONSTRAINT", "message": message}
+
+
+@pytest.mark.parametrize("B, constraint", [
+    (np.diag([1.0, 0.0]), ConstraintSpec.plus_identity(1)),
+    (np.diag([0.0, -2.0, 0.0]), ConstraintSpec.minus_identity(1)),
+])
+def test_feasible_semidefinite_b_is_still_unsupported_before_any_analysis(
+        capsys, tmp_path, monkeypatch, B, constraint):
+    def no_analysis(*args):
+        raise AssertionError("the pencil was analyzed")
+    monkeypatch.setattr(indefinite, "finite_eigenvalues", no_analysis)
+    n = B.shape[0]
+    A, D = np.diag(np.arange(1.0, n + 1.0)), np.eye(1)
+    for entry in (lambda: solve(A, B, D, constraint),
+                  lambda: epsilon_suboptimal(A, B, D, constraint, 1e-6)):
+        with pytest.raises(Unsupported, match="genuinely indefinite"):
+            entry()
+    code = main(["solve", _problem_file(tmp_path, A, B, D, constraint, "min")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "UNSUPPORTED_SENSE"
 
 
 def test_zero_a_optimizer_is_one_feasible_draw():

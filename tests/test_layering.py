@@ -102,13 +102,34 @@ REMOVED = ("solve_definite_min", "solve_definite_max", "solve_indefinite_plus",
            "solve_indefinite_minus", "solve_signature", "identity_problem",
            "pencil_eig_definite", "DefinitePencilEigen", "split_omegas", "check_finiteness",
            "find_lambda0", "inertia", "eig_herm", "EigenDecomposition", "eigenvectors_of",
-           "feasible_sample")
+           "feasible_sample", "KTooLarge")
 
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_not_importable(name):
     with pytest.raises(ImportError):
         exec(f"from tracemin import {name}", {})
+
+
+def _raised_names():
+    """The names of the exceptions that src/tracemin raises as `raise Name(...)`."""
+    return {node.exc.func.id for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)}
+
+
+def test_every_exported_error_is_raised_and_documented():
+    # an error class no code raises is dead API, and README's list of errors
+    # names exactly the exported ones
+    import tracemin
+
+    errors = {name for name in tracemin.__all__ if isinstance(getattr(tracemin, name), type)
+              and issubclass(getattr(tracemin, name), tracemin.TraceminError)}
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    paragraph = readme.split("\nErrors are code-bearing exceptions", 1)[1].split("\n\n", 1)[0]
+    assert errors - {"TraceminError"} <= _raised_names()
+    assert set(re.findall(r"`(\w+)`", paragraph)) == errors
 
 
 def _envelope_writers(path):

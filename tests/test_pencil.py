@@ -736,13 +736,17 @@ def test_touching_pair_sits_exactly_at_lambda0(seed, n_inf):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("c", 10.0 ** np.arange(-12, 9))
+@pytest.mark.parametrize("c", 10.0 ** np.union1d(np.arange(-12, 9), np.arange(-300, 301, 5)))
 def test_one_sided_lambda0_scales_with_the_pencil(c, sign):
-    # with B definite one end of the bracket is missing, and lambda0 is the
-    # certified strict shift, found by a scale-free search: no absolute offset
-    A, B = np.diag([1.0, 2.0, 3.0]), sign * np.eye(3)
-    base = finite_eigenvalues(A, B).lambda0
-    assert finite_eigenvalues(c * A, B).lambda0 == pytest.approx(c * base, rel=1e-12, abs=0.0)
+    # with B definite or semidefinite one end of the bracket is missing, and
+    # lambda0 is the certified strict shift, found by a scale-free search: no
+    # absolute offset, and no square of an entry of c*A that over- or
+    # underflows, from c = 1e-300 to 1e300
+    for A, B in ((np.diag([1.0, 2.0, 3.0]), np.eye(3)), (np.diag([-1.0, 2.0]), np.eye(2)),
+                 (np.diag([1.0, 2.0]), np.diag([1.0, 0.0]))):
+        base = finite_eigenvalues(A, sign * B).lambda0
+        assert finite_eigenvalues(c * A, sign * B).lambda0 == pytest.approx(
+            c * base, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("c", 10.0 ** np.arange(-12, 9))

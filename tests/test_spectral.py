@@ -141,6 +141,17 @@ def test_cholesky_working_set():
     assert np.allclose(L @ L.conj().T, B.mat, atol=1e-10 * np.max(np.abs(B.mat)))
 
 
+def test_negated_cholesky_working_set():
+    # -B's certificate fills its one buffer from B: the negation forms no
+    # n x n copy, and the factor is bitwise that of a formed -B
+    rng = np.random.default_rng(1)
+    G = rng.standard_normal((WS_N, WS_N)) + 1j * rng.standard_normal((WS_N, WS_N))
+    B = HermitianMatrix(-(G @ G.conj().T + np.eye(WS_N)))
+    L, peak = traced_peak(lambda H: cholesky(-H), B)
+    assert peak <= 1.25 * 16 * WS_N**2
+    assert np.array_equal(L, cholesky(HermitianMatrix(-B.mat)))
+
+
 def _reduction(rng, n):
     A = random_hermitian(rng, n)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
