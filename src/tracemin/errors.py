@@ -27,7 +27,7 @@ class InfeasibleConstraint(TraceminError):
 
 class Unsupported(TraceminError):
     """Mathematically valid input outside the analytic coverage (e.g. sup
-    under genuinely indefinite B)."""
+    under a B that is not definite)."""
 
     code = "UNSUPPORTED_SENSE"
 

@@ -2,14 +2,14 @@
 
 `solve` validates a problem once (`problem.Problem`) and splits on B's
 inertia: a Cholesky factor of B or -B sends it to the definite route, any
-other B to the indefinite route here, which reports its route name on
-`SolveReport.route`. A constraint that inertia cannot hold is refused first.
+other B, singular semidefinite B too, to the indefinite route here (named on
+`SolveReport.route`). A constraint that inertia cannot hold is refused first.
 
-For genuinely indefinite B and a positive semi-definite pencil the infimum
-of tr(D X^H A X) is finite when D >= 0 or A = lambda0*B; the value pairs D's
+For such a B and a positive semi-definite pencil the infimum of
+tr(D X^H A X) is finite when D >= 0 or A = lambda0*B; the value pairs D's
 descending eigenvalues with the pencil eigenvalues nearest the certifying
 shift, and is attained iff the pencil is diagonalizable. Any other D is -inf
-along an escape, or, under a signature constraint without one, refused.
+along an escape, or, without one, refused.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ FEASIBILITY_ATOL = 1e-8
 
 
 def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
-    """The indefinite routes on a validated problem, from one pencil analysis.
+    """The pencil route for every B that is not definite, from one analysis.
 
     The +1 block of D pairs its descending eigenvalues with the smallest
     lambda+, the -1 block with the largest lambda- negated (the plus route on
@@ -45,14 +45,10 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
     Otherwise it is -inf if a negative weight has an escape, else Unsupported.
     """
     c = p.constraint
-    # B's kept eigh gives its inertia here, as in `_solve`, and the pencil analysis
+    # B's inertia, counted once beside its kept eigh, as `_solve` and the analysis read it
     inb = p.B.inertia()
-    if inb.n_plus < 1 or inb.n_minus < 1:
-        raise Unsupported("B must be genuinely indefinite for this route")
     if p.sense == "max":
-        raise Unsupported(
-            "maximization under genuinely indefinite B has no analytic solution"
-        )
+        raise Unsupported("maximization under a B that is not definite has no analytic solution")
     D_, kp = p.D.mat, c.k_plus
     if max_norm(D_[:kp, kp:]) > ZERO_RTOL * max_norm(D_):
         raise BlockStructureViolated(
@@ -66,14 +62,14 @@ def _solve_indefinite(p: Problem, want_optimizer, eps=None) -> SolveReport:
     # pencil eigenvalue is lambda0 and any weight pairs with it
     oms = (_split_omegas(D_[:kp, :kp]), _split_omegas(D_[kp:, kp:]))
     finite = analysis._scalar or all(om.ell == om.omegas.size for om in oms)
-    # -inf needs an escape: a negative weight's column boosted by a free
-    # direction of the other sign of B or moved along N(B) where A > 0, or the
-    # two blocks' least weights, summing below zero, boosted together (an
-    # empty block adds 0, so under I_k or -I_k every negative weight escapes)
+    # -inf needs an escape: a negative weight's column boosted by a free direction of the
+    # other sign of B or moved along N(B) where A > 0, or, with a column of each sign, the
+    # two blocks' least weights, summing below zero, boosted together
     spare = (inb.n_minus - c.k_minus, inb.n_plus - c.k_plus)
     if not finite and not (
             any(om.ell < om.omegas.size and (s or analysis._n2) for om, s in zip(oms, spare))
-            or sum(om.omegas[-1:].sum() for om in oms) < -ZERO_RTOL * max_norm(D_)):
+            or c.k_plus and c.k_minus
+            and sum(om.omegas[-1] for om in oms) < -ZERO_RTOL * max_norm(D_)):
         raise Unsupported("D has a negative weight but no escape to -inf; its infimum "
                           "has no known closed form")
     sides = [_pair(om, eigs, [f"{role}[{i + 1}]" for i in range(om.omegas.size)])

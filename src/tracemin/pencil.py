@@ -42,8 +42,8 @@ from .errors import NotPsdPencil
 from .spectral import HermitianMatrix, Inertia, as_herm, max_norm
 from .spectral import _pair_eigenpairs, _reduce_pair
 
-# singular values of A*U0 below this times ||A||_F count as zero in the
-# deflation of N(A) & N(B)
+# singular values of A*U0 below this times ||A||_F (BLAS nrm2, which squares no
+# entry) count as zero in the deflation of N(A) & N(B)
 RANK_RTOL = 1e-9
 # eigenvalues of S - lambda0*J below -PSD_RTOL * (max|A11| + |lambda0|)
 # refute the certificate; those at or below +PSD_RTOL * (...) span its kernel K0
@@ -128,7 +128,8 @@ def _reduce(A, B):
     scale, V2 = max_norm(S), U0
     if U0.shape[1]:
         _, sv, Vh = np.linalg.svd(A_ @ U0, full_matrices=False)
-        V2 = U0 @ Vh[: int(np.sum(sv > RANK_RTOL * np.linalg.norm(A_)))].conj().T
+        rank = int(np.sum(sv > RANK_RTOL * blas.dznrm2(A_.ravel(order="K"))))
+        V2 = U0 @ Vh[:rank].conj().T
         L, info = lapack.zpotrf(V2.conj().T @ A_ @ V2, lower=1)
         if info:
             raise NotPsdPencil("A is not positive definite on N(B) minus N(A)")
@@ -231,7 +232,7 @@ def _shift_search(S, J, scale):
         x = np.r_[x, np.zeros(J.size - x.size)]
         for _ in range(3):
             x = lapack.zpotrs(L, x, lower=1)[0]
-            x /= np.linalg.norm(x)
+            x /= blas.dznrm2(x)
         g = float(np.real(x.conj() @ (J * x)))
         e = float(np.real(x.conj() @ S @ x)) - sigma * g
         steer = abs(g) > STEER_RTOL
@@ -323,9 +324,10 @@ def _pair_beside(M, U0, d0, J, E, inb, margin):
     K, d, Z = U0[:, ~null] / np.sqrt(np.abs(d0[~null])), d0[~null], U0[:, null]
     W = Z
     if Z.shape[1]:
-        # M + U0 U0^H > 0 (its upper triangle, by one rank-k update of a
-        # column-major copy of M), and its solution is orthogonal to K0
-        W = sla.solve(blas.zherk(1.0, U0, beta=1.0, c=np.array(M, order="F"), overwrite_c=1),
+        # M + max|M| U0 U0^H > 0 at M's scale (its upper triangle, by one rank-k update
+        # of a column-major copy of M); its solution is orthogonal to K0 at any weight
+        W = sla.solve(blas.zherk(max_norm(M), U0, beta=1.0, c=np.array(M, order="F"),
+                                 overwrite_c=1),
                       J[:, None] * Z, assume_a="pos", lower=False, overwrite_a=True)
         R = np.linalg.inv(np.linalg.cholesky(Z.conj().T @ (J[:, None] * W))).conj().T
         Z, W = Z @ R, W @ R

@@ -43,7 +43,7 @@ class HermitianMatrix:
     whose exact symmetrization (H + H^H)/2, the stored matrix, overflows.
     """
 
-    __slots__ = ("_mat", "_eigh", "_negates")
+    __slots__ = ("_mat", "_eigh", "_negates", "_inertia")
 
     def __init__(self, entries):
         M = np.asarray(entries, dtype=complex)
@@ -71,7 +71,7 @@ class HermitianMatrix:
         if s > np.finfo(float).max / 2 and not np.all(np.isfinite(mat)):
             raise ValueError("matrix overflows: M + M^H exceeds the float range")
         mat *= 0.5
-        self._mat, self._eigh, self._negates = mat, None, None
+        self._mat, self._eigh, self._negates, self._inertia = mat, None, None, None
 
     @property
     def mat(self) -> np.ndarray:
@@ -96,16 +96,18 @@ class HermitianMatrix:
         return self._eigh
 
     def inertia(self) -> Inertia:
-        """Inertia counted from the signs of the kept eigenvalues."""
-        s = _signs(self.eigh()[0], self.mat)
-        return Inertia(n_plus=int(np.sum(s > 0)), n_zero=int(np.sum(s == 0)),
-                       n_minus=int(np.sum(s < 0)))
+        """Inertia from the signs of the kept eigenvalues, counted once and kept."""
+        if self._inertia is None:
+            s = _signs(self.eigh()[0], self.mat)
+            self._inertia = Inertia(n_plus=int(np.sum(s > 0)), n_zero=int(np.sum(s == 0)),
+                                    n_minus=int(np.sum(s < 0)))
+        return self._inertia
 
     def __neg__(self) -> HermitianMatrix:
         """The exact negation, without validating it again. Its entries are
         formed on first use, so `cholesky(-H)` fills its buffer from H."""
         neg = object.__new__(HermitianMatrix)
-        neg._mat, neg._eigh, neg._negates = None, None, self
+        neg._mat, neg._eigh, neg._negates, neg._inertia = None, None, self, None
         return neg
 
     @property

@@ -16,7 +16,7 @@ from tracemin import __version__
 from tracemin import spectral
 from tracemin.cli import main
 from tracemin.errors import DegenerateDraw
-from helpers import check_factorizations, psd_pencil, spy_factorizations
+from helpers import canonical_pencil_instance, check_factorizations, psd_pencil, spy_factorizations
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -124,6 +124,42 @@ def test_text_mode_carries_same_numbers(capsys):
     assert float(lines["value"]) == rep["value"]
     assert float(lines["diagnostics.lambda0"]) == rep["diagnostics"]["lambda0"]
     assert lines["finite"] == "True"
+
+
+def test_semidefinite_fixture(capsys):
+    # B = diag(1, 1, 0) >= 0 takes the pencil route: D's weights 1 and 0.5
+    # pair with lambda+ = 1 and 2
+    path = str(FIXTURES / "semidefinite.json")
+    code, rep = run_json(capsys, "solve", path)
+    assert code == 0
+    assert (rep["route"], rep["finite"], rep["attained"]) == ("indefinite-plus", True, True)
+    assert rep["value"] == pytest.approx(2.0, abs=1e-12)
+    code, rep = run_json(capsys, "pencil", path)
+    assert code == 0
+    assert rep["inertia_b"] == [2, 1, 0]
+    assert rep["lambda_plus"] == pytest.approx([1.0, 2.0], abs=1e-12)
+    code, rep = run_json(capsys, "verify", path)
+    assert (code, rep["verdict"]) == (0, "PASS")
+
+
+@pytest.mark.parametrize("command", ["solve", "pencil", "verify"])
+def test_coupled_pencil_at_a_large_scale_gets_a_report(capsys, tmp_path, command):
+    # A coupled pencil with A scaled by 1e20: the Jordan partners' solve
+    # weighs K0 at the pencil's scale, so each command writes its report
+    A, B, n_plus, *_ = canonical_pencil_instance(9)
+    doc = {"constraint": "plus_identity", "d": np.eye(n_plus).tolist()}
+    for key, M in (("a", 1e20 * A), ("b", B)):
+        doc[key] = np.stack([M.real, M.imag], axis=-1).tolist()
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    rep = json.loads(out)
+    assert err == ""
+    if command == "verify":
+        assert code == {"PASS": 0, "FAIL": 3}[rep["verdict"]]
+    else:
+        assert code == 0
+        assert rep.get("diagnostics", rep)["m0"] == 1
 
 
 class TestPencil:

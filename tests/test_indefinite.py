@@ -13,6 +13,9 @@ from tracemin import (
     BudgetExceeded,
     ConstraintSpec,
     InfeasibleConstraint,
+    Inertia,
+    NotPsdPencil,
+    Problem,
     Unsupported,
     characterize_minimizer,
     epsilon_suboptimal,
@@ -158,24 +161,30 @@ class TestDispatch:
         with pytest.raises(Unsupported):
             solve(A3, B3, np.eye(1), ConstraintSpec.plus_identity(1), sense="max")
 
-    def test_singular_semidefinite_b_unsupported(self):
-        with pytest.raises(Unsupported):
+    def test_singular_semidefinite_b_takes_the_indefinite_route(self):
+        # B >= 0 with N(B) = span e2, where A > 0: x = e1 + t*e2 gives 1 + t^2
+        rep = solve(np.eye(2), np.diag([1.0, 0.0]), np.eye(1),
+                    ConstraintSpec.plus_identity(1))
+        assert (rep.route, rep.finite, rep.attained) == ("indefinite-plus", True, True)
+        assert rep.inertia_b == Inertia(1, 1, 0)
+        assert rep.value == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(Unsupported, match="maximization under a B that is not definite"):
             solve(np.eye(2), np.diag([1.0, 0.0]), np.eye(1),
-                  ConstraintSpec.plus_identity(1))
+                  ConstraintSpec.plus_identity(1), sense="max")
 
     @pytest.mark.parametrize("entry", ["solve", "epsilon_suboptimal"])
-    def test_semidefinite_b_is_unsupported_before_any_analysis(self, monkeypatch, entry):
-        # A - lambda*B is not positive semi-definite here, but B's inertia is
-        # decided first, once, and the same way on both entry points
-        def no_analysis(*args):
-            raise AssertionError("the pencil was analyzed")
-        monkeypatch.setattr(indefinite, "finite_eigenvalues", no_analysis)
+    def test_semidefinite_b_is_refused_by_its_pencil(self, entry):
+        # A is negative on N(B), so no shift makes A - lambda*B positive
+        # semi-definite: the analysis refuses the pencil on both entry points,
+        # and the oracle finds the objective unbounded below along e2
         A, B, D = np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.eye(1)
-        with pytest.raises(Unsupported, match="genuinely indefinite"):
+        constraint = ConstraintSpec.plus_identity(1)
+        with pytest.raises(NotPsdPencil):
             if entry == "solve":
-                solve(A, B, D, ConstraintSpec.plus_identity(1))
+                solve(A, B, D, constraint)
             else:
-                epsilon_suboptimal(A, B, D, ConstraintSpec.plus_identity(1), 1e-6)
+                epsilon_suboptimal(A, B, D, constraint, 1e-6)
+        assert oracle.local_search(A, B, D, constraint, restarts=4, iters=200).unbounded_flag
 
     def test_diagonal_skips_only_probes_it_refutes(self, monkeypatch):
         # a diagonal entry of B at or below zero rules out a Cholesky factor of
@@ -484,6 +493,113 @@ def test_value_scales_with_a_and_b(index):
                 assert rep.value == pytest.approx(expected, rel=1e-9), (constraint.kind, c)
 
 
+def _semidefinite_b(rng, n, n_zero, sign):
+    """sign * T^H diag(b, 0...) T for a random complex T: a singular B >= 0
+    (sign +1) or B <= 0 (sign -1) with n_zero zero eigenvalues, which the
+    congruence leaves as rounding noise."""
+    T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    B = sign * T.conj().T @ np.diag(np.r_[rng.uniform(0.5, 2.0, n - n_zero),
+                                          np.zeros(n_zero)]) @ T
+    return 0.5 * (B + B.conj().T)
+
+
+def _route_classes():
+    """(name, A, B, D, constraint, sense) at n <= 6, one per route class."""
+    plus, minus = ConstraintSpec.plus_identity, ConstraintSpec.minus_identity
+    rng = np.random.default_rng(31)
+    A, B, D, k = definite_instance(3)
+    cases = [("definite-min", A, B, D, plus(k), "min"), ("definite-max", A, B, D, plus(k), "max"),
+             ("definite-min-negated-b", A, -B, D, minus(k), "min"),
+             ("definite-max-negated-b", A, -B, D, minus(k), "max")]
+    for name, seed in (("diagonalizable", 0), ("coupled", 9)):
+        A, B, n_plus, *_ = canonical_pencil_instance(seed)
+        cases.append((name, A, B, random_psd(rng, n_plus), plus(n_plus), "min"))
+    # singular B, with an infinite eigenvalue and a Jordan block at lambda0
+    A, B, *_ = psd_pencil(rng, 2, 1, n_inf=1, n_coupled=1)
+    D = np.zeros((3, 3), dtype=complex)
+    D[:2, :2], D[2:, 2:] = random_psd(rng, 2), random_psd(rng, 1)
+    cases.append(("signature", A, B, D, ConstraintSpec.signature(2, 1), "min"))
+    cases.append(("unbounded", A3, B3, np.diag([-1.0]), plus(1), "min"))
+    G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    for name, sign, constraint in (("semidefinite-plus", 1.0, plus(2)),
+                                   ("semidefinite-minus", -1.0, minus(2))):
+        cases.append((name, G @ G.conj().T / 5, _semidefinite_b(rng, 5, 2, sign),
+                      random_psd(rng, 2), constraint, "min"))
+    return cases
+
+
+@pytest.mark.parametrize("name, A, B, D, constraint, sense", _route_classes(),
+                         ids=[case[0] for case in _route_classes()])
+def test_value_scales_with_a_b_and_d_apart(name, A, B, D, constraint, sense):
+    # value(c*A) = c*value, value(c*B) = value/c and value(c*D) = c*value
+    # for c in 10^[-280, 280]: every threshold and norm is relative, and no
+    # term of unit scale meets a scaled one
+    base = solve(A, B, D, constraint, sense)
+    shape = (base.finite, base.attained, getattr(base.analysis, "m0", None))
+    for e in range(-280, 281, 20):
+        c = 10.0 ** e
+        for args, factor in (((c * A, B, D), c), ((A, c * B, D), 1.0 / c), ((A, B, c * D), c)):
+            rep = solve(*args, constraint, sense)
+            assert (rep.finite, rep.attained, getattr(rep.analysis, "m0", None)) == shape, (e, factor)
+            if base.finite:
+                assert rep.value == pytest.approx(factor * base.value, rel=1e-8), (e, factor)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_singular_semidefinite_b_matches_the_oracle(seed):
+    # B >= 0 under +I_k (even seeds) or B <= 0 under -I_k (odd seeds), with
+    # 1 to n - 2 zero eigenvalues, A = G G^H / n > 0 (half of them shifted by
+    # -B/2) and D > 0: a finite value, which the oracle's best meets
+    rng = np.random.default_rng(seed + 3100)
+    n = int(rng.integers(3, 7))
+    n_zero = int(rng.integers(1, n - 1))
+    sign = 1.0 if seed % 2 == 0 else -1.0
+    B = _semidefinite_b(rng, n, n_zero, sign)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = G @ G.conj().T / n - (0.5 * B if seed % 4 < 2 else 0.0)
+    k = int(rng.integers(1, n - n_zero + 1))
+    constraint = (ConstraintSpec.plus_identity if sign > 0 else ConstraintSpec.minus_identity)(k)
+    D = random_psd(rng, k)
+    rep = solve(A, B, D, constraint)
+    assert rep.inertia_b.n_zero == n_zero and rep.finite
+    best = oracle.local_search(A, B, D, constraint, restarts=8, iters=800).best_value
+    scale = 1.0 + abs(rep.value)
+    assert -1e-8 * scale <= best - rep.value <= 1e-4 * scale
+
+
+def test_semidefinite_b_escapes_only_along_directions_it_has():
+    # B = diag(1, 1, 0) under +I_2 with D = diag(1, -1). With A > 0 on N(B)
+    # the -1 column moves along N(B) to -inf. With N(B) in N(A) the problem
+    # is the definite one on range(B), whose infimum is -1: B has no negative
+    # direction, so no escape applies, and the two blocks' joint escape needs
+    # a column of each sign; the route refuses it rather than report -inf
+    B, D, constraint = np.diag([1.0, 1.0, 0.0]), np.diag([1.0, -1.0]), ConstraintSpec.plus_identity(2)
+    A = np.diag([1.0, 2.0, 3.0])
+    assert not solve(A, B, D, constraint).finite
+    assert oracle.local_search(A, B, D, constraint, restarts=4, iters=400).unbounded_flag
+    A = np.diag([1.0, 2.0, 0.0])
+    with pytest.raises(Unsupported, match="no escape to -inf"):
+        solve(A, B, D, constraint)
+    best = oracle.local_search(A, B, D, constraint, restarts=8, iters=800).best_value
+    assert best == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_b_inertia_is_counted_once_per_solve(monkeypatch):
+    # `_solve`, the route and the pencil analysis read one count, kept beside
+    # B's eigh, and the oracle's coordinates read that same count
+    counts, real = [], spectral._signs
+    monkeypatch.setattr(spectral, "_signs", lambda w, M: counts.append(M.shape) or real(w, M))
+    A, B, *_ = canonical_pencil_instance(1)
+    for constraint in (ConstraintSpec.plus_identity(1), ConstraintSpec.minus_identity(1),
+                       ConstraintSpec.signature(1, 1)):
+        p = Problem.of(A, B, np.eye(constraint.k), constraint)
+        counts.clear()
+        rep = solve(*p)
+        coords = oracle._SignatureCoords(p.B, constraint)
+        assert counts == [B.shape]
+        assert Inertia(coords.n_plus, coords.n_zero, coords.n_minus) == rep.inertia_b
+
+
 @pytest.mark.parametrize("index", range(16))
 def test_value_invariant_under_congruence_and_shift(index):
     # (A, B) -> (T^H A T, T^H B T) keeps the value; A -> A + s*B adds
@@ -635,20 +751,21 @@ def test_every_entry_point_refuses_an_infeasible_constraint_first(
     (np.diag([1.0, 0.0]), ConstraintSpec.plus_identity(1)),
     (np.diag([0.0, -2.0, 0.0]), ConstraintSpec.minus_identity(1)),
 ])
-def test_feasible_semidefinite_b_is_still_unsupported_before_any_analysis(
-        capsys, tmp_path, monkeypatch, B, constraint):
-    def no_analysis(*args):
-        raise AssertionError("the pencil was analyzed")
-    monkeypatch.setattr(indefinite, "finite_eigenvalues", no_analysis)
+def test_feasible_semidefinite_b_gets_its_value(capsys, tmp_path, B, constraint):
+    # A > 0 on N(B): the least of x^H A x with x^H B x = +-1 is 1.0, at the
+    # first B-unit column of the nonzero sign (x = e2 / sqrt(2) under -B)
     n = B.shape[0]
     A, D = np.diag(np.arange(1.0, n + 1.0)), np.eye(1)
-    for entry in (lambda: solve(A, B, D, constraint),
-                  lambda: epsilon_suboptimal(A, B, D, constraint, 1e-6)):
-        with pytest.raises(Unsupported, match="genuinely indefinite"):
-            entry()
+    rep = solve(A, B, D, constraint)
+    assert (rep.finite, rep.attained) == (True, True)
+    assert rep.value == pytest.approx(1.0, abs=1e-12)
+    X = epsilon_suboptimal(A, B, D, constraint, 1e-6)
+    assert np.real(X.conj().T @ A @ X)[0, 0] == pytest.approx(1.0, abs=1e-9)
+    best = oracle.local_search(A, B, D, constraint, restarts=4, iters=400).best_value
+    assert best == pytest.approx(1.0, abs=1e-6)
     code = main(["solve", _problem_file(tmp_path, A, B, D, constraint, "min")])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"]["code"] == "UNSUPPORTED_SENSE"
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_a_optimizer_is_one_feasible_draw():

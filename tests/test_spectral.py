@@ -8,7 +8,6 @@ from tracemin import (
     HermitianMatrix,
     NotPositiveDefinite,
     Problem,
-    Unsupported,
     as_herm,
     cholesky,
     majorizes,
@@ -302,8 +301,12 @@ def test_solve_routes_as_inertia_at_tolerance(rel, sign):
         assert rep.route == "definite-min" + ("" if sign > 0 else "-negated-b")
         assert rep.inertia_b == inb
     else:
-        with pytest.raises(Unsupported):
-            solve(np.eye(3), B, np.eye(1), constraint)
+        # a B with a zero eigenvalue has no certified factor of B or -B, and
+        # takes the pencil route: x = e1 / sqrt(2) gives 0.5
+        rep = solve(np.eye(3), B, np.eye(1), constraint)
+        assert rep.route == "indefinite-" + ("plus" if sign > 0 else "minus")
+        assert rep.inertia_b == inb
+        assert rep.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kept_eigendecomposition_is_read_only():
